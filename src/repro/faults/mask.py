@@ -11,12 +11,18 @@ convenient and used by the cross-validation property tests.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.faults.packing import int_to_words, pack_flags, words_for_sites
+from repro.obs import get_observer
+
+#: Half-width of the native draw's selection band, in binomial standard
+#: deviations of the flip count (see ExactFractionMask.native_batch).
+_BAND_SIGMAS = 6.0
 
 
 def _pack_sites(flags: np.ndarray) -> int:
@@ -126,8 +132,10 @@ class ExactFractionMask(MaskPolicy):
         block holds exactly the uniforms ``n_draws`` successive
         :meth:`generate` calls would consume -- stream- and
         result-identical to the scalar path (asserted by the equivalence
-        tests), with the per-draw site selection vectorized into one
-        ``argpartition``.
+        tests).  When the compiled tier's provider carries the native
+        mask draw and ``rng`` is a ``PCG64`` stream (every campaign
+        stream is), :meth:`native_batch` draws, selects and packs in C;
+        otherwise, or when the kernel declines, :meth:`numpy_batch` does.
         """
         if n_sites < 0:
             raise ValueError(f"n_sites must be non-negative, got {n_sites}")
@@ -135,6 +143,55 @@ class ExactFractionMask(MaskPolicy):
             raise ValueError(f"n_draws must be non-negative, got {n_draws}")
         if n_sites == 0 or self._fraction == 0.0 or n_draws == 0:
             return np.zeros((n_draws, words_for_sites(n_sites)), dtype="<u8")
+        # Deferred: repro.kernels imports the ALU stack, which imports this.
+        from repro.kernels.providers import get_provider
+
+        metrics = get_observer().metrics
+        provider = get_provider()
+        draw = None if provider is None else provider.mask_fn
+        if draw is not None and type(rng.bit_generator) is np.random.PCG64:
+            words = self.native_batch(draw, n_sites, n_draws, rng)
+            if words is not None:
+                metrics.counter("kernel.mask.native").inc(n_draws)
+                return words
+        metrics.counter("kernel.mask.numpy").inc(n_draws)
+        return self.numpy_batch(n_sites, n_draws, rng)
+
+    def native_batch(
+        self,
+        draw: Callable,
+        n_sites: int,
+        n_draws: int,
+        rng: np.random.Generator,
+    ) -> Optional[np.ndarray]:
+        """:meth:`generate_batch` through a native mask draw, or ``None``.
+
+        ``draw`` is a provider's ``mask_fn``.  It sets the sites whose
+        uniform falls below the selection band directly and quickselects
+        the boundary among those inside it.  The band is centred on the
+        expected boundary; its half-width of ``_BAND_SIGMAS`` binomial
+        standard deviations plus as many sites (which covers the heavier
+        tail of small counts) keeps the chance that a row's boundary
+        falls outside it below 1e-9 at any site count and fraction.
+        ``None`` (a boundary outside the band, a tie, or the all-sites
+        case) leaves ``rng`` untouched for :meth:`numpy_batch`.
+        """
+        base, remainder = self._split_count(n_sites)
+        if base >= n_sites:
+            return None
+        sd = math.sqrt((base + 1) * (1.0 - base / n_sites))
+        centre = (base + 0.5) / n_sites
+        half = _BAND_SIGMAS * (sd + _BAND_SIGMAS) / n_sites
+        return draw(
+            rng.bit_generator, n_sites, n_draws, base, remainder,
+            centre - half, centre + half,
+        )
+
+    def numpy_batch(
+        self, n_sites: int, n_draws: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """:meth:`generate_batch` in NumPy: the reference for the native
+        draw, and the path for every other generator or provider."""
         base, remainder = self._split_count(n_sites)
         cols = n_sites + 1 if remainder > 0.0 else n_sites
         block = rng.random((n_draws, cols))

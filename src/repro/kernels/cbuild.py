@@ -27,6 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.faults.packing import WORD_DTYPE, words_for_sites
+
 #: Environment override for the shared-object cache directory.
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
@@ -82,7 +84,10 @@ def build_library(source: str) -> Path:
     lib_path = directory / f"repro_kernel_{_cache_tag(source, compiler)}.so"
     if lib_path.exists():
         return lib_path
-    src_path = directory / f"{lib_path.stem}.c"
+    # Both the source and the object get per-process names: a shared
+    # source name would let a second first-time builder truncate it
+    # under the first one's compiler.
+    src_path = directory / f".{lib_path.stem}.{os.getpid()}.c"
     tmp_path = directory / f".{lib_path.name}.{os.getpid()}.tmp"
     src_path.write_text(source, encoding="utf-8")
     cmd = [
@@ -95,7 +100,10 @@ def build_library(source: str) -> Path:
         )
     except (OSError, subprocess.TimeoutExpired) as exc:
         raise KernelBuildError(f"compiler invocation failed: {exc!r}") from exc
+    finally:
+        src_path.unlink(missing_ok=True)
     if proc.returncode != 0:
+        tmp_path.unlink(missing_ok=True)
         raise KernelBuildError(
             f"{compiler} failed ({proc.returncode}):\n{proc.stderr.strip()}"
         )
@@ -106,6 +114,7 @@ def build_library(source: str) -> Path:
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U64P = ctypes.POINTER(ctypes.c_uint64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_U64_MAX = (1 << 64) - 1
 
 
 def load_eval(lib_path: Path) -> Callable:
@@ -145,6 +154,60 @@ def load_eval(lib_path: Path) -> Callable:
     return eval_batch
 
 
+def load_exact_fraction(lib_path: Path) -> Callable:
+    """dlopen the kernel and wrap its exact-fraction mask draw.
+
+    The returned callable is ``draw(bit_generator, n_sites, n_draws,
+    base, remainder, tlo, thi)`` for a NumPy ``PCG64`` bit generator.
+    It returns the packed ``(n_draws, n_words)`` masks and advances the
+    generator exactly as ``Generator.random`` would, or returns ``None``
+    with the generator untouched when the kernel declines the draw.
+    Raises :class:`KernelBuildError` when the library lacks the entry
+    point (a compiler without 128-bit integers).
+    """
+    try:
+        fn = ctypes.CDLL(str(lib_path)).repro_exact_fraction
+    except (OSError, AttributeError) as exc:
+        raise KernelBuildError(
+            f"no mask entry in {lib_path}: {exc!r}"
+        ) from exc
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [
+        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        _U64P, _U64P, _I64P,
+    ]
+
+    def exact_fraction(bit_generator, n_sites, n_draws, base, remainder,
+                       tlo, thi):
+        words = np.empty((n_draws, words_for_sites(n_sites)), dtype=WORD_DTYPE)
+        band_val = np.empty(n_sites, dtype=np.uint64)
+        band_idx = np.empty(n_sites, dtype=np.int64)
+        with bit_generator.lock:
+            state = bit_generator.state
+            pcg = state["state"]
+            regs = np.array(
+                [pcg["state"] >> 64, pcg["state"] & _U64_MAX,
+                 pcg["inc"] >> 64, pcg["inc"] & _U64_MAX],
+                dtype=np.uint64,
+            )
+            declined = fn(
+                regs.ctypes.data_as(_U64P),
+                int(n_sites), int(n_draws), int(base),
+                float(remainder), float(tlo), float(thi),
+                words.ctypes.data_as(_U64P),
+                band_val.ctypes.data_as(_U64P),
+                band_idx.ctypes.data_as(_I64P),
+            )
+            if declined:
+                return None
+            pcg["state"] = (int(regs[0]) << 64) | int(regs[1])
+            bit_generator.state = state
+        return words
+
+    return exact_fraction
+
+
 def self_test(eval_fn) -> None:
     """Smoke-check an eval callable on a tiny known-answer plan.
 
@@ -176,3 +239,32 @@ def self_test(eval_fn) -> None:
             f"kernel self-test mismatch: got {int(out[0])}, "
             f"expected {expected}"
         )
+
+
+def mask_self_test(draw) -> None:
+    """Check a mask draw against the NumPy body on a small draw.
+
+    The native draw must give the same words *and* leave the generator
+    in the same state; a draw that declines, differs or desynchronises
+    raises :class:`KernelBuildError`.
+    """
+    from repro.faults.mask import ExactFractionMask
+
+    policy = ExactFractionMask(0.0517)
+    for n_sites, n_draws in ((1, 3), (64, 5), (300, 16)):
+        native_rng = np.random.default_rng(2004)
+        numpy_rng = np.random.default_rng(2004)
+        got = policy.native_batch(draw, n_sites, n_draws, native_rng)
+        want = policy.numpy_batch(n_sites, n_draws, numpy_rng)
+        if got is None:
+            raise KernelBuildError(
+                f"mask self-test: native draw declined {n_sites} sites"
+            )
+        if not np.array_equal(got, want):
+            raise KernelBuildError(
+                f"mask self-test: words differ over {n_sites} sites"
+            )
+        if native_rng.bit_generator.state != numpy_rng.bit_generator.state:
+            raise KernelBuildError(
+                f"mask self-test: generator state differs over {n_sites} sites"
+            )

@@ -2,8 +2,8 @@
 
 A transliteration of :mod:`repro.kernels.interp` -- same plan format,
 same arithmetic, same evaluation order -- compiled once per machine by
-:mod:`repro.kernels.cbuild` and called through ``ctypes``.  The ABI is a
-single entry point:
+:mod:`repro.kernels.cbuild` and called through ``ctypes``.  The ABI is
+the plan evaluator:
 
 .. code-block:: c
 
@@ -12,6 +12,28 @@ single entry point:
                          const int64_t *va, const int64_t *vb,
                          const uint64_t *words, int64_t n,
                          int64_t n_words, int64_t *out, uint8_t *scratch);
+
+plus, where the compiler has 128-bit integers, the exact-fraction mask
+draw behind :meth:`repro.faults.mask.ExactFractionMask.generate_batch`:
+
+.. code-block:: c
+
+   int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
+                                int64_t n_draws, int64_t base,
+                                double remainder, double tlo, double thi,
+                                uint64_t *words, uint64_t *band_val,
+                                int64_t *band_idx);
+
+It reproduces NumPy's ``PCG64`` ``random()`` doubles from the state in
+``pcg`` (state high/low, increment high/low), so it consumes exactly the
+uniforms the NumPy body would.  Each row flips the sites below ``tlo``
+directly, keeps the sites in ``[tlo, thi)`` as a band, and quickselects
+the boundary among them.  It returns 0 and advances ``pcg`` on success;
+it returns 1 with ``pcg`` untouched when a row's boundary lies outside
+the band or is tied, and the caller redraws in NumPy.  The two mask
+functions build at ``-O1`` because every process that finds the cache
+empty pays for the build: with gcc 12 on x86-64 that compiles them in
+about 0.05 s against 0.08 s at ``-O2``, and they draw no slower.
 
 All layout constants are injected from :mod:`repro.kernels.plan` at
 format time, so the two executors can never drift on the encoding.
@@ -245,11 +267,118 @@ void repro_eval_batch(const int64_t *header, const int64_t *ipool,
         out[i] = bundle;
     }}
 }}
+#ifdef __SIZEOF_INT128__
+#if defined(__GNUC__) && !defined(__clang__)
+#define MASK_FN __attribute__((optimize("O1")))
+#else
+#define MASK_FN
+#endif
+
+/* Partially sorts (val, idx)[0, n) so that val[k] is the k-th smallest
+   (0-based), and returns it. */
+static MASK_FN __attribute__((noinline)) uint64_t
+band_select(uint64_t *val, int64_t *idx, int64_t n, int64_t k) {{
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {{
+        uint64_t pivot = val[lo + (hi - lo) / 2];
+        int64_t i = lo, j = hi;
+        while (i <= j) {{
+            while (val[i] < pivot) i++;
+            while (val[j] > pivot) j--;
+            if (i <= j) {{
+                uint64_t v = val[i]; val[i] = val[j]; val[j] = v;
+                int64_t x = idx[i]; idx[i] = idx[j]; idx[j] = x;
+                i++;
+                j--;
+            }}
+        }}
+        if (k <= j) hi = j;
+        else if (k >= i) lo = i;
+        else break;
+    }}
+    return val[k];
+}}
+
+MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
+                                     int64_t n_draws, int64_t base,
+                                     double remainder, double tlo,
+                                     double thi, uint64_t *words,
+                                     uint64_t *band_val, int64_t *band_idx) {{
+    const __uint128_t mult =
+        ((__uint128_t)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+    const __uint128_t inc = ((__uint128_t)pcg[2] << 64) | pcg[3];
+    __uint128_t state = ((__uint128_t)pcg[0] << 64) | pcg[1];
+    int64_t n_words = (n_sites + 63) >> 6;
+    /* The band in units of the 53-bit draw m, where the double is
+       m * 2^-53.  Any cut works: the popcount check below is what makes
+       the selection exact. */
+    const double scale = 9007199254740992.0;
+    uint64_t lo = tlo <= 0.0 ? 0 : (tlo >= 1.0 ? (uint64_t)1 << 53
+                                                 : (uint64_t)(tlo * scale));
+    uint64_t hi = thi <= 0.0 ? 0 : (thi >= 1.0 ? (uint64_t)1 << 53
+                                                 : (uint64_t)(thi * scale));
+    uint64_t width = hi > lo ? hi - lo : 0;
+    for (int64_t d = 0; d < n_draws; d++) {{
+        uint64_t *row = words + d * n_words;
+        int64_t below = 0;
+        int64_t n_band = 0;
+        for (int64_t w = 0; w < n_words; w++) {{
+            int64_t end = n_sites - (w << 6);
+            if (end > 64) end = 64;
+            uint64_t reg = 0;
+            for (int64_t j = 0; j < end; j++) {{
+                state = state * mult + inc;
+                uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+                unsigned rot = (unsigned)(state >> 122);
+                uint64_t m = ((x >> rot) | (x << ((-rot) & 63))) >> 11;
+                /* Branch-free: at mid-range fractions the tests are coin
+                   flips.  The band slot is written unconditionally and
+                   kept only when lo <= m < hi (one unsigned compare);
+                   n_band never exceeds the sites seen so far, so it
+                   stays in bounds. */
+                uint64_t low = m < lo;
+                reg |= low << j;
+                below += (int64_t)low;
+                band_val[n_band] = m;
+                band_idx[n_band] = (w << 6) + j;
+                n_band += (int64_t)(m - lo < width);
+            }}
+            row[w] = reg;
+        }}
+        int64_t count = base;
+        if (remainder > 0.0) {{
+            state = state * mult + inc;
+            uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+            unsigned rot = (unsigned)(state >> 122);
+            uint64_t m = ((x >> rot) | (x << ((-rot) & 63))) >> 11;
+            if ((double)m * (1.0 / 9007199254740992.0) < remainder) count++;
+        }}
+        if (count == 0) {{
+            for (int64_t w = 0; w < n_words; w++) row[w] = 0;
+            continue;
+        }}
+        int64_t need = count - below;
+        if (need < 1 || need > n_band) return 1;
+        uint64_t boundary = band_select(band_val, band_idx, n_band, need - 1);
+        int64_t taken = 0;
+        for (int64_t b = 0; b < n_band; b++) {{
+            if (band_val[b] <= boundary) {{
+                row[band_idx[b] >> 6] |= (uint64_t)1 << (band_idx[b] & 63);
+                taken++;
+            }}
+        }}
+        if (taken != need) return 1;
+    }}
+    pcg[0] = (uint64_t)(state >> 64);
+    pcg[1] = (uint64_t)state;
+    return 0;
+}}
+#endif
 """
 
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 
 def c_source() -> str:

@@ -35,6 +35,9 @@ class KernelProvider:
     name: str  # "numba" | "cc"
     eval_fn: Callable
     compile_seconds: float
+    #: The native exact-fraction mask draw (see
+    #: :func:`repro.kernels.cbuild.load_exact_fraction`), or ``None``.
+    mask_fn: Optional[Callable] = None
 
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
@@ -74,17 +77,37 @@ def _build_numba() -> KernelProvider:
 
 
 def _build_cc() -> KernelProvider:
-    """Provider 2: the generated-and-cached C extension via ctypes."""
-    from repro.kernels.cbuild import build_library, load_eval, self_test
+    """Provider 2: the generated-and-cached C extension via ctypes.
+
+    The mask draw is optional: if it is missing or fails its self-test,
+    the reason joins :func:`provider_failures` and the provider stays
+    live with ``mask_fn=None``.
+    """
+    from repro.kernels.cbuild import (
+        KernelBuildError,
+        build_library,
+        load_eval,
+        load_exact_fraction,
+        mask_self_test,
+        self_test,
+    )
     from repro.kernels.csrc import c_source
 
     start = time.perf_counter()
-    eval_fn = load_eval(build_library(c_source()))
+    lib_path = build_library(c_source())
+    eval_fn = load_eval(lib_path)
     self_test(eval_fn)
+    try:
+        mask_fn = load_exact_fraction(lib_path)
+        mask_self_test(mask_fn)
+    except KernelBuildError as exc:
+        _failures.append(f"cc.mask: {exc!r}")
+        mask_fn = None
     return KernelProvider(
         name="cc",
         eval_fn=eval_fn,
         compile_seconds=time.perf_counter() - start,
+        mask_fn=mask_fn,
     )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels import providers
+from repro.kernels.cbuild import KernelBuildError
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
 
@@ -13,6 +15,36 @@ from repro.workloads.imaging import paper_workloads
 def rng():
     """Deterministic NumPy generator for tests that need randomness."""
     return np.random.default_rng(12345)
+
+
+def no_numba():
+    """Stand-in for ``providers._import_numba`` when Numba is absent."""
+    raise ModuleNotFoundError("No module named 'numba'")
+
+
+def no_cc():
+    """Stand-in for ``providers._build_cc`` with no C compiler."""
+    raise KernelBuildError("no C compiler on PATH")
+
+
+@pytest.fixture(params=["live", "dead"])
+def kernel_provider(request, monkeypatch):
+    """The process's provider, once live (the C kernel, with its native
+    mask draw) and once dead (no provider: every path is NumPy).
+
+    Yields the provider or ``None``; the real verdict is restored after.
+    """
+    monkeypatch.setattr(providers, "_import_numba", no_numba)
+    if request.param == "dead":
+        monkeypatch.setattr(providers, "_build_cc", no_cc)
+    providers.reset_provider_cache()
+    provider = providers.get_provider()
+    if request.param == "live" and (provider is None or provider.mask_fn is None):
+        pytest.skip(f"no native mask draw: {providers.provider_failures()}")
+    yield provider
+    monkeypatch.undo()
+    providers.reset_provider_cache()
+    providers.get_provider()
 
 
 @pytest.fixture(scope="session")

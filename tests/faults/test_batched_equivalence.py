@@ -5,18 +5,24 @@ field-for-field to ``run_workload`` for the same ``(seed, trial, workload)``
 -- for every registered Table 2 ALU variant, both mask policies, and
 fault fractions spanning none / sparse / heavy / saturated.  The mask
 policies themselves must be *stream*-identical: ``generate_batch`` consumes
-the RNG exactly as successive ``generate`` calls would.
+the RNG exactly as successive ``generate`` calls would.  The exact-fraction
+cases run twice, through the C kernel's native mask draw and with no
+provider at all, so both of ``generate_batch``'s paths meet the scalar
+oracle.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.alu.variants import build_alu, variant_names
+from repro.experiments.figures import PAPER_FAULT_PERCENTAGES
+from repro.faults import mask as mask_mod
 from repro.faults.campaign import FaultCampaign
 from repro.faults.mask import BernoulliMask, ExactFractionMask
 from repro.faults.packing import unpack_flags, words_to_int
+from repro.obs import Observer, observing
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
 
@@ -28,6 +34,7 @@ def workloads():
     return paper_workloads(gradient(4, 4))
 
 
+@pytest.mark.usefixtures("kernel_provider")
 class TestCampaignEquivalence:
     """Satellite (c): TrialResult identity over the full variant grid."""
 
@@ -54,8 +61,14 @@ class TestMaskStreamEquivalence:
         n_draws=st.integers(min_value=0, max_value=12),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_exact_fraction(self, fraction, n_sites, n_draws, seed):
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exact_fraction(
+        self, kernel_provider, fraction, n_sites, n_draws, seed
+    ):
         self._check(ExactFractionMask(fraction), n_sites, n_draws, seed)
 
     @given(
@@ -68,10 +81,52 @@ class TestMaskStreamEquivalence:
     def test_bernoulli(self, probability, n_sites, n_draws, seed):
         self._check(BernoulliMask(probability), n_sites, n_draws, seed)
 
+    @pytest.mark.parametrize("percent", PAPER_FAULT_PERCENTAGES)
+    def test_exact_fraction_figure_scale(self, kernel_provider, percent):
+        """Figure 8's largest unit (aluts, 5067 sites) at a 64-instruction
+        trial, every paper percentage, drawn natively when live."""
+        obs = Observer()
+        with observing(obs):
+            self._check(ExactFractionMask(percent / 100.0), 5067, 64, 2004)
+        path = "numpy" if kernel_provider is None else "native"
+        drawn = obs.metrics.counter(f"kernel.mask.{path}").value
+        assert drawn == (64 if percent else 0)
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_other_bit_generators_take_numpy_path(
+        self, kernel_provider, bit_generator
+    ):
+        policy = ExactFractionMask(0.05)
+        obs = Observer()
+        with observing(obs):
+            self._check(policy, 300, 8, 7, bit_generator)
+        assert obs.metrics.counter("kernel.mask.native").value == 0
+        assert obs.metrics.counter("kernel.mask.numpy").value == 8
+
+    def test_band_miss_leaves_generator_untouched(
+        self, kernel_provider, monkeypatch
+    ):
+        """With a zero-width band every boundary misses: the kernel must
+        decline without advancing the stream, and the NumPy body redraws."""
+        monkeypatch.setattr(mask_mod, "_BAND_SIGMAS", 0.0)
+        policy = ExactFractionMask(0.05)
+        if kernel_provider is not None:
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            assert policy.native_batch(kernel_provider.mask_fn, 300, 8, rng) is None
+            assert rng.bit_generator.state == before
+        obs = Observer()
+        with observing(obs):
+            self._check(policy, 300, 8, 5)
+        assert obs.metrics.counter("kernel.mask.native").value == 0
+        assert obs.metrics.counter("kernel.mask.numpy").value == 8
+
     @staticmethod
-    def _check(policy, n_sites, n_draws, seed):
-        rng_scalar = np.random.default_rng(seed)
-        rng_batch = np.random.default_rng(seed)
+    def _check(policy, n_sites, n_draws, seed, bit_generator=np.random.PCG64):
+        rng_scalar = np.random.Generator(bit_generator(seed))
+        rng_batch = np.random.Generator(bit_generator(seed))
         scalar = [policy.generate(n_sites, rng_scalar) for _ in range(n_draws)]
         words = policy.generate_batch(n_sites, n_draws, rng_batch)
         batch = [words_to_int(words[d]) for d in range(n_draws)]

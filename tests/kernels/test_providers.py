@@ -13,11 +13,12 @@ import pytest
 from repro.faults.campaign import FaultCampaign
 from repro.faults.mask import ExactFractionMask
 from repro.kernels import get_provider, provider_failures, reset_provider_cache
+from repro.kernels import cbuild
 from repro.kernels import providers as providers_mod
-from repro.kernels.cbuild import KernelBuildError
 from repro.perf.spec import ALUSpec
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
+from tests.conftest import no_cc, no_numba
 
 
 @pytest.fixture(autouse=True)
@@ -29,25 +30,17 @@ def fresh_probe():
     get_provider()  # re-warm for subsequent test modules
 
 
-def _no_numba():
-    raise ModuleNotFoundError("No module named 'numba'")
-
-
-def _no_cc():
-    raise KernelBuildError("no C compiler on PATH")
-
-
 class TestProviderChain:
     def test_numba_absent_falls_through_to_cc(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         provider = get_provider()
         assert provider is not None
         assert provider.name == "cc"
         assert any("numba" in f for f in provider_failures())
 
     def test_no_provider_at_all(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
-        monkeypatch.setattr(providers_mod, "_build_cc", _no_cc)
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        monkeypatch.setattr(providers_mod, "_build_cc", no_cc)
         assert get_provider() is None
         failures = provider_failures()
         assert len(failures) == 2
@@ -57,9 +50,9 @@ class TestProviderChain:
 
         def counting_cc():
             calls.append(1)
-            _no_cc()
+            no_cc()
 
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", counting_cc)
         assert get_provider() is None
         assert get_provider() is None
@@ -83,11 +76,74 @@ class TestProviderChain:
         assert any("LLVM exploded" in f for f in provider_failures())
 
 
+class TestMaskEntryDegradation:
+    """The native mask draw is optional: losing it keeps ``eval`` live."""
+
+    @staticmethod
+    def _assert_eval_live_mask_dead(provider):
+        assert provider is not None and provider.name == "cc"
+        assert provider.mask_fn is None
+        assert any(f.startswith("cc.mask:") for f in provider_failures())
+        cbuild.self_test(provider.eval_fn)
+
+    def test_broken_entry_is_rejected(self, monkeypatch):
+        real_load = cbuild.load_exact_fraction
+
+        def broken_load(lib_path):
+            draw = real_load(lib_path)
+
+            def flips_site_zero(*args):
+                words = draw(*args)
+                if words is not None:
+                    words[:, 0] ^= np.uint64(1)
+                return words
+
+            return flips_site_zero
+
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        monkeypatch.setattr(cbuild, "load_exact_fraction", broken_load)
+        provider = get_provider()
+        self._assert_eval_live_mask_dead(provider)
+        assert any("words differ" in f for f in provider_failures())
+        # generate_batch reads the entry off the provider on every call,
+        # so the rejected entry is never used, and a cache reset brings
+        # the real one back with no second cache to clear.
+        policy = ExactFractionMask(0.05)
+        want = policy.numpy_batch(300, 4, np.random.default_rng(8))
+        got = policy.generate_batch(300, 4, np.random.default_rng(8))
+        np.testing.assert_array_equal(got, want)
+        monkeypatch.undo()
+        reset_provider_cache()
+        assert get_provider().mask_fn is not None
+
+    def test_missing_int128_drops_only_the_mask_entry(
+        self, monkeypatch, tmp_path
+    ):
+        """A compiler without ``__int128`` builds the kernel without the
+        mask entry; eval stays live."""
+        from repro.kernels import csrc
+
+        real_source = csrc.c_source()
+        assert "#ifdef __SIZEOF_INT128__" in real_source
+        monkeypatch.setenv(cbuild.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(
+            csrc,
+            "c_source",
+            lambda: real_source.replace(
+                "#ifdef __SIZEOF_INT128__", "#ifdef REPRO_NO_SUCH_MACRO"
+            ),
+        )
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        provider = get_provider()
+        self._assert_eval_live_mask_dead(provider)
+        assert any("no mask entry" in f for f in provider_failures())
+
+
 class TestDegradedCampaigns:
     @pytest.fixture
     def dead_tier(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", _no_numba)
-        monkeypatch.setattr(providers_mod, "_build_cc", _no_cc)
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        monkeypatch.setattr(providers_mod, "_build_cc", no_cc)
 
     @pytest.fixture
     def campaign(self):

@@ -45,13 +45,21 @@ class TestCampaignUnperturbed:
         assert observed == bare
         assert obs.metrics.counter("campaign.trials").value == 4
 
-    def test_batched_suite_identical(self):
+    def test_batched_suite_identical(self, kernel_provider):
         bare = self._suite(batched=True)
         observed, obs = _observed(lambda: self._suite(batched=True))
         assert observed == bare
         # Scalar and batched also agree with each other, observed or not.
         assert observed == self._suite(batched=False)
         assert obs.trace.events_of("trial_end")
+        # The draw counters name the path that drew every mask.
+        drawn, idle = "native", "numpy"
+        if kernel_provider is None:
+            drawn, idle = idle, drawn
+        assert obs.metrics.counter(f"kernel.mask.{drawn}").value == sum(
+            t.total for t in observed.trials
+        )
+        assert obs.metrics.counter(f"kernel.mask.{idle}").value == 0
 
 
 class TestExecutorUnperturbed:
