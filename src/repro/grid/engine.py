@@ -21,10 +21,10 @@ for the *active frontier*:
 * the watchdog polls only *attention* cells -- those whose heartbeat
   could do anything other than beat -- and every skipped quiescent beat
   is credited in bulk afterwards;
-* temporal fault streams are pre-drawn into event tapes
-  (:mod:`repro.faults.schedule`) and applied by a
-  :class:`TemporalScheduler` priority queue instead of sampling every
-  cell every cycle.
+* temporal fault streams are held as per-cell ``PCG64`` registers in
+  NumPy arrays (:mod:`repro.faults.schedule`), scanned in batches and
+  applied by a :class:`TemporalScheduler` due-date queue instead of
+  sampling every cell every cycle.
 
 The contract is **bit-identity**: for equal construction parameters and
 seeds, a SparseGrid and a NanoBoxGrid driven through the same call
@@ -54,7 +54,6 @@ ones are deterministic per cell).
 from __future__ import annotations
 
 import copy
-import heapq
 from collections import deque
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -62,7 +61,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.cell.cell import CellMode, ProcessorCell
-from repro.faults.schedule import attach_tape
+from repro.faults.schedule import StreamBank
 from repro.faults.temporal import TemporalFaultProcess
 from repro.grid.bus import Bus
 from repro.grid.grid import (
@@ -680,30 +679,33 @@ class GridState:
         return out
 
 
-#: Sentinel: the cell died mid-application; re-arm from the tape position
-#: on revival instead of resuming a (consumed) scheduled entry.
+#: Sentinel: the cell died mid-application; re-arm from the stream
+#: position on revival instead of resuming a (consumed) scheduled entry.
 _REARM = object()
 
 #: First bulk-scan span per cell; doubles on every all-quiet rescan.
 _INITIAL_HORIZON = 64
 
-#: Rescan span ceiling: bounds per-rescan latency and tape overshoot.
+#: Rescan span ceiling: bounds per-rescan latency and stream overshoot.
 _MAX_HORIZON = 65536
 
 
 class TemporalScheduler:
-    """Applies a temporal fault process to a grid via a due-date queue.
+    """Applies a temporal fault process to a grid via due-date buckets.
 
     The dense path samples every alive cell's
     :class:`~repro.faults.temporal.CellFaultStream` once per cycle.
-    This scheduler pre-draws each cell's stream into a
-    :class:`~repro.faults.schedule.FaultTape`, bulk-advances over quiet
-    spans, and holds one heap entry per cell: the invocation at which
-    its next event fires (or at which its quiet horizon runs out and is
-    rescanned with a doubled span).  Per ``tick()`` the cost is the
-    handful of cells whose entries are due -- not the fleet size.
+    This scheduler holds every cell's stream in one
+    :class:`~repro.faults.schedule.StreamBank`, bulk-advances over quiet
+    spans, and keeps one entry per cell: the invocation at which its
+    next event fires (or at which its quiet horizon runs out and is
+    rescanned with a doubled span).  Entries live in per-invocation
+    buckets of cell indices, so every cell falling due on one tick --
+    events and rescans alike -- is handled by one batched stream scan.
+    Per ``tick()`` the cost is the cells whose entries are due, not the
+    fleet size.
 
-    Aliveness accounting mirrors the dense loop exactly: a cell's tape
+    Aliveness accounting mirrors the dense loop exactly: a cell's stream
     advances one cycle per ``tick()`` *while the cell is alive*.  A
     liveness listener on the grid pauses a dying cell's entry (storing
     its remaining alive-cycle offset) and resumes it on revival, so
@@ -716,99 +718,104 @@ class TemporalScheduler:
     """
 
     def __init__(
-        self,
-        grid: SparseGrid,
-        process: TemporalFaultProcess,
-        seed: int,
-        chunk: int = 256,
+        self, grid: SparseGrid, process: TemporalFaultProcess, seed: int
     ) -> None:
         self._grid = grid
+        self._cols = grid.cols
         self._inv = 0
         self.fired_total = 0
-        self._tapes = {
-            coord: attach_tape(process, coord, seed, chunk=chunk)
-            for coord in grid.all_coords()
-        }
-        self._heap: List[Tuple[int, Coord]] = []
-        self._due: Dict[Coord, int] = {}
-        self._event: Dict[Coord, object] = {}
-        self._suspended: Dict[Coord, object] = {}
-        self._horizon: Dict[Coord, int] = {}
-        for coord in self._tapes:
-            self._horizon[coord] = _INITIAL_HORIZON
-            self._arm(coord)
+        self._streams = StreamBank(process, seed, grid.rows, grid.cols)
+        n = grid.rows * grid.cols
+        self._horizon = np.full(n, _INITIAL_HORIZON, dtype=np.int64)
+        # Per cell: the invocation its entry falls due (-1: none) and
+        # whether it fires an event there (else it is a rescan).
+        self._due = np.full(n, -1, dtype=np.int64)
+        self._fires = np.zeros(n, dtype=bool)
+        # Invocation -> arrays of cells scheduled then; an entry is stale
+        # once the cell's ``_due`` no longer names that invocation.
+        self._buckets: Dict[int, List[np.ndarray]] = {}
+        self._suspended: Dict[int, object] = {}
+        self._arm(np.arange(n, dtype=np.int64))
         grid.add_alive_listener(self._on_alive_change)
 
-    def _arm(self, coord: Coord) -> None:
-        """Scan the tape forward and schedule its next event or rescan.
-
-        Precondition: the tape position equals the cell's alive-cycle
-        count as of invocation ``self._inv`` (true at construction, at a
-        rescan's due tick, right after applying an event, and at a
-        fresh-arm revival).
-        """
-        tape = self._tapes[coord]
-        if tape.dead:
+    def _schedule(self, cells: np.ndarray, due: np.ndarray, fires) -> None:
+        self._due[cells] = due
+        self._fires[cells] = fires
+        if len(cells) == 1:
+            self._buckets.setdefault(int(due[0]), []).append(cells)
             return
-        horizon = self._horizon[coord]
-        quiet, event = tape.advance_quiet(horizon)
-        if event is None:
-            # All quiet: rescan exactly when the scanned span runs out.
-            self._horizon[coord] = min(horizon * 2, _MAX_HORIZON)
-            due = self._inv + quiet
-        else:
-            due = self._inv + quiet + 1
-        self._due[coord] = due
-        self._event[coord] = event
-        heapq.heappush(self._heap, (due, coord))
+        order = np.argsort(due, kind="stable")
+        bounds = np.flatnonzero(np.diff(due[order])) + 1
+        for group in np.split(order, bounds):
+            self._buckets.setdefault(int(due[group[0]]), []).append(cells[group])
+
+    def _arm(self, cells: np.ndarray) -> None:
+        """Scan the streams forward and schedule each next event or rescan.
+
+        Precondition: each stream's position equals its cell's
+        alive-cycle count as of invocation ``self._inv`` (true at
+        construction, at a rescan's due tick, right after applying an
+        event, and at a fresh-arm revival).
+        """
+        cells = cells[~self._streams.dead[cells]]
+        if not len(cells):
+            return
+        horizon = self._horizon[cells]
+        quiet, fired = self._streams.advance(cells, horizon)
+        # All quiet: rescan exactly when the scanned span runs out.
+        rescan = cells[~fired]
+        self._horizon[rescan] = np.minimum(horizon[~fired] * 2, _MAX_HORIZON)
+        self._schedule(cells, self._inv + quiet + fired, fired)
 
     def _on_alive_change(self, coord: Coord, healthy: bool) -> None:
+        cell = coord[0] * self._cols + coord[1]
         if not healthy:
-            if coord in self._due:
-                remaining = self._due.pop(coord) - self._inv
-                self._suspended[coord] = (remaining, self._event.pop(coord))
+            due = int(self._due[cell])
+            if due >= 0:
+                self._due[cell] = -1
+                self._suspended[cell] = (due - self._inv, self._fires[cell])
             else:
                 # Mid-application death (its own kill/error event) or a
-                # dead tape: nothing scheduled to preserve.
-                self._suspended[coord] = _REARM
+                # dead stream: nothing scheduled to preserve.
+                self._suspended[cell] = _REARM
             return
-        state = self._suspended.pop(coord, None)
+        state = self._suspended.pop(cell, None)
         if state is None:
             return
+        cells = np.array([cell], dtype=np.int64)
         if state is _REARM:
-            self._arm(coord)
+            self._arm(cells)
         else:
-            remaining, event = state
-            due = self._inv + remaining
-            self._due[coord] = due
-            self._event[coord] = event
-            heapq.heappush(self._heap, (due, coord))
+            remaining, fires = state
+            self._schedule(cells, np.array([self._inv + remaining]), fires)
 
     def tick(self) -> int:
         """Advance one hook invocation; fire due events.  Returns count."""
         self._inv += 1
-        fired: List[Tuple[Coord, object]] = []
-        heap = self._heap
-        while heap and heap[0][0] <= self._inv:
-            due, coord = heapq.heappop(heap)
-            if self._due.get(coord) != due:
-                continue  # stale: suspended or rescheduled since pushed
-            del self._due[coord]
-            fired.append((coord, self._event.pop(coord)))
-        count = 0
+        entries = self._buckets.pop(self._inv, None)
+        if entries is None:
+            return 0
+        cells = np.unique(np.concatenate(entries))
+        cells = cells[self._due[cells] == self._inv]
+        self._due[cells] = -1
+        fires = self._fires[cells]
+        event = self._streams.event
+        grid = self._grid
+        fired = cells[fires].tolist()
         # Row-major application order, matching the dense per-cell loop.
-        for coord, event in sorted(fired, key=lambda item: item[0]):
-            if event is None:
-                self._arm(coord)  # rescan falls due with nothing to apply
-                continue
-            count += 1
+        for cell in fired:
+            coord = divmod(cell, self._cols)
             if event.kill:
-                self._grid.kill_cell(*coord)
-            elif event.errors:
-                self._grid.cell(*coord).heartbeat.record_error(event.errors)
-            if coord not in self._suspended:
-                self._arm(coord)
-            # else: the event killed its own cell; the listener already
-            # marked it for a fresh arm on revival.
-        self.fired_total += count
-        return count
+                grid.kill_cell(*coord)
+            else:
+                grid.cell(*coord).heartbeat.record_error(event.errors)
+        # Rescans, and every fired cell still up: an event that took its
+        # own cell down left it to the listener for a fresh arm on
+        # revival.  Events touch only their own cell, so arming after
+        # the whole application pass equals arming after each event.
+        rearm = ~fires
+        if fired:
+            rearm[fires] = [cell not in self._suspended for cell in fired]
+        self._arm(cells[rearm])
+        self.fired_total += len(fired)
+        return len(fired)

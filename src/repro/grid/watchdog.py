@@ -426,6 +426,16 @@ class Watchdog:
             )
 
         words = cell.extract_pending()
+        if not words:
+            # Nothing to place: skip building (and, on the sparse
+            # engine, materialising) the candidate neighbours.
+            return SalvageReport(
+                failed_cell=coord,
+                cycle=self._grid.cycle,
+                salvaged_words=0,
+                adopted={},
+                lost_words=0,
+            )
         adopted: Dict[Coord, int] = {}
         lost = 0
         # Round-robin over alive neighbours, widening to any alive cell if

@@ -208,6 +208,51 @@ def load_exact_fraction(lib_path: Path) -> Callable:
     return exact_fraction
 
 
+def load_tape_scan(lib_path: Path) -> Callable:
+    """dlopen the kernel and wrap its temporal fault-stream scan.
+
+    The returned callable has :func:`repro.faults.schedule.scan_numpy`'s
+    signature and contract: ``scan(pcg, cells, limits, rate)`` over the
+    C-contiguous ``(n, 4)`` ``uint64`` register array ``pcg``, updated
+    in place, returning each listed cell's hit offset (``-1``: none).
+    Raises :class:`KernelBuildError` when the library lacks the entry
+    point (a compiler without 128-bit integers).
+    """
+    try:
+        fn = ctypes.CDLL(str(lib_path)).repro_tape_scan
+    except (OSError, AttributeError) as exc:
+        raise KernelBuildError(
+            f"no tape entry in {lib_path}: {exc!r}"
+        ) from exc
+    fn.restype = None
+    fn.argtypes = [
+        _U64P, _I64P, ctypes.c_int64, _I64P, ctypes.c_double, _I64P,
+    ]
+
+    def tape_scan(pcg, cells, limits, rate):
+        if not (pcg.flags.c_contiguous and pcg.dtype == np.uint64
+                and pcg.ndim == 2 and pcg.shape[1] == 4):
+            raise ValueError("pcg must be a C-contiguous (n, 4) uint64 array")
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
+        limits = np.ascontiguousarray(limits, dtype=np.int64)
+        if cells.ndim != 1 or limits.shape != cells.shape:
+            raise ValueError("cells and limits must be equal-length vectors")
+        if cells.size and not 0 <= cells.min() <= cells.max() < len(pcg):
+            raise IndexError("cell index outside the register array")
+        hits = np.empty(len(cells), dtype=np.int64)
+        fn(
+            pcg.ctypes.data_as(_U64P),
+            cells.ctypes.data_as(_I64P),
+            len(cells),
+            limits.ctypes.data_as(_I64P),
+            float(rate),
+            hits.ctypes.data_as(_I64P),
+        )
+        return hits
+
+    return tape_scan
+
+
 def self_test(eval_fn) -> None:
     """Smoke-check an eval callable on a tiny known-answer plan.
 
@@ -267,4 +312,30 @@ def mask_self_test(draw) -> None:
         if native_rng.bit_generator.state != numpy_rng.bit_generator.state:
             raise KernelBuildError(
                 f"mask self-test: generator state differs over {n_sites} sites"
+            )
+
+
+def tape_self_test(scan) -> None:
+    """Check a tape scan against the NumPy body on a few streams.
+
+    The native scan must find the same hits *and* leave every register
+    where the NumPy body does; a mismatch raises
+    :class:`KernelBuildError`.
+    """
+    from repro.faults.schedule import scan_numpy, seed_streams
+
+    cells = np.array([5, 0, 3, 1], dtype=np.int64)
+    limits = np.array([64, 1, 0, 300], dtype=np.int64)
+    for rate in (0.0, 0.02, 0.5, 0.9):
+        native = seed_streams(2004, 2, 3)
+        reference = native.copy()
+        got = scan(native, cells, limits, rate)
+        want = scan_numpy(reference, cells, limits, rate)
+        if not np.array_equal(got, want):
+            raise KernelBuildError(
+                f"tape self-test: hits differ at rate {rate}"
+            )
+        if not np.array_equal(native, reference):
+            raise KernelBuildError(
+                f"tape self-test: registers differ at rate {rate}"
             )

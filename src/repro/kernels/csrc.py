@@ -24,16 +24,30 @@ draw behind :meth:`repro.faults.mask.ExactFractionMask.generate_batch`:
                                 uint64_t *words, uint64_t *band_val,
                                 int64_t *band_idx);
 
-It reproduces NumPy's ``PCG64`` ``random()`` doubles from the state in
-``pcg`` (state high/low, increment high/low), so it consumes exactly the
-uniforms the NumPy body would.  Each row flips the sites below ``tlo``
-directly, keeps the sites in ``[tlo, thi)`` as a band, and quickselects
-the boundary among them.  It returns 0 and advances ``pcg`` on success;
+and the temporal fault-stream scan behind
+:class:`repro.faults.schedule.StreamBank`:
+
+.. code-block:: c
+
+   void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
+                        const int64_t *limits, double rate, int64_t *hits);
+
+Both reproduce NumPy's ``PCG64`` ``random()`` doubles from registers
+(state high/low, increment high/low) through one shared step, so they
+consume exactly the uniforms the NumPy bodies would.  The mask draw
+advances the one generator in ``pcg``.  Each row flips the sites below
+``tlo`` directly, keeps the sites in ``[tlo, thi)`` as a band, and
+quickselects the boundary among them.  It returns 0 and advances ``pcg`` on success;
 it returns 1 with ``pcg`` untouched when a row's boundary lies outside
-the band or is tied, and the caller redraws in NumPy.  The two mask
-functions build at ``-O1`` because every process that finds the cache
-empty pays for the build: with gcc 12 on x86-64 that compiles them in
-about 0.05 s against 0.08 s at ``-O2``, and they draw no slower.
+the band or is tied, and the caller redraws in NumPy.  The tape scan
+reads the four registers of cell ``cells[j]`` at ``pcg + 4 * cells[j]``,
+draws until one uniform falls below ``rate`` or ``limits[j]`` draws are
+spent, stores the hit's offset (``-1`` for none) in ``hits[j]`` and
+writes the registers back after exactly the draws consumed.  The
+``__int128`` functions build at ``-O1`` because every process that
+finds the cache empty pays for the build: with gcc 12 on x86-64 that
+compiles the mask draw in about 0.05 s against 0.08 s at ``-O2``, and
+it draws no slower.
 
 All layout constants are injected from :mod:`repro.kernels.plan` at
 format time, so the two executors can never drift on the encoding.
@@ -274,6 +288,20 @@ void repro_eval_batch(const int64_t *header, const int64_t *ipool,
 #define MASK_FN
 #endif
 
+#define PCG_MULT (((__uint128_t)0x2360ED051FC65DA4ULL << 64) \
+                  | 0x4385DF649FCCF645ULL)
+
+/* One PCG64 step; returns the 53-bit integer m of NumPy's random()
+   double m * 2^-53, so a uniform test u < p is the integer test
+   m < ceil(p * 2^53). */
+static MASK_FN inline __attribute__((always_inline)) uint64_t
+pcg_draw53(__uint128_t *state, __uint128_t inc) {{
+    *state = *state * PCG_MULT + inc;
+    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rot = (unsigned)(*state >> 122);
+    return ((x >> rot) | (x << ((-rot) & 63))) >> 11;
+}}
+
 /* Partially sorts (val, idx)[0, n) so that val[k] is the k-th smallest
    (0-based), and returns it. */
 static MASK_FN __attribute__((noinline)) uint64_t
@@ -304,8 +332,6 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
                                      double remainder, double tlo,
                                      double thi, uint64_t *words,
                                      uint64_t *band_val, int64_t *band_idx) {{
-    const __uint128_t mult =
-        ((__uint128_t)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
     const __uint128_t inc = ((__uint128_t)pcg[2] << 64) | pcg[3];
     __uint128_t state = ((__uint128_t)pcg[0] << 64) | pcg[1];
     int64_t n_words = (n_sites + 63) >> 6;
@@ -327,10 +353,7 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
             if (end > 64) end = 64;
             uint64_t reg = 0;
             for (int64_t j = 0; j < end; j++) {{
-                state = state * mult + inc;
-                uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
-                unsigned rot = (unsigned)(state >> 122);
-                uint64_t m = ((x >> rot) | (x << ((-rot) & 63))) >> 11;
+                uint64_t m = pcg_draw53(&state, inc);
                 /* Branch-free: at mid-range fractions the tests are coin
                    flips.  The band slot is written unconditionally and
                    kept only when lo <= m < hi (one unsigned compare);
@@ -347,10 +370,7 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
         }}
         int64_t count = base;
         if (remainder > 0.0) {{
-            state = state * mult + inc;
-            uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
-            unsigned rot = (unsigned)(state >> 122);
-            uint64_t m = ((x >> rot) | (x << ((-rot) & 63))) >> 11;
+            uint64_t m = pcg_draw53(&state, inc);
             if ((double)m * (1.0 / 9007199254740992.0) < remainder) count++;
         }}
         if (count == 0) {{
@@ -373,12 +393,36 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
     pcg[1] = (uint64_t)state;
     return 0;
 }}
+
+MASK_FN void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
+                             const int64_t *limits, double rate,
+                             int64_t *hits) {{
+    /* ceil(rate * 2^53): the scaling is exact, so is the ceiling. */
+    const double scaled = rate * 9007199254740992.0;
+    uint64_t threshold = (uint64_t)scaled;
+    if ((double)threshold < scaled) threshold++;
+    for (int64_t j = 0; j < n; j++) {{
+        uint64_t *reg = pcg + 4 * cells[j];
+        __uint128_t state = ((__uint128_t)reg[0] << 64) | reg[1];
+        const __uint128_t inc = ((__uint128_t)reg[2] << 64) | reg[3];
+        int64_t hit = -1;
+        for (int64_t k = 0; k < limits[j]; k++) {{
+            if (pcg_draw53(&state, inc) < threshold) {{
+                hit = k;
+                break;
+            }}
+        }}
+        hits[j] = hit;
+        reg[0] = (uint64_t)(state >> 64);
+        reg[1] = (uint64_t)state;
+    }}
+}}
 #endif
 """
 
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 
 def c_source() -> str:

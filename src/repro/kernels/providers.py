@@ -38,6 +38,9 @@ class KernelProvider:
     #: The native exact-fraction mask draw (see
     #: :func:`repro.kernels.cbuild.load_exact_fraction`), or ``None``.
     mask_fn: Optional[Callable] = None
+    #: The native temporal fault-stream scan (see
+    #: :func:`repro.kernels.cbuild.load_tape_scan`), or ``None``.
+    tape_fn: Optional[Callable] = None
 
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
@@ -79,17 +82,19 @@ def _build_numba() -> KernelProvider:
 def _build_cc() -> KernelProvider:
     """Provider 2: the generated-and-cached C extension via ctypes.
 
-    The mask draw is optional: if it is missing or fails its self-test,
-    the reason joins :func:`provider_failures` and the provider stays
-    live with ``mask_fn=None``.
+    The mask draw and the tape scan are optional: if one is missing or
+    fails its self-test, the reason joins :func:`provider_failures` and
+    the provider stays live with that entry ``None``.
     """
     from repro.kernels.cbuild import (
         KernelBuildError,
         build_library,
         load_eval,
         load_exact_fraction,
+        load_tape_scan,
         mask_self_test,
         self_test,
+        tape_self_test,
     )
     from repro.kernels.csrc import c_source
 
@@ -103,11 +108,18 @@ def _build_cc() -> KernelProvider:
     except KernelBuildError as exc:
         _failures.append(f"cc.mask: {exc!r}")
         mask_fn = None
+    try:
+        tape_fn = load_tape_scan(lib_path)
+        tape_self_test(tape_fn)
+    except KernelBuildError as exc:
+        _failures.append(f"cc.tape: {exc!r}")
+        tape_fn = None
     return KernelProvider(
         name="cc",
         eval_fn=eval_fn,
         compile_seconds=time.perf_counter() - start,
         mask_fn=mask_fn,
+        tape_fn=tape_fn,
     )
 
 

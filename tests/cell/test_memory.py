@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cell.memory import CELL_MEMORY_WORDS, CellMemory
-from repro.cell.memword import MEMORY_WORD_BITS, MemoryWord
+from repro.cell.memword import (
+    DATA_VALID_OFFSET,
+    MEMORY_WORD_BITS,
+    TO_BE_COMPUTED_OFFSET,
+    MemoryWord,
+)
 
 
 def word(iid=1, tbc=True):
@@ -121,3 +126,54 @@ class TestFaultOverlay:
         memory.write(0, word(1))
         memory.apply_faults(0)
         assert memory.read_raw(0) == word(1).pack()
+
+
+class TestBulkQueriesMatchFullDecode:
+    """The bulk queries skip raw-0 words without decoding them; over any
+    raw image they must answer exactly as decoding every word would."""
+
+    @staticmethod
+    def _random_image(rnd, n_words):
+        flags = [DATA_VALID_OFFSET + c for c in range(3)] + [
+            TO_BE_COMPUTED_OFFSET + c for c in range(3)
+        ]
+        image = []
+        for _ in range(n_words):
+            if rnd.random() < 0.2:
+                raw = rnd.getrandbits(MEMORY_WORD_BITS)
+            else:
+                raw = rnd.choice([
+                    0, word(iid=rnd.randrange(256), tbc=rnd.random() < 0.5).pack()
+                ])
+                # Single and double upsets on the triplicated flags.
+                for site in rnd.sample(flags, rnd.randrange(3)):
+                    raw ^= 1 << site
+            image.append(raw)
+        return image
+
+    def test_random_images(self):
+        import random
+
+        rnd = random.Random(2004)
+        for _ in range(300):
+            n_words = rnd.randrange(1, 9)
+            memory = CellMemory(n_words)
+            for index, raw in enumerate(self._random_image(rnd, n_words)):
+                memory.write_raw(index, raw)
+            decoded = [
+                MemoryWord.unpack(memory.read_raw(i)) for i in range(n_words)
+            ]
+            valid = [i for i, w in enumerate(decoded) if w.data_valid]
+            assert list(memory.pending_words()) == [
+                i for i in valid if decoded[i].to_be_computed
+            ]
+            assert list(memory.completed_words()) == [
+                i for i in valid if not decoded[i].to_be_computed
+            ]
+            assert memory.occupancy() == len(valid)
+            free = [i for i, w in enumerate(decoded) if not w.data_valid]
+            assert memory.free_slot() == (free[0] if free else None)
+
+    def test_zero_word_decodes_invalid(self):
+        """The skip's premise: a raw-0 word is invalid by construction."""
+        assert not MemoryWord.unpack(0).data_valid

@@ -30,7 +30,8 @@ def no_cc():
 @pytest.fixture(params=["live", "dead"])
 def kernel_provider(request, monkeypatch):
     """The process's provider, once live (the C kernel, with its native
-    mask draw) and once dead (no provider: every path is NumPy).
+    mask draw and tape scan) and once dead (no provider: every path is
+    NumPy).
 
     Yields the provider or ``None``; the real verdict is restored after.
     """
@@ -39,8 +40,10 @@ def kernel_provider(request, monkeypatch):
         monkeypatch.setattr(providers, "_build_cc", no_cc)
     providers.reset_provider_cache()
     provider = providers.get_provider()
-    if request.param == "live" and (provider is None or provider.mask_fn is None):
-        pytest.skip(f"no native mask draw: {providers.provider_failures()}")
+    if request.param == "live" and (
+        provider is None or provider.mask_fn is None or provider.tape_fn is None
+    ):
+        pytest.skip(f"no native entries: {providers.provider_failures()}")
     yield provider
     monkeypatch.undo()
     providers.reset_provider_cache()

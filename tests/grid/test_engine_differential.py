@@ -68,8 +68,41 @@ def assert_identical(sim_kwargs, run):
     assert dense_obs == sparse_obs
 
 
+def first_onset(process, seed, coord, horizon=200):
+    """Cycle of a cell's first fault event, by the dense stream oracle."""
+    stream = process.attach(coord, seed)
+    for cycle in range(1, horizon + 1):
+        if not stream.sample().quiet:
+            return cycle
+    return None
+
+
+def idle_soak(sim):
+    """Age an idle fabric with periodic canary probe rounds."""
+    for _ in range(5):
+        sim.control.tick(30)
+        sim.watchdog.probe_quarantined()
+    return sim.stats()
+
+
+#: Idle 6x6 fabric with quarantine and re-admission.
+IDLE = dict(
+    rows=6,
+    cols=6,
+    heartbeat_decay=0.5,
+    error_threshold=3,
+    lifecycle_policy=LifecyclePolicy(suspect_polls=1, probing=True),
+)
+
+#: Every cell quiet for its first 64-cycle scan falls due for a rescan
+#: on tick 64, so that tick is one batched scan over many cells.
+RESCAN_TICK = 64
+
+
+@pytest.mark.usefixtures("kernel_provider")
 class TestTemporalFaultKinds:
-    """Sparse == dense under each temporal fault taxonomy class."""
+    """Sparse == dense under each temporal fault taxonomy class, with the
+    native tape scan live and dead."""
 
     @pytest.mark.parametrize(
         "process",
@@ -122,6 +155,103 @@ class TestTemporalFaultKinds:
                 )
                 observed.append((job.results, job.delivery))
             return (observed, sim.stats())
+
+        assert_identical(kwargs, run)
+
+
+    @pytest.mark.parametrize("rate", [0.0, 0.9])
+    def test_edge_rates(self, rate):
+        process = TemporalFaultProcess.transient(rate)
+        assert_identical(
+            dict(IDLE, temporal_fault_process=process, seed=3), idle_soak
+        )
+
+    def test_burst_straddling_a_rescan(self):
+        """Bursts that start on or just before the batched rescan tick
+        run on past it, while the quiet cells rescan beside them."""
+        process = TemporalFaultProcess.intermittent(
+            0.01, burst_length=8, errors_per_cycle=2
+        )
+        onsets = [
+            first_onset(process, 4, (r, c)) for r in range(6) for c in range(6)
+        ]
+        straddling = [
+            c for c in onsets
+            if c is not None and c <= RESCAN_TICK < c + process.burst_length
+        ]
+        assert RESCAN_TICK in straddling
+        assert sum(c is None or c > RESCAN_TICK for c in onsets) >= 5
+        assert_identical(
+            dict(IDLE, temporal_fault_process=process, seed=4), idle_soak
+        )
+
+    def test_stuck_at_kill_inside_the_batched_tick(self):
+        process = TemporalFaultProcess.stuck_at(0.01)
+        onsets = [
+            first_onset(process, 4, (r, c)) for r in range(6) for c in range(6)
+        ]
+        assert RESCAN_TICK in onsets
+        assert sum(c is None or c > RESCAN_TICK for c in onsets) >= 5
+
+        def run(sim):
+            sim.control.tick(RESCAN_TICK - 1)
+            before = sim.stats()
+            sim.control.tick(1)
+            return before, idle_soak(sim)
+
+        assert_identical(
+            dict(IDLE, temporal_fault_process=process, seed=4), run
+        )
+
+    def test_quarantine_wave_suspends_pending_entries(self):
+        """A rolling wave quarantines cells with events and rescans still
+        pending; probes re-admit them and the entries resume on the same
+        alive-cycle the dense sampler reaches."""
+        process = TemporalFaultProcess.transient(0.03)
+
+        def run(sim):
+            grid = sim.grid
+
+            def wave():
+                if grid.cycle % 10 == 0:
+                    column = (grid.cycle // 10) % grid.cols
+                    for row in range(grid.rows):
+                        grid.cell(row, column).heartbeat.record_error(12)
+
+            sim.control.add_tick_hook(wave)
+            for _ in range(8):
+                sim.control.tick(20)
+                sim.watchdog.probe_quarantined()
+            return sim.stats()
+
+        assert_identical(
+            dict(IDLE, temporal_fault_process=process, seed=8), run
+        )
+
+    def test_whole_region_due_on_one_tick_is_one_scan(self, monkeypatch):
+        from repro.faults import schedule
+
+        batches = []
+        real_scan = schedule._scan
+
+        def recording_scan(pcg, cells, limits, rate):
+            batches.append(len(cells))
+            return real_scan(pcg, cells, limits, rate)
+
+        monkeypatch.setattr(schedule, "_scan", recording_scan)
+        kwargs = dict(
+            IDLE, temporal_fault_process=TemporalFaultProcess.transient(0.0)
+        )
+        sim = GridSimulator(grid_engine="sparse", **kwargs)
+        assert batches == [36]
+        sim.control.tick(RESCAN_TICK - 1)
+        assert batches == [36]
+        sim.control.tick(1)
+        assert batches == [36, 36]
+
+        def run(grid_sim):
+            grid_sim.control.tick(RESCAN_TICK)
+            return idle_soak(grid_sim)
 
         assert_identical(kwargs, run)
 

@@ -16,7 +16,8 @@ honest at any scale:
   the serial unsharded reference no matter how regions are grouped.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cell.heartbeat import Heartbeat
@@ -180,8 +181,18 @@ SOAK = dict(
 )
 
 
+#: The provider fixture is set up once per test, not per example; that
+#: is the intent (one provider state per run of examples).
+PER_PROVIDER = [HealthCheck.function_scoped_fixture]
+
+
 class TestShardMerge:
-    @settings(deadline=None, max_examples=10)
+    """Shard folding, with the native tape scan live and dead."""
+
+    @pytest.mark.usefixtures("kernel_provider")
+    @settings(
+        deadline=None, max_examples=10, suppress_health_check=PER_PROVIDER
+    )
     @given(perm=st.permutations(list(range(4))))
     def test_outcome_merge_permutation_invariant(self, perm):
         shards = shard_fleet(8, 8, 4, seed=5)
@@ -211,7 +222,10 @@ class TestShardMerge:
             base.snapshot()["counters"] == shuffled.snapshot()["counters"]
         )
 
-    @settings(deadline=None, max_examples=8)
+    @pytest.mark.usefixtures("kernel_provider")
+    @settings(
+        deadline=None, max_examples=8, suppress_health_check=PER_PROVIDER
+    )
     @given(regions=st.integers(min_value=1, max_value=6))
     def test_sharded_equals_unsharded_totals(self, regions):
         """Any region count folds to the same totals as the serial fold."""
@@ -225,6 +239,7 @@ class TestShardMerge:
         assert reference == refold
         assert reference.cells == 6 * 12
 
+    @pytest.mark.usefixtures("kernel_provider")
     def test_region_outcome_engine_independent(self):
         """Each region outcome is identical under sparse and dense."""
         for shard in shard_fleet(6, 9, 3, seed=2):

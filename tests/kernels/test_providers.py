@@ -137,6 +137,65 @@ class TestMaskEntryDegradation:
         provider = get_provider()
         self._assert_eval_live_mask_dead(provider)
         assert any("no mask entry" in f for f in provider_failures())
+        # The tape scan lives under the same guard and goes with it.
+        assert provider.tape_fn is None
+        assert any("no tape entry" in f for f in provider_failures())
+
+
+class TestTapeEntryDegradation:
+    """The native tape scan is optional: losing it keeps ``eval`` and the
+    mask draw live, and the fault streams fall back to NumPy."""
+
+    @staticmethod
+    def _assert_only_tape_dead(provider):
+        assert provider is not None and provider.name == "cc"
+        assert provider.tape_fn is None
+        assert provider.mask_fn is not None
+        tape = [f for f in provider_failures() if f.startswith("cc.tape:")]
+        assert len(tape) == 1
+        assert not any(f.startswith("cc.mask:") for f in provider_failures())
+        cbuild.self_test(provider.eval_fn)
+        cbuild.mask_self_test(provider.mask_fn)
+        return tape[0]
+
+    def test_broken_entry_is_rejected(self, monkeypatch):
+        real_load = cbuild.load_tape_scan
+
+        def broken_load(lib_path):
+            scan = real_load(lib_path)
+
+            def one_draw_short(pcg, cells, limits, rate):
+                return scan(pcg, cells, np.maximum(limits - 1, 0), rate)
+
+            return one_draw_short
+
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        monkeypatch.setattr(cbuild, "load_tape_scan", broken_load)
+        failure = self._assert_only_tape_dead(get_provider())
+        assert "tape self-test" in failure
+        # The streams read the entry off the provider on every scan, so
+        # the rejected one is never used.
+        from repro.faults.schedule import StreamBank
+        from repro.faults.temporal import TemporalFaultProcess
+
+        process = TemporalFaultProcess.transient(0.05)
+        bank = StreamBank(process, 7, 2, 2)
+        stream = process.attach((1, 1), 7)
+        for _ in range(100):
+            _, fired = bank.advance([3], [1])
+            assert fired[0] == (not stream.sample().quiet)
+        monkeypatch.undo()
+        reset_provider_cache()
+        assert get_provider().tape_fn is not None
+
+    def test_missing_entry_drops_only_the_tape(self, monkeypatch):
+        def missing(lib_path):
+            raise cbuild.KernelBuildError(f"no tape entry in {lib_path}")
+
+        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+        monkeypatch.setattr(cbuild, "load_tape_scan", missing)
+        failure = self._assert_only_tape_dead(get_provider())
+        assert "no tape entry" in failure
 
 
 class TestDegradedCampaigns:

@@ -112,3 +112,27 @@ class TestLifecycleUnperturbed:
         # The watchdog and control layers reported through the observer.
         assert obs.metrics.counter("control.jobs").value == 2
         assert obs.trace.events_of("job_start")
+
+    def test_sparse_temporal_point_identical(self, kernel_provider):
+        """The sparse engine's batched fault-stream scans are pure too:
+        an observed sparse run equals a bare one and the dense oracle."""
+
+        def point(grid_engine):
+            return run_lifecycle_point(
+                TemporalFaultProcess.transient(0.004, errors_per_cycle=3),
+                self_healing_policy(),
+                jobs=2,
+                n_instructions=24,
+                seed=2004,
+                grid_engine=grid_engine,
+            )
+
+        bare = point("sparse")
+        observed, obs = _observed(lambda: point("sparse"))
+        assert observed == bare == point("dense")
+        # The tape counters name the path that scanned every stream.
+        scanned, idle = "native", "numpy"
+        if kernel_provider is None:
+            scanned, idle = idle, scanned
+        assert obs.metrics.counter(f"kernel.tape.{scanned}").value >= 16
+        assert obs.metrics.counter(f"kernel.tape.{idle}").value == 0

@@ -138,6 +138,13 @@ class TestObservabilityFlags:
         assert records
         assert all("kind" in r and "seq" in r for r in records)
 
+    def test_report_shows_tape_scan_counters(self, capsys):
+        """Sparse temporal runs report how their fault streams were
+        scanned, beside the mask draw counters."""
+        assert main(self.ARGV + ["--grid-engine", "sparse", "--obs-report"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel.tape.native" in out or "kernel.tape.numpy" in out
+
     def test_observed_table_matches_bare(self, capsys, tmp_path):
         assert main(self.ARGV) == 0
         bare = capsys.readouterr().out
