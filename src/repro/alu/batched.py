@@ -15,10 +15,14 @@ eight slices (and the netlist a loop over its gates), but each iteration
 now retires *every* instruction of the trial at once instead of one LUT
 read or one gate.
 
-:func:`build_batched_unit` returns ``None`` for units it cannot vectorize
-(gate-level Hamming decoders, generic block codes, defect wrappers); the
-campaign engine then falls back to the scalar path, so batched campaigns
-work -- and stay bit-identical -- for every registered variant.
+A manufactured part (:class:`~repro.faults.defects.DefectiveUnit`) runs
+on its pristine design's engine behind a
+:class:`~repro.faults.defects.DefectOverlay` that applies the stuck-at
+map to each batch's flag rows.  :func:`build_batched_unit` returns
+``None`` for units it cannot vectorize (gate-level Hamming decoders,
+generic block codes, and parts built on them); the campaign engine then
+falls back to the scalar path, so batched campaigns work -- and stay
+bit-identical -- for every registered variant.
 """
 
 from __future__ import annotations
@@ -279,14 +283,14 @@ class BatchedEngine:
     def site_count(self) -> int:
         return self._site_count
 
-    def values(
+    def bundles(
         self,
         ops: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
         fault_bits: np.ndarray,
     ) -> np.ndarray:
-        """8-bit result values for a batch of instructions.
+        """9-bit result bundles (value | carry << 8) for a batch.
 
         Args:
             ops: ``(n,)`` architectural 3-bit opcodes.
@@ -312,8 +316,17 @@ class BatchedEngine:
                 f"fault_bits shape {fault_bits.shape} != "
                 f"({ops.shape[0]}, {self._site_count})"
             )
-        bundles = self._root.bundles(ops, a, b, fault_bits)
-        return bundles & _RESULT_MASK
+        return self._root.bundles(ops, a, b, fault_bits)
+
+    def values(
+        self,
+        ops: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        fault_bits: np.ndarray,
+    ) -> np.ndarray:
+        """8-bit result values (the campaign's scoring quantity)."""
+        return self.bundles(ops, a, b, fault_bits) & _RESULT_MASK
 
 
 def _build_core(core) -> BatchedUnit:
@@ -338,10 +351,16 @@ def build_batched_unit(unit) -> Optional[BatchedEngine]:
     Supported: :class:`NanoBoxALU` cores whose coding schemes have
     batched kernels and :class:`CMOSALU` gate-netlist cores, under any of
     the Simplex / Space / Time redundancy wrappers with LUT or CMOS
-    voters -- i.e. all twelve Table 2 variants.  Anything else
-    (gate-level Hamming decoders, generic block-code schemes, defect
-    wrappers) signals scalar fallback.
+    voters -- i.e. all twelve Table 2 variants -- and defective parts of
+    any of these, as a defect overlay on the pristine design's engine.
+    Anything else (gate-level Hamming decoders, generic block-code
+    schemes) signals scalar fallback.
     """
+    from repro.faults.defects import DefectiveUnit
+
+    if isinstance(unit, DefectiveUnit):
+        engine = build_batched_unit(unit.pristine_unit)
+        return None if engine is None else unit.overlay(engine, packed=False)
     try:
         if isinstance(unit, SimplexALU):
             root: BatchedUnit = _BatchedSimplex(unit, _build_core(unit.core))

@@ -517,6 +517,28 @@ def _grid_run(args: argparse.Namespace) -> int:
     return 0 if outcome.job.complete else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """argparse type: a float within [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
+    return value
+
+
 def _cmd_yield(args: argparse.Namespace) -> int:
     from repro.experiments.defect_yield import yield_sweep, yield_table_text
 
@@ -966,12 +988,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_engine_arg(grid)
     grid.set_defaults(fn=_cmd_grid)
 
+    from repro.alu.variants import variant_names
+
     yld = sub.add_parser("yield", help="manufacturing-yield table")
-    yld.add_argument("--variants", nargs="+",
-                     default=["alunn", "aluns"])
-    yld.add_argument("--density", type=float, nargs="+",
+    yld.add_argument("--variants", nargs="+", choices=variant_names(),
+                     default=["alunn", "aluns"], metavar="VARIANT")
+    yld.add_argument("--density", type=_probability, nargs="+",
                      default=[1e-3])
-    yld.add_argument("--parts", type=int, default=10)
+    yld.add_argument("--parts", type=_positive_int, default=10)
     yld.add_argument("--seed", type=int, default=0)
     yld.set_defaults(fn=_cmd_yield)
 

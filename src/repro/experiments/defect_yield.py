@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.alu.base import FaultableUnit, Opcode
+from repro.alu.batched import build_batched_unit
 from repro.alu.reference import reference_compute
 from repro.alu.variants import build_alu
 from repro.faults.campaign import FaultCampaign
@@ -36,16 +37,35 @@ TEST_OPERANDS: Tuple[Tuple[int, int], ...] = (
     (0x01, 0xFF), (0x80, 0x80), (0xC8, 0x64), (0x3C, 0xA7),
 )
 
+#: The vector set as (opcode, a, b) rows, then as batch columns.
+_TEST_VECTORS = [(int(op), a, b) for op in Opcode for a, b in TEST_OPERANDS]
+_TEST_OPS, _TEST_A, _TEST_B = np.array(_TEST_VECTORS, dtype=np.int64).T
+#: Fault-free reference 9-bit bundles, one per test vector.
+_TEST_BUNDLES = np.array(
+    [reference_compute(*vector).bundle for vector in _TEST_VECTORS],
+    dtype=np.int64,
+)
+
 
 def functional_test(unit: FaultableUnit) -> bool:
-    """True when the unit passes the full vector set fault-free."""
-    for op in Opcode:
-        for a, b in TEST_OPERANDS:
-            got = unit.compute(int(op), a, b)
-            want = reference_compute(int(op), a, b)
-            if (got.value, got.carry) != (want.value, want.carry):
-                return False
-    return True
+    """True when the unit passes the full vector set fault-free.
+
+    Units with a batched engine check every vector in one batch; the
+    rest run the vectors one at a time.
+    """
+    return _passes(unit, build_batched_unit(unit))
+
+
+def _passes(unit: FaultableUnit, engine) -> bool:
+    """:func:`functional_test` on a given batched engine (``None``: scalar)."""
+    if engine is None:
+        return all(
+            unit.compute(*vector).bundle == want
+            for vector, want in zip(_TEST_VECTORS, _TEST_BUNDLES)
+        )
+    faults = np.zeros((len(_TEST_VECTORS), unit.site_count), dtype=np.uint8)
+    got = engine.bundles(_TEST_OPS, _TEST_A, _TEST_B, faults)
+    return bool(np.array_equal(got, _TEST_BUNDLES))
 
 
 def manufacture(
@@ -95,21 +115,30 @@ def yield_at(
     """Measure yield and degradation for one variant at one density."""
     parts = manufacture(variant, density, n_parts, seed=seed)
     workloads = paper_workloads(gradient(8, 8))
+    # The parts share one design: build its engine once, overlay per part.
+    design_engine = build_batched_unit(parts[0].pristine_unit)
 
-    passing = sum(1 for part in parts if functional_test(part))
+    passing = 0
     accuracies = []
     accuracies_transient = []
     for i, part in enumerate(parts):
-        clean = FaultCampaign(part, ExactFractionMask(0.0), seed=seed + i)
-        accuracies.append(
-            clean.run_workload_suite(workloads, 1).percent_correct
+        engine = (
+            None if design_engine is None
+            else part.overlay(design_engine, packed=False)
         )
-        noisy = FaultCampaign(
-            part, ExactFractionMask(transient_fraction), seed=seed + i
-        )
-        accuracies_transient.append(
-            noisy.run_workload_suite(workloads, 1).percent_correct
-        )
+        passing += _passes(part, engine)
+        for fraction, scores in (
+            (0.0, accuracies), (transient_fraction, accuracies_transient)
+        ):
+            campaign = FaultCampaign(
+                part, ExactFractionMask(fraction), seed=seed + i
+            )
+            campaign.use_engines(batched=engine)
+            scores.append(
+                campaign.run_workload_suite(
+                    workloads, 1, batched=True
+                ).percent_correct
+            )
 
     return YieldPoint(
         variant=variant,

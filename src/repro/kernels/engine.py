@@ -108,8 +108,14 @@ def build_compiled_unit(unit) -> Optional[CompiledEngine]:
     ``None`` means either no provider is live on this machine (no Numba,
     no C compiler) or the unit has no lowered form (the same family the
     batched tier rejects).  Callers degrade to batched/scalar; results
-    are identical on every tier.
+    are identical on every tier.  A defective part gets its pristine
+    design's engine behind a defect overlay on the packed mask words.
     """
+    from repro.faults.defects import DefectiveUnit
+
+    if isinstance(unit, DefectiveUnit):
+        engine = build_compiled_unit(unit.pristine_unit)
+        return None if engine is None else unit.overlay(engine, packed=True)
     provider = get_provider()
     if provider is None:
         return None

@@ -252,8 +252,10 @@ def build_plan(unit) -> Optional[KernelPlan]:
     Accepts exactly the units :func:`repro.alu.batched.build_batched_unit`
     accepts (all twelve Table 2 variants plus the ablation studies'
     LUT/netlist units); everything else -- gate-level Hamming decoders,
-    generic block codes, defect wrappers -- returns ``None`` so callers
-    degrade to the batched/scalar tiers.
+    generic block codes -- returns ``None`` so callers degrade to the
+    batched/scalar tiers.  A defective part lowers to its pristine
+    design's plan, unchanged: its defects are a mask overlay applied by
+    :func:`repro.kernels.engine.build_compiled_unit`'s engine.
     """
     from repro.alu.batched import (
         _INTERNAL_LUT,
@@ -262,6 +264,10 @@ def build_plan(unit) -> Optional[KernelPlan]:
         _BatchedTimeRedundant,
         build_batched_unit,
     )
+    from repro.faults.defects import DefectiveUnit
+
+    if isinstance(unit, DefectiveUnit):
+        return build_plan(unit.pristine_unit)
 
     engine = build_batched_unit(unit)
     if engine is None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import run_all
 from repro.experiments.defect_yield import (
     functional_test,
     manufacture,
@@ -82,3 +83,25 @@ class TestYield:
         point = yield_at("alunn", 1e-3, n_parts=2, seed=0)
         # 512 sites at 1e-3: P(any defect) ~ 40%.
         assert 0.3 < point.any_defect_probability < 0.5
+
+
+#: ``run_all._yield_section(quick=True, seed=2004)`` as the scalar tier
+#: rendered it, before the sweep moved to the batched tier.
+YIELD_SECTION_2004 = (
+    "ALU       defect density  perfect yield  accuracy (defects only)  accuracy (+1% transients)\n"
+    "--------  --------------  -------------  -----------------------  -------------------------\n"
+    "aluncmos  0.0005          100%           100.0                    34.1\n"
+    "aluncmos  0.002           67%            75.0                     27.1\n"
+    "aluncmos  0.005           50%            66.7                     24.9\n"
+    "alunn     0.0005          83%            100.0                    88.8\n"
+    "alunn     0.002           67%            100.0                    88.8\n"
+    "alunn     0.005           17%            93.6                     83.6\n"
+    "aluns     0.0005          100%           100.0                    100.0\n"
+    "aluns     0.002           100%           100.0                    100.0\n"
+    "aluns     0.005           100%           100.0                    100.0"
+)
+
+
+class TestReportSection:
+    def test_quick_section_pinned(self):
+        assert run_all._yield_section(quick=True, seed=2004) == YIELD_SECTION_2004

@@ -12,6 +12,7 @@ import pytest
 
 from repro.alu.batched import build_batched_unit
 from repro.alu.variants import build_alu, variant_names
+from repro.faults.defects import DefectiveUnit, sample_defect_map
 from repro.kernels.plan import HEADER_LEN, H_SITES, build_plan
 from repro.perf.spec import ALUSpec
 
@@ -34,7 +35,8 @@ class TestLowering:
         assert build_plan(unit) is None
 
     def test_support_set_matches_batched_tier(self):
-        """compiled support is exactly batched support on the spec grid."""
+        """compiled support is exactly batched support on the spec grid,
+        for each design and for a defective part of it."""
         specs = [ALUSpec.variant(v) for v in variant_names()]
         specs += [
             ALUSpec.simplex(s)
@@ -46,10 +48,16 @@ class TestLowering:
             for voter in ("tmr", "none", "hamming", "cmos")
         ]
         for spec in specs:
-            unit = spec.build()
-            batched = build_batched_unit(unit) is not None
-            compiled = build_plan(unit) is not None
-            assert compiled == batched, spec
+            design = spec.build()
+            rng = np.random.default_rng(design.site_count)
+            part = DefectiveUnit(
+                design, sample_defect_map(design.site_count, 0.05, rng)
+            )
+            for unit in (design, part):
+                batched = build_batched_unit(unit) is not None
+                compiled = build_plan(unit) is not None
+                assert compiled == batched, (spec, unit)
+            assert (build_plan(part) is None) == (build_plan(design) is None)
 
     def test_plan_arrays_are_flat_and_typed(self):
         plan = build_plan(build_alu("alunn"))

@@ -9,6 +9,7 @@ CI runs this module explicitly as the observability determinism gate.
 """
 
 from repro.alu.variants import build_alu
+from repro.experiments.defect_yield import yield_at
 from repro.experiments.lifecycle import (
     lifecycle_table_text,
     run_lifecycle_point,
@@ -60,6 +61,25 @@ class TestCampaignUnperturbed:
             t.total for t in observed.trials
         )
         assert obs.metrics.counter(f"kernel.mask.{idle}").value == 0
+
+
+class TestYieldUnperturbed:
+    def test_yield_point_identical(self, kernel_provider):
+        """Defective parts on the batched tier: an observed yield point
+        equals a bare one, and every defect campaign ran batched."""
+        n_parts = 4
+
+        def point():
+            return yield_at("aluscmos", 5e-3, n_parts=n_parts, seed=2004)
+
+        bare = point()
+        observed, obs = _observed(point)
+        assert observed == bare
+        # Two campaigns per part: defects only, then with transients.
+        assert obs.metrics.counter("kernel.backend.batched").value == (
+            2 * n_parts
+        )
+        assert obs.metrics.counter("kernel.backend.scalar").value == 0
 
 
 class TestExecutorUnperturbed:

@@ -169,6 +169,22 @@ class TestYield:
         out = capsys.readouterr().out
         assert "perfect yield" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--parts", "0"], "--parts: must be at least 1"),
+            (["--parts", "two"], "--parts: not an integer"),
+            (["--density", "1.5"], "--density: must be within [0, 1]"),
+            (["--density", "-0.1"], "--density: must be within [0, 1]"),
+            (["--variants", "nosuch"], "--variants: invalid choice"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["yield", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_budgets_and_horizons(self, capsys):
