@@ -36,7 +36,7 @@ def _suite(bench_streams):
         build_alu("alunn"), ExactFractionMask(0.03), seed=7
     )
     return campaign.run_workload_suite(
-        bench_streams, OVERHEAD_TRIALS, batched=True
+        bench_streams, OVERHEAD_TRIALS, backend="batched"
     )
 
 

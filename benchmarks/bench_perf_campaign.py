@@ -39,13 +39,13 @@ SPEEDUP_PERCENTS = (0, 1, 3, 9) if SMOKE else (0, 0.5, 1, 2, 3, 5, 9, 20, 50, 75
 SPEEDUP_TRIALS = 1 if SMOKE else 5
 
 
-def _figure7_text(batched, jobs):
+def _figure7_text(backend, jobs):
     result = figure7(
         fault_percents=SPEEDUP_PERCENTS,
         trials_per_workload=SPEEDUP_TRIALS,
         seed=2004,
         jobs=jobs,
-        batched=batched,
+        backend=backend,
     )
     return format_series(
         "fault%", list(SPEEDUP_PERCENTS), result.series()
@@ -55,7 +55,9 @@ def _figure7_text(batched, jobs):
 def test_bench_suite_scalar(benchmark, bench_streams):
     campaign = FaultCampaign(build_alu("alunn"), ExactFractionMask(0.03), seed=1)
     result = benchmark.pedantic(
-        lambda: campaign.run_workload_suite(bench_streams, 1, batched=False),
+        lambda: campaign.run_workload_suite(
+            bench_streams, 1, backend="scalar"
+        ),
         rounds=1 if SMOKE else 3,
         iterations=1,
     )
@@ -65,7 +67,9 @@ def test_bench_suite_scalar(benchmark, bench_streams):
 def test_bench_suite_batched(benchmark, bench_streams):
     campaign = FaultCampaign(build_alu("alunn"), ExactFractionMask(0.03), seed=1)
     result = benchmark.pedantic(
-        lambda: campaign.run_workload_suite(bench_streams, 1, batched=True),
+        lambda: campaign.run_workload_suite(
+            bench_streams, 1, backend="batched"
+        ),
         rounds=1 if SMOKE else 3,
         iterations=1,
     )
@@ -170,11 +174,11 @@ def test_figure7_speedup_and_identity(benchmark):
     """The tentpole acceptance check: >=5x on Figure 7, identical text."""
     rounds = 1 if SMOKE else 2
     scalar_text, t_scalar = _timed(
-        lambda: _figure7_text(batched=False, jobs=1), rounds=1
+        lambda: _figure7_text(backend="scalar", jobs=1), rounds=1
     )
 
     def fast():
-        return _figure7_text(batched=True, jobs=4)
+        return _figure7_text(backend="batched", jobs=4)
 
     fast_text, t_fast = _timed(fast, rounds=rounds)
     benchmark.pedantic(fast, rounds=1, iterations=1)

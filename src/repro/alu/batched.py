@@ -20,7 +20,7 @@ on its pristine design's engine behind a
 :class:`~repro.faults.defects.DefectOverlay` that applies the stuck-at
 map to each batch's flag rows.  :func:`build_batched_unit` returns
 ``None`` for units it cannot vectorize (gate-level Hamming decoders,
-generic block codes, and parts built on them); the campaign engine then
+parity, and parts built on them); the campaign engine then
 falls back to the scalar path, so batched campaigns work -- and stay
 bit-identical -- for every registered variant.
 """
@@ -353,8 +353,8 @@ def build_batched_unit(unit) -> Optional[BatchedEngine]:
     the Simplex / Space / Time redundancy wrappers with LUT or CMOS
     voters -- i.e. all twelve Table 2 variants -- and defective parts of
     any of these, as a defect overlay on the pristine design's engine.
-    Anything else (gate-level Hamming decoders, generic block-code
-    schemes) signals scalar fallback.
+    Anything else (gate-level Hamming decoders, parity) signals scalar
+    fallback.
     """
     from repro.faults.defects import DefectiveUnit
 

@@ -286,20 +286,22 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
+def _add_backend_arg(parser: argparse.ArgumentParser, default: str) -> None:
     """Attach the evaluation-tier flag shared by the simulation commands.
 
     The default comes from the ``REPRO_BACKEND`` environment variable
-    (unset means the command's legacy tier); an explicit flag wins.
-    Every tier is bit-identical -- the choice only affects speed.
+    (already validated by :func:`build_parser`), else ``default``; an
+    explicit flag wins.  Every tier is bit-identical -- the choice only
+    affects speed.
     """
     from repro.kernels import BACKENDS, backend_from_env
 
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=backend_from_env(),
+        "--backend", choices=BACKENDS, default=backend_from_env(default),
         help="evaluation tier: scalar, batched (NumPy), compiled "
              "(native kernel; falls back with a warning if unavailable), "
-             "or auto (fastest available); default honours $REPRO_BACKEND",
+             "or auto (fastest available); default honours $REPRO_BACKEND, "
+             f"else {default}",
     )
 
 
@@ -926,6 +928,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nanobox-repro",
         description="Recursive NanoBox Processor Grid reproduction toolkit",
     )
+    from repro.kernels import backend_from_env
+
+    try:
+        backend_from_env()
+    except ValueError as exc:
+        parser.error(str(exc))  # a usage error (exit 2), not a traceback
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="print the ISA table").set_defaults(
@@ -961,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "any value gives identical output)")
     _add_observability_args(sweep)
     _add_resilience_args(sweep)
-    _add_backend_arg(sweep)
+    _add_backend_arg(sweep, "auto")
     sweep.set_defaults(fn=_cmd_sweep)
 
     grid = sub.add_parser("grid", help="run a full-system image job")
@@ -984,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="render the final fabric state")
     _add_observability_args(grid)
     _add_resilience_args(grid)
-    _add_backend_arg(grid)
+    _add_backend_arg(grid, "scalar")
     _add_grid_engine_arg(grid)
     grid.set_defaults(fn=_cmd_grid)
 
@@ -1027,7 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2004)
     _add_observability_args(chaos)
     _add_resilience_args(chaos)
-    _add_backend_arg(chaos)
+    _add_backend_arg(chaos, "scalar")
     _add_grid_engine_arg(chaos)
     chaos.set_defaults(fn=_cmd_chaos)
 
@@ -1142,7 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--seed", type=int, default=2004)
     _add_observability_args(lifecycle)
     _add_resilience_args(lifecycle)
-    _add_backend_arg(lifecycle)
+    _add_backend_arg(lifecycle, "scalar")
     _add_grid_engine_arg(lifecycle)
     lifecycle.set_defaults(fn=_cmd_lifecycle)
 

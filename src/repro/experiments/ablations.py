@@ -6,7 +6,8 @@ questions its Section 5 discussion raises:
 * **Decoder semantics** -- how much of ``alunh``'s loss to ``alunn`` comes
   from the output-corrector architecture (false positives on check-bit
   syndromes) versus the Hamming code itself?  ``hamming-sec`` is the
-  textbook decoder, ``hamming-fp`` the fully pessimistic one.
+  textbook decoder, ``hamming-fp`` the fully pessimistic one, ``hsiao``
+  the SEC-DED code that refuses to correct on an even syndrome.
 * **Redundancy order** -- is 3x the right bit-level replication, or do
   5x / 7x strings buy their area back?
 * **Voter construction** -- the paper votes through fault-prone LUTs
@@ -18,14 +19,15 @@ questions its Section 5 discussion raises:
   does protection scale with block granularity?
 
 Every ablation accepts ``jobs`` (process-pool width; 1 = inline) and
-``batched`` (vectorized evaluation, bit-identical to scalar); each
-series cell becomes one :class:`~repro.perf.CampaignWorkItem`, so a
-single ablation's cells parallelise across its whole grid.
+``backend`` (evaluation tier, default ``auto``; every tier is
+bit-identical); each series cell becomes one
+:class:`~repro.perf.CampaignWorkItem`, so a single ablation's cells
+parallelise across its whole grid.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.perf import ALUSpec, CampaignWorkItem, PolicySpec, run_campaign_items
 
@@ -38,8 +40,7 @@ def sweep_unit(
     percents: Sequence[float],
     trials_per_workload: int = 5,
     seed: int = 0,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> List[float]:
     """Sweep one already-built unit over fault percentages, in process.
 
@@ -60,7 +61,7 @@ def sweep_unit(
             alu, ExactFractionMask(percent / 100.0), seed=seed
         )
         result = campaign.run_workload_suite(
-            workloads, trials_per_workload, batched=batched, backend=backend
+            workloads, trials_per_workload, backend=backend
         )
         scores.append(result.percent_correct)
     return scores
@@ -75,8 +76,7 @@ def _run_series(
     trials_per_workload: int,
     seed: int,
     jobs: int,
-    batched: bool,
-    backend: Optional[str] = None,
+    backend: str,
 ) -> Dict[str, List[float]]:
     """Run the full (series, percent) grid through the campaign executor."""
     items = [
@@ -85,7 +85,6 @@ def _run_series(
             policy=PolicySpec(kind=policy_kind, value=percent / 100.0),
             trials_per_workload=trials_per_workload,
             seed=seed,
-            batched=batched,
             backend=backend,
         )
         for _, spec, policy_kind in entries
@@ -108,8 +107,7 @@ def hamming_semantics_ablation(
     trials_per_workload: int = 5,
     seed: int = 11,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> Dict[str, List[float]]:
     """Compare information-code decoder semantics against no code.
 
@@ -124,7 +122,7 @@ def hamming_semantics_ablation(
         for scheme in ("none", "hamming", "hamming-sec", "hamming-fp", "hsiao")
     ]
     return _run_series(
-        entries, percents, trials_per_workload, seed, jobs, batched, backend
+        entries, percents, trials_per_workload, seed, jobs, backend
     )
 
 
@@ -133,8 +131,7 @@ def redundancy_order_ablation(
     trials_per_workload: int = 5,
     seed: int = 12,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> Dict[str, List[float]]:
     """Sweep bit-level replication order: 1x (none), 3x, 5x, 7x strings."""
     entries = [
@@ -147,7 +144,7 @@ def redundancy_order_ablation(
         )
     ]
     return _run_series(
-        entries, percents, trials_per_workload, seed, jobs, batched, backend
+        entries, percents, trials_per_workload, seed, jobs, backend
     )
 
 
@@ -156,8 +153,7 @@ def voter_coding_ablation(
     trials_per_workload: int = 5,
     seed: int = 13,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> Dict[str, List[float]]:
     """Space-redundant TMR-LUT cores with differently built voters."""
     entries = [
@@ -171,7 +167,7 @@ def voter_coding_ablation(
         for voter_kind in ("tmr", "none", "hamming", "cmos")
     ]
     return _run_series(
-        entries, percents, trials_per_workload, seed, jobs, batched, backend
+        entries, percents, trials_per_workload, seed, jobs, backend
     )
 
 
@@ -180,8 +176,7 @@ def mask_policy_ablation(
     trials_per_workload: int = 5,
     seed: int = 14,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> Dict[str, List[float]]:
     """Exact-fraction versus Bernoulli injection on the TMR ALU.
 
@@ -192,7 +187,7 @@ def mask_policy_ablation(
     spec = ALUSpec.simplex("tmr", label="ablate[policy]")
     entries = [("exact", spec, "exact"), ("bernoulli", spec, "bernoulli")]
     return _run_series(
-        entries, percents, trials_per_workload, seed, jobs, batched, backend
+        entries, percents, trials_per_workload, seed, jobs, backend
     )
 
 
@@ -201,8 +196,7 @@ def hamming_block_size_ablation(
     trials_per_workload: int = 5,
     seed: int = 15,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> Dict[str, List[float]]:
     """Hamming protection granularity: 8-, 16-, and 32-bit blocks.
 
@@ -221,5 +215,5 @@ def hamming_block_size_ablation(
         for block in (8, 16, 32)
     ]
     return _run_series(
-        entries, percents, trials_per_workload, seed, jobs, batched, backend
+        entries, percents, trials_per_workload, seed, jobs, backend
     )

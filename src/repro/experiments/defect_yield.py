@@ -28,6 +28,8 @@ from repro.alu.variants import build_alu
 from repro.faults.campaign import FaultCampaign
 from repro.faults.defects import DefectiveUnit, sample_defect_map
 from repro.faults.mask import ExactFractionMask
+from repro.faults.packing import words_for_sites
+from repro.kernels import build_compiled_unit
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
 
@@ -56,15 +58,21 @@ def functional_test(unit: FaultableUnit) -> bool:
     return _passes(unit, build_batched_unit(unit))
 
 
-def _passes(unit: FaultableUnit, engine) -> bool:
-    """:func:`functional_test` on a given batched engine (``None``: scalar)."""
+def _passes(unit: FaultableUnit, engine, packed: bool = False) -> bool:
+    """:func:`functional_test` on a given engine (``None``: scalar); a
+    ``packed`` (compiled) engine reads mask words, a batched one flags."""
     if engine is None:
         return all(
             unit.compute(*vector).bundle == want
             for vector, want in zip(_TEST_VECTORS, _TEST_BUNDLES)
         )
-    faults = np.zeros((len(_TEST_VECTORS), unit.site_count), dtype=np.uint8)
-    got = engine.bundles(_TEST_OPS, _TEST_A, _TEST_B, faults)
+    n = len(_TEST_VECTORS)
+    if packed:
+        words = np.zeros((n, words_for_sites(unit.site_count)), np.uint64)
+        got = engine.bundles_words(_TEST_OPS, _TEST_A, _TEST_B, words)
+    else:
+        flags = np.zeros((n, unit.site_count), dtype=np.uint8)
+        got = engine.bundles(_TEST_OPS, _TEST_A, _TEST_B, flags)
     return bool(np.array_equal(got, _TEST_BUNDLES))
 
 
@@ -111,12 +119,23 @@ def yield_at(
     n_parts: int = 20,
     transient_fraction: float = 0.01,
     seed: int = 0,
+    backend: str = "auto",
 ) -> YieldPoint:
-    """Measure yield and degradation for one variant at one density."""
+    """Measure yield and degradation for one variant at one density.
+
+    ``backend`` picks the evaluation tier; every tier gives identical
+    results.
+    """
     parts = manufacture(variant, density, n_parts, seed=seed)
     workloads = paper_workloads(gradient(8, 8))
     # The parts share one design: build its engine once, overlay per part.
-    design_engine = build_batched_unit(parts[0].pristine_unit)
+    design = parts[0].pristine_unit
+    packed = backend in ("auto", "compiled")
+    design_engine = build_compiled_unit(design) if packed else None
+    if design_engine is None:
+        packed = False
+        if backend != "scalar":
+            design_engine = build_batched_unit(design)
 
     passing = 0
     accuracies = []
@@ -124,19 +143,22 @@ def yield_at(
     for i, part in enumerate(parts):
         engine = (
             None if design_engine is None
-            else part.overlay(design_engine, packed=False)
+            else part.overlay(design_engine, packed=packed)
         )
-        passing += _passes(part, engine)
+        passing += _passes(part, engine, packed)
         for fraction, scores in (
             (0.0, accuracies), (transient_fraction, accuracies_transient)
         ):
             campaign = FaultCampaign(
                 part, ExactFractionMask(fraction), seed=seed + i
             )
-            campaign.use_engines(batched=engine)
+            campaign.use_engines(
+                compiled=engine if packed else None,
+                batched=None if packed else engine,
+            )
             scores.append(
                 campaign.run_workload_suite(
-                    workloads, 1, batched=True
+                    workloads, 1, backend=backend
                 ).percent_correct
             )
 
@@ -155,11 +177,12 @@ def yield_sweep(
     densities: Sequence[float] = (1e-4, 5e-4, 1e-3, 5e-3),
     n_parts: int = 15,
     seed: int = 0,
+    backend: str = "auto",
 ) -> Dict[str, List[YieldPoint]]:
     """Sweep defect densities per variant."""
     return {
         variant: [
-            yield_at(variant, d, n_parts=n_parts, seed=seed)
+            yield_at(variant, d, n_parts=n_parts, seed=seed, backend=backend)
             for d in densities
         ]
         for variant in variants

@@ -96,8 +96,7 @@ def _sweep_points(
     trials_per_workload: int,
     seed: int,
     jobs: int,
-    batched: bool,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> List[SeriesPoint]:
     """Run every (variant, percent) cell and assemble the series points.
 
@@ -107,8 +106,7 @@ def _sweep_points(
     serial loop's.
     """
     items = _sweep_items(
-        variants, fault_percents, bitmap, trials_per_workload, seed, batched,
-        backend,
+        variants, fault_percents, bitmap, trials_per_workload, seed, backend
     )
     results = run_campaign_items(items, jobs=jobs)
     points = _assemble_points(variants, fault_percents, results)
@@ -122,8 +120,7 @@ def _sweep_items(
     bitmap: Optional[Bitmap],
     trials_per_workload: int,
     seed: int,
-    batched: bool,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> List[CampaignWorkItem]:
     """The flat (variant x percent) work-item list, in sweep order.
 
@@ -142,7 +139,6 @@ def _sweep_items(
             trials_per_workload=trials_per_workload,
             seed=seed,
             bitmap=bitmap,
-            batched=batched,
             backend=backend,
         )
         for variant in variants
@@ -194,13 +190,12 @@ def sweep_variant(
     trials_per_workload: int = 5,
     seed: int = 2004,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> List[SeriesPoint]:
     """Sweep one ALU variant over the injected fault percentages."""
     return _sweep_points(
         (variant,), fault_percents, bitmap, trials_per_workload, seed,
-        jobs, batched, backend,
+        jobs, backend,
     )
 
 
@@ -211,8 +206,7 @@ def run_figure(
     trials_per_workload: int = 5,
     seed: int = 2004,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> FigureResult:
     """Regenerate one of Figures 7, 8, 9 by name."""
     try:
@@ -223,7 +217,7 @@ def run_figure(
         ) from None
     points = _sweep_points(
         variants, fault_percents, bitmap, trials_per_workload, seed,
-        jobs, batched, backend,
+        jobs, backend,
     )
     return FigureResult(
         name=name,
@@ -269,12 +263,12 @@ def _sweep_config(
     bitmap: Optional[Bitmap],
     trials_per_workload: int,
     seed: int,
-    batched: bool,
 ) -> Dict[str, Any]:
     """Everything that determines a sweep's results, JSON-safe.
 
     This is the checkpoint run key's input: two invocations share
-    checkpoints exactly when this dictionary is equal.
+    checkpoints exactly when this dictionary is equal.  The evaluation
+    tier is not part of it: every tier gives bit-identical results.
     """
     bmp = bitmap if bitmap is not None else gradient(8, 8)
     return {
@@ -284,7 +278,6 @@ def _sweep_config(
         "fault_percents": list(fault_percents),
         "trials_per_workload": trials_per_workload,
         "seed": seed,
-        "batched": batched,
         "bitmap": {
             "width": bmp.width,
             "height": bmp.height,
@@ -301,8 +294,7 @@ def run_figure_resilient(
     trials_per_workload: int = 5,
     seed: int = 2004,
     jobs: int = 1,
-    batched: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "auto",
 ) -> ResilientFigureRun:
     """:func:`run_figure` under the crash-safe campaign runtime.
 
@@ -312,7 +304,7 @@ def run_figure_resilient(
 
     ``backend`` is deliberately *not* part of the checkpoint run key:
     every tier produces bit-identical results, so checkpoints written
-    by a batched run are valid for a compiled resume and vice versa.
+    on one tier are valid for a resume on any other.
     """
     from repro.perf import resilient_campaign_map
 
@@ -323,16 +315,14 @@ def run_figure_resilient(
             f"unknown figure {name!r}; have {sorted(FIGURE_VARIANTS)}"
         ) from None
     items = _sweep_items(
-        variants, fault_percents, bitmap, trials_per_workload, seed, batched,
-        backend,
+        variants, fault_percents, bitmap, trials_per_workload, seed, backend
     )
     outcome = resilient_campaign_map(
         items,
         jobs=jobs,
         runtime=runtime,
         config=_sweep_config(
-            name, variants, fault_percents, bitmap, trials_per_workload,
-            seed, batched,
+            name, variants, fault_percents, bitmap, trials_per_workload, seed
         ),
     )
     points = _assemble_points(variants, fault_percents, outcome.results)

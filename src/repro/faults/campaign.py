@@ -153,9 +153,7 @@ class FaultCampaign:
             built["compiled"] = self._compiled_engine
         return built
 
-    def resolve_backend(
-        self, backend: Optional[str] = None, batched: Optional[bool] = None
-    ) -> str:
+    def resolve_backend(self, backend: str = "auto") -> str:
         """The effective tier for this unit: scalar, batched, or compiled.
 
         ``auto`` selects compiled exactly when this unit has a live
@@ -167,7 +165,7 @@ class FaultCampaign:
         """
         from repro.kernels import resolve_backend as _resolve
 
-        requested = _resolve(backend, batched)
+        requested = _resolve(backend)
         if requested == "auto":
             effective = "compiled" if self._compiled() is not None else "batched"
         elif requested == "compiled" and self._compiled() is None:
@@ -349,17 +347,16 @@ class FaultCampaign:
         instructions: Sequence[Instruction],
         n_trials: int,
         first_trial: int = 0,
-        batched: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "auto",
     ) -> CampaignResult:
         """Run ``n_trials`` independent trials over the same workload.
 
-        ``backend`` (scalar/batched/compiled/auto) supersedes the legacy
-        ``batched`` flag when given; results are identical on every tier.
+        ``backend`` (scalar/batched/compiled/auto) picks the evaluation
+        tier; results are identical on every tier.
         """
         if n_trials <= 0:
             raise ValueError(f"n_trials must be positive, got {n_trials}")
-        run = self._runner(self.resolve_backend(backend, batched))
+        run = self._runner(self.resolve_backend(backend))
         trials = tuple(
             run(instructions, trial=first_trial + t) for t in range(n_trials)
         )
@@ -369,8 +366,7 @@ class FaultCampaign:
         self,
         workloads: Dict[str, Sequence[Instruction]],
         trials_per_workload: int,
-        batched: bool = False,
-        backend: Optional[str] = None,
+        backend: str = "auto",
     ) -> CampaignResult:
         """Paper-style scoring: N trials of each named workload, pooled.
 
@@ -382,14 +378,13 @@ class FaultCampaign:
         in the suite.  (Before PR 2 the stream was derived from the
         position, so adding a workload silently reseeded the others.)
 
-        ``backend`` supersedes the legacy ``batched`` flag when given.
-        On the compiled tier the whole suite -- every workload x trial --
-        is fused into one rectangular mask block and one native kernel
-        dispatch; per-trial RNG streams are drawn independently exactly
-        as on the other tiers, so the pooled ``TrialResult``s stay
-        bit-identical.
+        ``backend`` picks the evaluation tier.  On the compiled tier the
+        whole suite -- every workload x trial -- is fused into one
+        rectangular mask block and one native kernel dispatch; per-trial
+        RNG streams are drawn independently exactly as on the other
+        tiers, so the pooled ``TrialResult``s stay bit-identical.
         """
-        effective = self.resolve_backend(backend, batched)
+        effective = self.resolve_backend(backend)
         if effective == "compiled":
             return self._run_suite_compiled(workloads, trials_per_workload)
         run = self._runner(effective)

@@ -195,14 +195,10 @@ class GridSimulator:
 
         kernel_engine = None
         if backend is not None:
-            from repro.kernels import BACKENDS, build_compiled_unit
+            from repro.kernels import build_compiled_unit, resolve_backend
             from repro.kernels.providers import warn_compiled_unavailable
 
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; valid: {BACKENDS}"
-                )
-            if backend in ("compiled", "auto"):
+            if resolve_backend(backend) in ("compiled", "auto"):
                 # One engine shared by every cell: the plan depends only
                 # on the scheme, cells compute sequentially, and the
                 # engine holds no cross-call state.

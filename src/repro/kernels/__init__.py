@@ -10,7 +10,10 @@ Three evaluation tiers share one contract -- bit- and stream-identical
   Numba is installed, otherwise a generated-and-cached C extension
   loaded via ``ctypes`` (:mod:`repro.kernels.cbuild`).
 
-``auto`` resolves to the fastest tier available at runtime; explicit
+``auto`` -- the default of every campaign driver (figures, ablations,
+the yield sweep, the executor's work items) -- resolves per unit to the
+fastest tier available at runtime: compiled when the unit lowers and a
+native provider is live, batched otherwise, silently.  Explicit
 ``compiled`` requests degrade to ``batched`` with a one-time stderr
 warning when no native provider is live.  Selection is surfaced as
 ``--backend`` on the sweep/grid/chaos/lifecycle CLIs and the
@@ -56,19 +59,12 @@ def backend_from_env(default: Optional[str] = None) -> Optional[str]:
     return value
 
 
-def resolve_backend(
-    backend: Optional[str], batched: Optional[bool] = None
-) -> str:
-    """Canonicalise a backend request.
+def resolve_backend(backend: str) -> str:
+    """Validate a backend request.
 
-    ``backend=None`` keeps pre-compiled-tier call sites working: it maps
-    the legacy ``batched`` boolean (``True`` -> ``"batched"``,
-    ``False``/``None`` -> ``"scalar"``).  ``"auto"`` stays symbolic here;
-    it is resolved per *unit* (compiled when the unit lowers and a
-    provider is live, batched otherwise).
+    ``"auto"`` stays symbolic here; it is resolved per *unit* (compiled
+    when the unit lowers and a provider is live, batched otherwise).
     """
-    if backend is None:
-        return "batched" if batched else "scalar"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; valid: {BACKENDS}"

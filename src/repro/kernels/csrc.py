@@ -83,21 +83,19 @@ static int64_t lut_read(const int64_t *ipool, const uint8_t *bpool,
     }} else {{
         int64_t block_size = ipool[lut + 4];
         int64_t code_bits = ipool[lut + 5];
+        int64_t columns = ipool[lut + 9];
         int64_t block = addr / block_size;
         int64_t payload = addr - block * block_size;
         int64_t offset = ipool[ipool[lut + 6] + block];
         int64_t syndrome = 0;
         for (int64_t j = 0; j < code_bits; j++)
             if (bit_at(words, wb, base + offset + j) != 0)
-                syndrome ^= j + 1;
+                syndrome ^= ipool[columns + j];
         int64_t data_col = ipool[ipool[lut + 7] + payload];
         int64_t raw = bit_at(words, wb, base + offset + data_col);
         int64_t corrector = 0;
-        if (syndrome != 0) {{
-            if (scheme == {LUT_HAMMING_FP}) corrector = 1;
-            else if (bpool[ipool[lut + 8] + syndrome] != 0) corrector = 1;
-            else if (syndrome - 1 == data_col) corrector = 1;
-        }}
+        if (syndrome == ipool[columns + data_col]
+            || bpool[ipool[lut + 8] + syndrome] != 0) corrector = 1;
         flip = raw ^ corrector;
     }}
     return (int64_t)bpool[ipool[lut + 2] + addr] ^ flip;
@@ -422,7 +420,7 @@ MASK_FN void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
 
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 
 def c_source() -> str:
@@ -431,7 +429,6 @@ def c_source() -> str:
         abi_version=ABI_VERSION,
         LUT_IDENTITY=_p.LUT_IDENTITY,
         LUT_REPETITION=_p.LUT_REPETITION,
-        LUT_HAMMING_FP=_p.LUT_HAMMING_FP,
         SRC_GATE=_p.SRC_GATE,
         SRC_INPUT=_p.SRC_INPUT,
         GATE_NOT=_p.GATE_NOT,

@@ -204,14 +204,10 @@ def accelerate_unit(unit: FaultableUnit, backend: str = "auto") -> FaultableUnit
     silently returns the original otherwise, ``"compiled"`` warns once
     on stderr before degrading.
     """
-    from repro.kernels import BACKENDS
+    from repro.kernels import resolve_backend
     from repro.kernels.providers import warn_compiled_unavailable
 
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: {BACKENDS}"
-        )
-    if backend in ("scalar", "batched"):
+    if resolve_backend(backend) in ("scalar", "batched"):
         return unit
     engine = build_compiled_unit(unit)
     if engine is None:

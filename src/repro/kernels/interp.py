@@ -37,7 +37,6 @@ from repro.kernels.plan import (
     H_STORE0,
     H_VOTER,
     H_VOTER_BASE,
-    LUT_HAMMING_FP,
     LUT_IDENTITY,
     LUT_REPETITION,
     NODE_LUT,
@@ -80,23 +79,22 @@ def make_eval(jit=None):
         else:
             block_size = ipool[lut + 4]
             code_bits = ipool[lut + 5]
+            columns = ipool[lut + 9]
             block = addr // block_size
             payload = addr - block * block_size
             offset = ipool[ipool[lut + 6] + block]
             syndrome = 0
             for j in range(code_bits):
                 if bit_at(words, wb, base + offset + j) != 0:
-                    syndrome ^= j + 1
+                    syndrome ^= ipool[columns + j]
             data_col = ipool[ipool[lut + 7] + payload]
             raw = bit_at(words, wb, base + offset + data_col)
             corrector = 0
-            if syndrome != 0:
-                if scheme == LUT_HAMMING_FP:
-                    corrector = 1
-                elif bpool[ipool[lut + 8] + syndrome] != 0:
-                    corrector = 1
-                elif syndrome - 1 == data_col:
-                    corrector = 1
+            if (
+                syndrome == ipool[columns + data_col]
+                or bpool[ipool[lut + 8] + syndrome] != 0
+            ):
+                corrector = 1
             flip = raw ^ corrector
         return int(bpool[ipool[lut + 2] + addr]) ^ flip
 

@@ -9,7 +9,7 @@ To make that loop generic over all twelve Table 2 variants, the unit is
   absolute site-base offsets of every redundancy segment;
 * ``ipool`` -- ``int64[]``: descriptors (LUT schemes, netlist gate
   plans, offset tables) referenced by index from the header;
-* ``bpool`` -- ``uint8[]``: byte tables (truth tables, Hamming
+* ``bpool`` -- ``uint8[]``: byte tables (truth tables, syndrome
   false-positive tables).
 
 The same plan drives both the pure-Python reference interpreter
@@ -42,8 +42,7 @@ COMP_TIME = 2
 #: Coded-LUT schemes (lut descriptor field 0).
 LUT_IDENTITY = 0
 LUT_REPETITION = 1
-LUT_HAMMING = 2
-LUT_HAMMING_FP = 3
+LUT_SYNDROME = 2
 
 #: Core / voter descriptor kinds (descriptor field 0).
 NODE_LUT = 0
@@ -128,16 +127,16 @@ _INPUT_NAME = re.compile(r"^([a-z]+?)(\d*)$")
 
 
 def _lower_lut(b: _Builder, kernel) -> int:
-    """Lower one BatchedLUT to a 9-slot descriptor; returns its offset."""
+    """Lower one BatchedLUT to a 10-slot descriptor; returns its offset."""
     from repro.lut.batched import (
-        _HammingOutputBatchedLUT,
         _IdentityBatchedLUT,
         _RepetitionBatchedLUT,
+        _SyndromeBatchedLUT,
     )
 
     truth = np.asarray(kernel._truth_out, dtype=np.uint8)
     truth_off = b.badd(truth.tolist())
-    desc = [0, int(kernel.total_bits), truth_off, int(truth.size), 0, 0, 0, 0, 0]
+    desc = [0, int(kernel.total_bits), truth_off, int(truth.size)] + [0] * 6
     if isinstance(kernel, _IdentityBatchedLUT):
         desc[0] = LUT_IDENTITY
     elif isinstance(kernel, _RepetitionBatchedLUT):
@@ -145,15 +144,14 @@ def _lower_lut(b: _Builder, kernel) -> int:
         desc[0] = LUT_REPETITION
         desc[4] = int(kernel._copies)
         desc[5] = b.iadd(positions.reshape(-1).tolist())
-    elif isinstance(kernel, _HammingOutputBatchedLUT):
-        desc[0] = LUT_HAMMING_FP if kernel._fp_mode else LUT_HAMMING
+    elif isinstance(kernel, _SyndromeBatchedLUT):
+        desc[0] = LUT_SYNDROME
         desc[4] = int(kernel._block_size)
         desc[5] = int(kernel._code_bits)
-        desc[6] = b.iadd(np.asarray(kernel._stored_offsets).tolist())
-        desc[7] = b.iadd(np.asarray(kernel._data_positions).tolist())
-        desc[8] = b.badd(
-            np.asarray(kernel._false_positive, dtype=np.uint8).tolist()
-        )
+        desc[6] = b.iadd(kernel._stored_offsets.tolist())
+        desc[7] = b.iadd(kernel._data_positions.tolist())
+        desc[8] = b.badd(kernel._false_positive.astype(np.uint8).tolist())
+        desc[9] = b.iadd(kernel._columns.tolist())
     else:  # pragma: no cover - new BatchedLUT subclasses fall back
         raise _Unloweable
     return b.iadd(desc)
@@ -251,11 +249,11 @@ def build_plan(unit) -> Optional[KernelPlan]:
 
     Accepts exactly the units :func:`repro.alu.batched.build_batched_unit`
     accepts (all twelve Table 2 variants plus the ablation studies'
-    LUT/netlist units); everything else -- gate-level Hamming decoders,
-    generic block codes -- returns ``None`` so callers degrade to the
-    batched/scalar tiers.  A defective part lowers to its pristine
-    design's plan, unchanged: its defects are a mask overlay applied by
-    :func:`repro.kernels.engine.build_compiled_unit`'s engine.
+    LUT/netlist units, every syndrome decoder included); everything else
+    -- gate-level Hamming decoders, parity -- returns ``None`` so callers
+    degrade to the batched/scalar tiers.  A defective part lowers to its
+    pristine design's plan, unchanged: its defects are a mask overlay
+    applied by :func:`repro.kernels.engine.build_compiled_unit`'s engine.
     """
     from repro.alu.batched import (
         _INTERNAL_LUT,

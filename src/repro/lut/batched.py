@@ -9,8 +9,9 @@ The enabling observation: every supported decoder is *XOR-linear in the
 fault word*.  The stored image is a valid codeword, so
 
 * the addressed raw bit is ``truth_bit ^ fault_bit_at_data_position``, and
-* the Hamming syndrome of ``codeword ^ fault`` equals the syndrome of
-  ``fault`` alone (``syndrome`` is GF(2)-linear and zero on codewords).
+* the syndrome of ``codeword ^ fault`` equals the syndrome of ``fault``
+  alone (``syndrome`` is GF(2)-linear and zero on codewords): the XOR of
+  the parity-check columns of the set fault bits.
 
 Hence a batched read reduces to ``truth[addr] ^ flip(addr, fault_bits)``
 where ``flip`` is a scheme-specific pure function of the fault bits --
@@ -18,11 +19,13 @@ a handful of fancy-indexing gathers per read batch, with no per-draw
 big-integer arithmetic at all.
 
 Schemes covered: ``none`` (identity), every replicated layout
-(``tmr``/``tmr-interleaved``/``5mr``/``7mr``), and the paper-calibrated
-``hamming``/``hamming-fp`` output-corrector semantics.  The remaining
-schemes (``hamming-sec``, ``hsiao``, ``parity``, ``hamming-gate``) fall
-back to the scalar path: :func:`build_batched_lut` returns ``None`` and the
-campaign engine degrades gracefully.
+(``tmr``/``tmr-interleaved``/``5mr``/``7mr``), and every syndrome decoder
+-- the paper-calibrated ``hamming`` output corrector, ``hamming-fp``,
+textbook ``hamming-sec`` and Hsiao SEC-DED ``hsiao`` -- as one kind that
+differs only in its column and false-positive tables.  The two remaining
+schemes (``parity``, ``hamming-gate``) fall back to the scalar path:
+:func:`build_batched_lut` returns ``None`` and the campaign engine
+degrades gracefully.
 
 Every kernel is bit-identical to ``CodedLUT.read`` -- asserted exhaustively
 by the equivalence test suite.
@@ -35,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.coding import HammingCode, IdentityCode, RepetitionCode
+from repro.coding import HammingCode, HsiaoCode, IdentityCode, RepetitionCode
 from repro.lut.coded import CodedLUT
 
 
@@ -109,44 +112,27 @@ class _RepetitionBatchedLUT(BatchedLUT):
         return self._truth_out[addresses] ^ flip
 
 
-class _HammingOutputBatchedLUT(BatchedLUT):
-    """Paper-semantics Hamming read (and the ``hamming-fp`` variant).
+class _SyndromeBatchedLUT(BatchedLUT):
+    """Every syndrome decoder as one table-driven read.
 
-    Per block, the syndrome of the faulted word equals the syndrome of the
-    fault bits alone (XOR of the Hamming *positions* of the set fault
-    bits).  The output corrector flips the delivered bit when the syndrome
-    names the addressed data position (true correction), a check-bit
-    position, or an out-of-range position (the false positives behind the
-    paper's ``alunh`` < ``alunn`` result); ``hamming-fp`` flips on any
-    nonzero syndrome.
+    Per block, the syndrome is the XOR of the parity-check columns of the
+    set fault bits.  The delivered bit takes the raw fault at the
+    addressed data position and flips again when the syndrome equals
+    that position's column (a correction) or is a false positive of the
+    scheme.  Only the tables differ (see :func:`_syndrome_tables`).
     """
 
-    def __init__(self, lut: CodedLUT, fp_mode: bool) -> None:
+    def __init__(self, lut: CodedLUT, tables) -> None:
         super().__init__(lut)
-        blocks = lut.blocks
-        code = blocks[0][0]
-        assert isinstance(code, HammingCode)
-        self._fp_mode = fp_mode
+        columns, data_positions, false_positive = tables
         self._block_size = lut.block_size
-        self._code_bits = code.total_bits
+        self._code_bits = len(columns)
         self._stored_offsets = np.array(
-            [stored_offset for _, stored_offset, _ in blocks], dtype=np.intp
+            [offset for _, offset, _ in lut.blocks], dtype=np.intp
         )
-        self._data_positions = np.array(code.data_positions, dtype=np.intp)
-        #: Hamming position of stored bit i is i + 1; the syndrome is the
-        #: XOR of positions of set fault bits.
-        self._position_weights = np.arange(
-            1, code.total_bits + 1, dtype=np.int64
-        )
-        # Syndromes that flip the output regardless of the address:
-        # check-bit positions (powers of two) and out-of-range values.
-        n_syndromes = 1 << len(code.check_positions)
-        false_positive = np.zeros(n_syndromes, dtype=bool)
-        for syn in range(1, n_syndromes):
-            false_positive[syn] = (
-                syn > code.total_bits or (syn & (syn - 1)) == 0
-            )
-        self._false_positive = false_positive
+        self._columns = np.array(columns, dtype=np.int64)
+        self._data_positions = np.array(data_positions, dtype=np.intp)
+        self._false_positive = np.array(false_positive, dtype=bool)
 
     def read_batch(
         self, addresses: np.ndarray, fault_bits: np.ndarray
@@ -158,19 +144,48 @@ class _HammingOutputBatchedLUT(BatchedLUT):
         cols = offsets[:, None] + np.arange(self._code_bits)[None, :]
         block_bits = fault_bits[rows[:, None], cols]  # (n, code bits)
         syndrome = np.bitwise_xor.reduce(
-            block_bits.astype(np.int64) * self._position_weights[None, :],
-            axis=1,
+            block_bits.astype(np.int64) * self._columns[None, :], axis=1
         )
         data_cols = self._data_positions[payload]
         raw_flip = block_bits[rows, data_cols]
-        if self._fp_mode:
-            corrector_flip = syndrome != 0
-        else:
-            corrector_flip = (syndrome != 0) & (
-                self._false_positive[syndrome] | (syndrome - 1 == data_cols)
-            )
+        corrector_flip = (syndrome == self._columns[data_cols]) | (
+            self._false_positive[syndrome]
+        )
         flip = raw_flip ^ corrector_flip.astype(np.uint8)
         return self._truth_out[addresses] ^ flip
+
+
+#: Which nonzero syndromes each positional Hamming scheme's output
+#: corrector flips on whatever the address, given the code length ``n``.
+_HAMMING_FALSE_POSITIVES = {
+    # Check-bit and out-of-range syndromes: the paper's ``alunh`` loss.
+    "hamming": lambda syn, n: syn > n or syn & (syn - 1) == 0,
+    "hamming-fp": lambda syn, n: True,
+    "hamming-sec": lambda syn, n: False,
+}
+
+
+def _syndrome_tables(scheme: str, code) -> Optional[tuple]:
+    """One block's ``(columns, data positions, false positives)``, or
+    ``None`` for a decoder that is not a syndrome decoder.
+
+    Positional Hamming gives stored bit ``k`` column ``k + 1``.  Hsiao
+    gives data bit ``i`` its odd-weight column and check bit ``j`` the
+    unit column ``1 << j``, with no false positives: an even
+    (double-error) syndrome matches no column and never corrects.
+    """
+    if scheme == "hsiao" and isinstance(code, HsiaoCode):
+        checks = code.total_bits - code.data_bits
+        columns = code.columns + tuple(1 << j for j in range(checks))
+        return columns, tuple(range(code.data_bits)), (False,) * (1 << checks)
+    rule = _HAMMING_FALSE_POSITIVES.get(scheme)
+    if rule is None or not isinstance(code, HammingCode):
+        return None
+    n = code.total_bits
+    false_positive = (False,) + tuple(
+        rule(syn, n) for syn in range(1, 1 << len(code.check_positions))
+    )
+    return tuple(range(1, n + 1)), code.data_positions, false_positive
 
 
 def build_batched_lut(lut) -> Optional[BatchedLUT]:
@@ -182,21 +197,14 @@ def build_batched_lut(lut) -> Optional[BatchedLUT]:
     if not isinstance(lut, CodedLUT):
         return None
     blocks = lut.blocks
-    code = blocks[0][0]
-    if isinstance(code, IdentityCode):
+    first = blocks[0][0]
+    if isinstance(first, IdentityCode):
         return _IdentityBatchedLUT(lut)
-    if isinstance(code, RepetitionCode):
-        return _RepetitionBatchedLUT(lut, code)
-    if lut.scheme in ("hamming", "hamming-fp") and isinstance(
-        code, HammingCode
-    ):
-        # The gather geometry assumes every block shares one code shape
-        # (always true when the table size is a block-size multiple).
-        if all(
-            isinstance(block_code, HammingCode)
-            and block_code.total_bits == code.total_bits
-            and block_code.data_positions == code.data_positions
-            for block_code, _, _ in blocks
-        ):
-            return _HammingOutputBatchedLUT(lut, fp_mode=lut.scheme == "hamming-fp")
+    if isinstance(first, RepetitionCode):
+        return _RepetitionBatchedLUT(lut, first)
+    # The gather geometry assumes every block shares one code shape
+    # (always true when the table size is a block-size multiple).
+    tables = {_syndrome_tables(lut.scheme, code) for code, _, _ in blocks}
+    if len(tables) == 1 and None not in tables:
+        return _SyndromeBatchedLUT(lut, tables.pop())
     return None

@@ -53,11 +53,8 @@ class CampaignWorkItem:
             uses a custom image: the item then ships as pure spec --
             a few hundred bytes regardless of trial count or unit
             size -- and the worker rebuilds the default locally.
-        batched: evaluate through the vectorized engine (bit-identical
-            to scalar; significantly faster for LUT variants).
         backend: evaluation tier (``scalar``/``batched``/``compiled``/
-            ``auto``); ``None`` defers to the legacy ``batched`` flag.
-            Results are bit-identical on every tier.
+            ``auto``).  Results are bit-identical on every tier.
     """
 
     alu: ALUSpec
@@ -65,8 +62,7 @@ class CampaignWorkItem:
     trials_per_workload: int = 5
     seed: int = 2004
     bitmap: Optional[Bitmap] = field(default=None, compare=False)
-    batched: bool = True
-    backend: Optional[str] = None
+    backend: str = "auto"
 
 
 @dataclass
@@ -129,7 +125,6 @@ def _execute_item(item: CampaignWorkItem) -> CampaignResult:
     result = campaign.run_workload_suite(
         paper_workloads(bmp),
         trials_per_workload=item.trials_per_workload,
-        batched=item.batched,
         backend=item.backend,
     )
     engines.update(campaign.built_engines())

@@ -12,6 +12,7 @@ from repro.experiments.defect_yield import (
 )
 from repro.alu.variants import build_alu
 from repro.faults.defects import DefectMap, DefectiveUnit
+from repro.kernels import BACKENDS
 
 
 class TestFunctionalTest:
@@ -78,6 +79,16 @@ class TestYield:
         text = yield_table_text(points)
         assert "alunn" in text
         assert "perfect yield" in text
+
+    @pytest.mark.parametrize("variant", ["alunn", "aluncmos"])
+    def test_every_backend_gives_the_same_point(self, kernel_provider, variant):
+        """The tier is a speed knob only: scalar, batched, compiled and
+        auto yield points are equal, provider live or dead."""
+        points = [
+            yield_at(variant, 5e-3, n_parts=4, seed=1, backend=backend)
+            for backend in BACKENDS
+        ]
+        assert all(point == points[0] for point in points)
 
     def test_any_defect_probability(self):
         point = yield_at("alunn", 1e-3, n_parts=2, seed=0)

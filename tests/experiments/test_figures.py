@@ -10,8 +10,11 @@ from repro.experiments.figures import (
     figure8,
     figure9,
     run_figure,
+    run_figure_resilient,
     sweep_variant,
 )
+from repro.kernels import BACKENDS
+from repro.perf import ResilientRuntime
 
 #: A cheap subset of the paper's 18 percentages for CI-speed sweeps.
 QUICK = (0, 1, 3, 9)
@@ -57,6 +60,31 @@ class TestSweepMechanics:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             sweep_variant("alunn", trials_per_workload=0)
+
+
+class TestCheckpointKey:
+    def test_run_key_is_the_same_for_every_backend(self, tmp_path):
+        """Every tier gives identical results, so the tier is not part of
+        the checkpoint run key: a sweep checkpointed on one tier resumes
+        on any other."""
+        runs = [
+            run_figure_resilient(
+                "figure7",
+                ResilientRuntime(checkpoint_dir=tmp_path, resume=True),
+                fault_percents=(0, 3),
+                trials_per_workload=1,
+                seed=5,
+                backend=backend,
+            )
+            for backend in BACKENDS
+        ]
+        assert len({run.outcome.run_key for run in runs}) == 1
+        first, *rest = runs
+        assert first.outcome.run_key is not None
+        assert first.outcome.computed_chunks == first.outcome.chunks
+        for run in rest:
+            assert run.outcome.reused_chunks == run.outcome.chunks
+            assert run.figure.to_text() == first.figure.to_text()
 
 
 class TestFigure7Shape(object):

@@ -47,8 +47,8 @@ class TestCampaignEquivalence:
         campaign = FaultCampaign(
             build_alu(variant), policy_cls(fraction), seed=2004
         )
-        scalar = campaign.run_workload_suite(workloads, 1, batched=False)
-        batched = campaign.run_workload_suite(workloads, 1, batched=True)
+        scalar = campaign.run_workload_suite(workloads, 1, backend="scalar")
+        batched = campaign.run_workload_suite(workloads, 1, backend="batched")
         assert scalar.trials == batched.trials
 
 

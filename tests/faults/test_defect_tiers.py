@@ -96,10 +96,11 @@ class TestTable2Parts:
 
 
 class TestUnvectorisableDesign:
+    @pytest.mark.parametrize("scheme", ["parity", "hamming-gate"])
     def test_both_builders_decline_and_results_match(
-        self, kernel_provider, workloads
+        self, kernel_provider, workloads, scheme
     ):
-        part = _part(ALUSpec.simplex("hamming-sec").build(), 5e-2)
+        part = _part(ALUSpec.simplex(scheme).build(), 5e-2)
         assert build_batched_unit(part) is None
         assert build_plan(part) is None
         assert build_compiled_unit(part) is None

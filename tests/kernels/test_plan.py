@@ -27,7 +27,7 @@ class TestLowering:
         assert plan.header.shape == (HEADER_LEN,)
         assert plan.header[H_SITES] == unit.site_count
 
-    @pytest.mark.parametrize("scheme", ["hamming-sec", "hsiao"])
+    @pytest.mark.parametrize("scheme", ["parity", "hamming-gate"])
     def test_unsupported_decoder_semantics_return_none(self, scheme):
         """Units the batched tier rejects lower to None, never raise."""
         unit = ALUSpec.simplex(scheme).build()
@@ -41,7 +41,13 @@ class TestLowering:
         specs += [
             ALUSpec.simplex(s)
             for s in ("none", "tmr", "5mr", "7mr", "hamming",
-                      "hamming-sec", "hamming-fp", "hsiao")
+                      "hamming-sec", "hamming-fp", "hsiao",
+                      "parity", "hamming-gate")
+        ]
+        specs += [
+            ALUSpec.simplex(s, block_size=block)
+            for s in ("hamming", "hamming-sec", "hamming-fp", "hsiao")
+            for block in (4, 8)
         ]
         specs += [
             ALUSpec.space("tmr", voter)
@@ -53,10 +59,13 @@ class TestLowering:
             part = DefectiveUnit(
                 design, sample_defect_map(design.site_count, 0.05, rng)
             )
+            # Every syndrome decoder lowers; only parity and the
+            # gate-level decoder stay scalar.
+            supported = spec.scheme not in ("parity", "hamming-gate")
             for unit in (design, part):
                 batched = build_batched_unit(unit) is not None
                 compiled = build_plan(unit) is not None
-                assert compiled == batched, (spec, unit)
+                assert compiled == batched == supported, (spec, unit)
             assert (build_plan(part) is None) == (build_plan(design) is None)
 
     def test_plan_arrays_are_flat_and_typed(self):

@@ -227,12 +227,15 @@ class TestDegradedCampaigns:
         batched = campaign.run_workload_suite(workloads, 1, backend="batched")
         assert degraded.trials == batched.trials
 
-    def test_unsupported_unit_with_live_provider_is_silent(self, capsys):
+    @pytest.mark.parametrize("scheme", ["parity", "hamming-gate"])
+    def test_unsupported_unit_with_live_provider_is_silent(
+        self, capsys, scheme
+    ):
         """Provider is live but the unit has no lowered form: mirrors the
         batched tier's silent scalar fallback, no warning."""
         assert get_provider() is not None
         campaign = FaultCampaign(
-            ALUSpec.simplex("hamming-sec").build(),
+            ALUSpec.simplex(scheme).build(),
             ExactFractionMask(0.05),
             seed=3,
         )

@@ -32,26 +32,26 @@ def _observed(fn):
 
 
 class TestCampaignUnperturbed:
-    def _suite(self, batched):
+    def _suite(self, backend):
         campaign = FaultCampaign(
             build_alu("alunn"), ExactFractionMask(0.03), seed=11
         )
         return campaign.run_workload_suite(
-            paper_workloads(gradient(8, 8)), 2, batched=batched
+            paper_workloads(gradient(8, 8)), 2, backend=backend
         )
 
     def test_scalar_suite_identical(self):
-        bare = self._suite(batched=False)
-        observed, obs = _observed(lambda: self._suite(batched=False))
+        bare = self._suite(backend="scalar")
+        observed, obs = _observed(lambda: self._suite(backend="scalar"))
         assert observed == bare
         assert obs.metrics.counter("campaign.trials").value == 4
 
     def test_batched_suite_identical(self, kernel_provider):
-        bare = self._suite(batched=True)
-        observed, obs = _observed(lambda: self._suite(batched=True))
+        bare = self._suite(backend="batched")
+        observed, obs = _observed(lambda: self._suite(backend="batched"))
         assert observed == bare
         # Scalar and batched also agree with each other, observed or not.
-        assert observed == self._suite(batched=False)
+        assert observed == self._suite(backend="scalar")
         assert obs.trace.events_of("trial_end")
         # The draw counters name the path that drew every mask.
         drawn, idle = "native", "numpy"
@@ -65,8 +65,9 @@ class TestCampaignUnperturbed:
 
 class TestYieldUnperturbed:
     def test_yield_point_identical(self, kernel_provider):
-        """Defective parts on the batched tier: an observed yield point
-        equals a bare one, and every defect campaign ran batched."""
+        """Defective parts on the default tier: an observed yield point
+        equals a bare one, and every defect campaign ran compiled (with
+        a live provider) or batched (without one)."""
         n_parts = 4
 
         def point():
@@ -75,10 +76,14 @@ class TestYieldUnperturbed:
         bare = point()
         observed, obs = _observed(point)
         assert observed == bare
+        tier, other = "compiled", "batched"
+        if kernel_provider is None:
+            tier, other = other, tier
         # Two campaigns per part: defects only, then with transients.
-        assert obs.metrics.counter("kernel.backend.batched").value == (
+        assert obs.metrics.counter(f"kernel.backend.{tier}").value == (
             2 * n_parts
         )
+        assert obs.metrics.counter(f"kernel.backend.{other}").value == 0
         assert obs.metrics.counter("kernel.backend.scalar").value == 0
 
 

@@ -57,7 +57,7 @@ class TestPickleSize:
         """Figure sweeps over the default gradient ship bitmap=None; the
         worker rebuilds the 8x8 gradient locally."""
         items = _sweep_items(
-            ("alunn",), (0, 3.0), None, 5, 2004, True, "auto"
+            ("alunn",), (0, 3.0), None, 5, 2004, "auto"
         )
         assert all(item.bitmap is None for item in items)
         chunk_size = len(pickle.dumps(items))

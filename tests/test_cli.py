@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main, _parse_kill
+from repro.cli import build_parser, main, _parse_kill
+from repro.kernels import BACKENDS
 
 
 class TestStaticCommands:
@@ -209,3 +210,21 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [["sweep", "--help"], ["table1"]])
+    def test_bad_backend_env_is_a_usage_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_BACKEND='bogus' is not a backend" in err
+        assert all(repr(backend) in err for backend in BACKENDS)
+
+    def test_backend_env_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "batched")
+        args = build_parser().parse_args(["sweep"])
+        assert args.backend == "batched"
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert build_parser().parse_args(["sweep"]).backend == "auto"
+        assert build_parser().parse_args(["grid"]).backend == "scalar"
