@@ -14,19 +14,117 @@ with the flag set, so the loop re-examines every word each pass).
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.alu.base import FaultableUnit, Opcode
 from repro.cell.memory import CellMemory
 from repro.cell.memword import MemoryWord
+from repro.faults.packing import WORD_DTYPE, unpack_flags, words_for_sites
 
 #: Provides a fresh ALU fault mask per computation (paper Section 4).
 MaskSource = Callable[[], int]
 
+#: ``(ops, a, b, words) -> values``: one batch of executions over packed
+#: ``uint64`` mask rows, returning the 8-bit result values.
+BatchEvaluator = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray
+]
+
 
 def _no_faults() -> int:
     return 0
+
+
+#: Probe evaluators, one per shared ALU object (None: the unit does not
+#: lower, so its probes stay scalar).  Weakly keyed, so a grid's design
+#: unit and its engine are dropped together.
+_PROBE_EVALUATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def probe_evaluator(unit: FaultableUnit) -> Optional[BatchEvaluator]:
+    """The batch evaluator probe rounds run ``unit`` on, built once per unit.
+
+    Taken from the tier seam, fastest first: an
+    :class:`~repro.kernels.AcceleratedUnit`'s own compiled engine, else
+    a freshly compiled engine, else the batched NumPy engine.  A
+    defective part gets its defect overlay from the same seam.  Returns
+    ``None`` when the unit lowers to neither tier.
+    """
+    try:
+        return _PROBE_EVALUATORS[unit]
+    except KeyError:
+        pass
+    from repro.alu.batched import build_batched_unit
+    from repro.kernels import AcceleratedUnit, build_compiled_unit
+
+    compiled = (
+        unit.engine
+        if isinstance(unit, AcceleratedUnit)
+        else build_compiled_unit(unit)
+    )
+    evaluate: Optional[BatchEvaluator] = None
+    if compiled is not None:
+        evaluate = compiled.values_words
+    else:
+        batched = build_batched_unit(unit)
+        if batched is not None:
+            n_sites = unit.site_count
+
+            def evaluate(ops, a, b, words):
+                return batched.values(ops, a, b, unpack_flags(words, n_sites))
+
+    _PROBE_EVALUATORS[unit] = evaluate
+    return evaluate
+
+
+def run_canary(
+    controls: Sequence["ALUControl"], opcode: int, operand1: int, operand2: int
+) -> List[int]:
+    """Execute one canary instruction on every control's ALU.
+
+    Draws exactly one mask from each control's own stream, in the order
+    given, then evaluates: the controls that share one ALU object run
+    as a single batch on that unit's :func:`probe_evaluator`; a unit
+    held by one control, a unit that does not lower, and any mask the
+    unit's site space cannot hold run the scalar ``compute`` (which
+    owns the canonical errors).  Returns the result values in order.
+    """
+    masks = [control._mask_source() for control in controls]
+    values = [0] * len(controls)
+    groups: Dict[int, List[int]] = {}
+    for index, control in enumerate(controls):
+        groups.setdefault(id(control.alu), []).append(index)
+    for members in groups.values():
+        unit = controls[members[0]].alu
+        n_sites = unit.site_count
+        rows = [masks[i] for i in members]
+        evaluate = None
+        if len(members) > 1 and all(0 <= m and not m >> n_sites for m in rows):
+            evaluate = probe_evaluator(unit)
+        if evaluate is None:
+            for i in members:
+                values[i] = unit.compute(
+                    opcode, operand1, operand2, fault_mask=masks[i]
+                ).value
+            continue
+        n, n_words = len(rows), words_for_sites(n_sites)
+        words = np.frombuffer(
+            b"".join(m.to_bytes(8 * n_words, "little") for m in rows),
+            dtype=WORD_DTYPE,
+        ).reshape(n, n_words)
+        batch = evaluate(
+            np.full(n, opcode, dtype=np.int64),
+            np.full(n, operand1, dtype=np.int64),
+            np.full(n, operand2, dtype=np.int64),
+            words,
+        )
+        for i, value in zip(members, batch.tolist()):
+            values[i] = value
+    return values
 
 
 class StepOutcome(enum.Enum):
@@ -194,17 +292,6 @@ class ALUControl:
         if report.copies_disagree:
             self._disagreements += 1
         return report
-
-    def probe(self, opcode: int, operand1: int, operand2: int) -> int:
-        """Execute one canary instruction directly on the ALU.
-
-        Used by the watchdog's quarantine probe protocol: the computation
-        bypasses cell memory but draws a genuine fault mask, so a cell
-        whose ALU is still glitching fails its known-answer checks.
-        """
-        return self._alu.compute(
-            opcode, operand1, operand2, fault_mask=self._mask_source()
-        ).value
 
     def sweep(self) -> int:
         """Run one full pass over the memory; returns instructions computed."""

@@ -11,10 +11,16 @@ command (paper Section 3.2): *shift-in* (accept instruction packets),
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.alu.base import FaultableUnit
-from repro.cell.aluctrl import ALUControl, MaskSource, StepOutcome, _no_faults
+from repro.cell.aluctrl import (
+    ALUControl,
+    MaskSource,
+    StepOutcome,
+    _no_faults,
+    run_canary,
+)
 from repro.cell.heartbeat import Heartbeat
 from repro.cell.memory import CELL_MEMORY_WORDS, CellMemory
 from repro.cell.memword import MemoryWord
@@ -34,6 +40,37 @@ class CellMode(enum.Enum):
 
 class CellFullError(RuntimeError):
     """Raised when an instruction arrives at a cell with no free word."""
+
+
+def probe_cells(cells: Sequence["ProcessorCell"], canaries) -> List[bool]:
+    """Probe cells with known-answer canaries; one verdict per cell.
+
+    Each canary is ``(opcode, operand1, operand2, expected)``.  A cell
+    whose heartbeat was force-silenced by a hard failure cannot respond
+    at all; otherwise every canary must compute to its expected value
+    (through a genuine per-execution fault mask) for the probe to pass.
+
+    The pass is canary-major: canary *i* runs as one :func:`run_canary`
+    batch over the cells still passing, in the order given, and the
+    failures drop out.  Each cell's own mask stream is consumed exactly
+    as a short-circuiting per-cell ``all()`` would: a force-silenced
+    cell draws no mask, a cell failing canary *i* (0-based) has drawn
+    *i* + 1, and a passing cell one per canary.
+    """
+    live = [
+        index
+        for index, cell in enumerate(cells)
+        if not cell.heartbeat.forced_silent
+    ]
+    for op, a, b, expected in canaries:
+        if not live:
+            break
+        values = run_canary([cells[i].aluctrl for i in live], op, a, b)
+        live = [i for i, value in zip(live, values) if value == expected]
+    verdicts = [False] * len(cells)
+    for index in live:
+        verdicts[index] = True
+    return verdicts
 
 
 class ProcessorCell:
@@ -207,18 +244,10 @@ class ProcessorCell:
     def probe(self, canaries) -> bool:
         """Run known-answer canary instructions through the cell's ALU.
 
-        Each canary is ``(opcode, operand1, operand2, expected)``.  A cell
-        whose heartbeat was force-silenced by a hard failure cannot
-        respond at all; otherwise every canary must compute to its
-        expected value (through a genuine per-execution fault mask) for
-        the probe to pass.
+        The one-cell case of :func:`probe_cells`, which the watchdog's
+        probe rounds call over every quarantined cell at once.
         """
-        if self.heartbeat.forced_silent:
-            return False
-        return all(
-            self.aluctrl.probe(op, a, b) == expected
-            for op, a, b, expected in canaries
-        )
+        return probe_cells((self,), canaries)[0]
 
     # -------------------------------------------------------------- salvage
 

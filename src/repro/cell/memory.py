@@ -9,14 +9,30 @@ critical fields are triplicated at the word level.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from repro.cell.memword import MEMORY_WORD_BITS, MemoryWord
 from repro.coding.bits import bit_length_mask, popcount
-from repro.faults.sites import SiteSpace
+from repro.faults.sites import Segment, SiteSpace
 
 #: Paper Section 3.3: 32 words per cell (size arbitrary, may grow later).
 CELL_MEMORY_WORDS = 32
+
+
+@lru_cache(maxsize=None)
+def memory_layout(n_words: int) -> Tuple[SiteSpace, Tuple[Segment, ...]]:
+    """The frozen site layout shared by every ``n_words``-word memory.
+
+    One segment of ``MEMORY_WORD_BITS`` sites per word, word 0 first.
+    The layout depends only on the size, so every cell of a grid holds
+    the same object (a flyweight) and keeps only its stored words.
+    """
+    space = SiteSpace("cell_memory")
+    segments = tuple(
+        space.add(f"word{i}", MEMORY_WORD_BITS) for i in range(n_words)
+    )
+    return space.freeze(), segments
 
 
 class CellMemory:
@@ -27,10 +43,7 @@ class CellMemory:
             raise ValueError(f"n_words must be positive, got {n_words}")
         self._n_words = n_words
         self._words: List[int] = [0] * n_words
-        self._space = SiteSpace("cell_memory")
-        self._segments = [
-            self._space.add(f"word{i}", MEMORY_WORD_BITS) for i in range(n_words)
-        ]
+        self._space, self._segments = memory_layout(n_words)
         #: Optional observer called (with no arguments) after any write.
         #: The sparse grid engine hooks this to dirty-flag the owning
         #: cell's occupancy/pending counters; None costs nothing.
@@ -42,7 +55,7 @@ class CellMemory:
 
     @property
     def site_space(self) -> SiteSpace:
-        """One segment of 65 sites per word."""
+        """One segment of 65 sites per word (shared and frozen)."""
         return self._space
 
     @property

@@ -134,6 +134,19 @@ def shard_fleet(
     ]
 
 
+def _check_soak_args(ticks: int, wave_period: int, probe_interval: int) -> None:
+    if ticks < 0:
+        raise ValueError(f"ticks must be non-negative, got {ticks}")
+    if wave_period < 0:
+        raise ValueError(
+            f"wave_period must be non-negative, got {wave_period}"
+        )
+    if probe_interval < 1:
+        raise ValueError(
+            f"probe_interval must be positive, got {probe_interval}"
+        )
+
+
 def run_fleet_region(
     region: FleetRegion,
     *,
@@ -154,7 +167,12 @@ def run_fleet_region(
     quarantined cells that still compute correctly.  Deterministic in
     ``region.seed``, so a re-run -- in any process -- reproduces the
     outcome exactly.
+
+    Raises:
+        ValueError: for ``ticks < 0``, ``wave_period < 0`` or
+            ``probe_interval < 1``.
     """
+    _check_soak_args(ticks, wave_period, probe_interval)
     sim = GridSimulator(
         rows=region.rows,
         cols=region.cols,
@@ -292,7 +310,12 @@ def run_fleet_soak(
     its observability home and the parent folds it in under a ``chunkN``
     source prefix (the executor convention).  Results are identical for
     any ``jobs`` value: every region is a pure function of its shard.
+
+    Raises:
+        ValueError: for ``ticks < 0``, ``wave_period < 0`` or
+            ``probe_interval < 1``, before any region runs.
     """
+    _check_soak_args(ticks, wave_period, probe_interval)
     shards = shard_fleet(rows, cols, regions, seed)
     kwargs: Dict[str, object] = dict(
         ticks=ticks,

@@ -47,16 +47,31 @@ class Segment:
 
 
 class SiteSpace:
-    """Flat fault-site address space built from named segments."""
+    """Flat fault-site address space built from named segments.
+
+    :meth:`freeze` seals the layout: a space shared by many owners (one
+    design's ALU or memory layout reused by every grid cell) must never
+    grow under them.
+    """
 
     def __init__(self, name: str = "design") -> None:
         self.name = name
         self._segments: List[Segment] = []
         self._by_name: Dict[str, Segment] = {}
         self._total = 0
+        self._frozen = False
+
+    def freeze(self) -> "SiteSpace":
+        """Reject every later :meth:`add`; returns ``self``."""
+        self._frozen = True
+        return self
 
     def add(self, name: str, size: int) -> Segment:
         """Append a segment of ``size`` sites and return its handle."""
+        if self._frozen:
+            raise RuntimeError(
+                f"site space {self.name!r} is frozen (shared layout)"
+            )
         if size < 0:
             raise ValueError(f"segment size must be non-negative, got {size}")
         if name in self._by_name:

@@ -48,7 +48,7 @@ across all cells every cycle, which cannot be reproduced without
 touching every cell; :class:`~repro.grid.simulator.GridSimulator` falls
 back to the dense engine when they are enabled.  Custom ``alu_factory``
 callables must likewise be construction-order independent (the built-in
-ones are deterministic per cell).
+ones hand every cell one shared, stateless unit).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -39,9 +40,15 @@ Coord = Tuple[int, int]
 CONTROL_PROCESSOR = ("CP", "CP")
 
 
+@lru_cache(maxsize=None)
 def _default_alu_factory() -> FaultableUnit:
-    """Paper's best cell configuration: triplicated-string LUT ALU."""
-    return NanoBoxALU(scheme="tmr")
+    """Paper's best cell configuration: triplicated-string LUT ALU.
+
+    One frozen unit, shared by every cell of every default grid.
+    """
+    unit = NanoBoxALU(scheme="tmr")
+    unit.site_space.freeze()
+    return unit
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,10 @@ class NanoBoxGrid:
         rows: grid height (cells per column).
         cols: grid width (cells per row); the paper envisions "on the
             order of hundreds of processor cells".
-        alu_factory: builds each cell's ALU core.
+        alu_factory: returns each cell's ALU core.  It may hand the same
+            unit to many cells (the built-in factories share one per
+            design), so a unit must be stateless across ``compute``
+            calls; probe rounds batch the cells sharing a unit.
         mask_source_factory: given a cell coordinate, returns that cell's
             per-execution fault-mask supplier (default: fault-free).
         n_words: memory words per cell (paper: 32).

@@ -108,11 +108,13 @@ class GridSimulator:
             extra cycle per packet per hop).
         seed: base PRNG seed for all injection streams.
         backend: ALU evaluation tier (``scalar``/``batched``/
-            ``compiled``/``auto``).  ``compiled``/``auto`` route each
-            cell's per-instruction ``compute`` through one shared
-            native kernel engine (batches of one); results are
-            bit-identical on every tier.  ``None`` keeps the plain
-            scalar units.
+            ``compiled``/``auto``) of each cell's per-instruction
+            ``compute``.  ``compiled``/``auto`` route it through one
+            native kernel engine shared by every cell (batches of one);
+            ``None`` keeps the plain scalar unit.  Canary probe rounds
+            always batch every quarantined cell on the fastest tier
+            that lowers the unit, whatever this says.  Results are
+            bit-identical on every tier.
         grid_engine: fabric evaluation tier.  ``dense`` (default) does
             per-cell work every cycle; ``sparse`` is the event-driven
             :class:`~repro.grid.engine.SparseGrid` core, bit-identical
@@ -193,28 +195,29 @@ class GridSimulator:
         }
         self._memory_upsets = 0
 
-        kernel_engine = None
+        # The design unit is built once and shared by every cell (a
+        # flyweight): it holds no per-cell state, cells compute
+        # sequentially, and its frozen site layout never changes.
+        design: FaultableUnit = NanoBoxALU(scheme=alu_scheme)
+        design.site_space.freeze()
+        sites = design.site_count
         if backend is not None:
-            from repro.kernels import build_compiled_unit, resolve_backend
+            from repro.kernels import (
+                AcceleratedUnit,
+                build_compiled_unit,
+                resolve_backend,
+            )
             from repro.kernels.providers import warn_compiled_unavailable
 
             if resolve_backend(backend) in ("compiled", "auto"):
-                # One engine shared by every cell: the plan depends only
-                # on the scheme, cells compute sequentially, and the
-                # engine holds no cross-call state.
-                kernel_engine = build_compiled_unit(
-                    NanoBoxALU(scheme=alu_scheme)
-                )
-                if kernel_engine is None and backend == "compiled":
+                kernel_engine = build_compiled_unit(design)
+                if kernel_engine is not None:
+                    design = AcceleratedUnit(design, kernel_engine)
+                elif backend == "compiled":
                     warn_compiled_unavailable("no provider or unsupported unit")
 
         def alu_factory() -> FaultableUnit:
-            unit = NanoBoxALU(scheme=alu_scheme)
-            if kernel_engine is not None:
-                from repro.kernels import AcceleratedUnit
-
-                return AcceleratedUnit(unit, kernel_engine)
-            return unit
+            return design
 
         def mask_source_factory(coord: Coord):
             if self._alu_policy is None:
@@ -223,7 +226,6 @@ class GridSimulator:
                 np.random.SeedSequence([seed, coord[0], coord[1]])
             )
             policy = self._alu_policy
-            sites = NanoBoxALU(scheme=alu_scheme).site_count
 
             def source() -> int:
                 return policy.generate(sites, cell_rng)

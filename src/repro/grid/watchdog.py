@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.alu.reference import reference_compute
-from repro.cell.cell import CellFullError
+from repro.cell.cell import CellFullError, probe_cells
 from repro.grid.grid import Coord, NanoBoxGrid
 from repro.obs import get_observer
 
@@ -329,6 +329,10 @@ class Watchdog:
         N consecutive clean probes re-admit the cell -- its heartbeat is
         revived with a clean score and it rejoins the routing, assignment,
         and salvage sets; M failed probe rounds retire it permanently.
+
+        Every verdict is worked out first, in one canary-major batch over
+        the quarantined cells in row-major order (:func:`probe_cells`);
+        the bookkeeping then runs cell by cell in that same order.
         """
         if not self._policy.probing:
             return []
@@ -338,9 +342,11 @@ class Watchdog:
             (op, a, b, reference_compute(op, a, b).value)
             for op, a, b in PROBE_CANARIES
         ]
-        for coord in self.cells_in_state(CellState.QUARANTINED):
-            cell = self._grid.cell(*coord)
-            passed = cell.probe(canaries)
+        coords = self.cells_in_state(CellState.QUARANTINED)
+        verdicts = probe_cells(
+            [self._grid.cell(*coord) for coord in coords], canaries
+        )
+        for coord, passed in zip(coords, verdicts):
             if passed:
                 self._clean_probes[coord] = self._clean_probes.get(coord, 0) + 1
                 if self._clean_probes[coord] >= self._policy.readmit_clean_probes:

@@ -142,8 +142,9 @@ class AcceleratedUnit(FaultableUnit):
 
     Lets grid cells (which compute one instruction at a time against a
     per-cell mask stream) ride the compiled tier: each call is a batch
-    of one through the native kernel.  Everything else -- site layout,
-    storage images, probing -- delegates to the wrapped unit, and any
+    of one through the native kernel; probe rounds batch every cell
+    sharing the unit through :attr:`engine`.  Everything else -- site
+    layout, storage images -- delegates to the wrapped unit, and any
     input the kernel does not model (invalid opcodes, out-of-range
     operands or masks) is delegated wholesale so error behaviour stays
     canonical.
@@ -161,6 +162,11 @@ class AcceleratedUnit(FaultableUnit):
     def wrapped(self) -> FaultableUnit:
         """The scalar unit this facade accelerates."""
         return self._unit
+
+    @property
+    def engine(self) -> CompiledEngine:
+        """The compiled engine behind ``compute`` (batches of any size)."""
+        return self._engine
 
     @property
     def site_space(self):
