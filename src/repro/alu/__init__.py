@@ -28,7 +28,6 @@ from repro.alu.base import ALUResult, FaultableUnit, Opcode, RESULT_BITS, BUNDLE
 from repro.alu.reference import ReferenceALU, reference_compute
 from repro.alu.nanobox import NanoBoxALU
 from repro.alu.cmos import CMOSALU
-from repro.alu.batched import BatchedEngine, BatchedUnit, build_batched_unit
 from repro.alu.voters import CMOSVoter, LUTVoter, make_voter
 from repro.alu.redundancy import (
     SimplexALU,
@@ -46,8 +45,6 @@ from repro.alu.variants import (
 __all__ = [
     "ALUResult",
     "BUNDLE_BITS",
-    "BatchedEngine",
-    "BatchedUnit",
     "CMOSALU",
     "CMOSVoter",
     "FaultableUnit",
@@ -62,7 +59,6 @@ __all__ = [
     "TimeRedundantALU",
     "VariantSpec",
     "build_alu",
-    "build_batched_unit",
     "make_voter",
     "reference_compute",
     "variant_names",

@@ -23,7 +23,7 @@ import numpy as np
 from repro.alu.base import FaultableUnit, Opcode
 from repro.cell.memory import CellMemory
 from repro.cell.memword import MemoryWord
-from repro.faults.packing import WORD_DTYPE, unpack_flags, words_for_sites
+from repro.faults.packing import WORD_DTYPE, words_for_sites
 
 #: Provides a fresh ALU fault mask per computation (paper Section 4).
 MaskSource = Callable[[], int]
@@ -48,35 +48,21 @@ _PROBE_EVALUATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def probe_evaluator(unit: FaultableUnit) -> Optional[BatchEvaluator]:
     """The batch evaluator probe rounds run ``unit`` on, built once per unit.
 
-    Taken from the tier seam, fastest first: an
-    :class:`~repro.kernels.AcceleratedUnit`'s own compiled engine, else
-    a freshly compiled engine, else the batched NumPy engine.  A
+    An :class:`~repro.kernels.AcceleratedUnit`'s own compiled engine,
+    else the unit's plan engine (the C kernel when live, else NumPy).  A
     defective part gets its defect overlay from the same seam.  Returns
-    ``None`` when the unit lowers to neither tier.
+    ``None`` when the unit does not lower.
     """
     try:
         return _PROBE_EVALUATORS[unit]
     except KeyError:
         pass
-    from repro.alu.batched import build_batched_unit
-    from repro.kernels import AcceleratedUnit, build_compiled_unit
+    from repro.kernels import AcceleratedUnit, build_engine
 
-    compiled = (
-        unit.engine
-        if isinstance(unit, AcceleratedUnit)
-        else build_compiled_unit(unit)
+    engine = (
+        unit.engine if isinstance(unit, AcceleratedUnit) else build_engine(unit)
     )
-    evaluate: Optional[BatchEvaluator] = None
-    if compiled is not None:
-        evaluate = compiled.values_words
-    else:
-        batched = build_batched_unit(unit)
-        if batched is not None:
-            n_sites = unit.site_count
-
-            def evaluate(ops, a, b, words):
-                return batched.values(ops, a, b, unpack_flags(words, n_sites))
-
+    evaluate = None if engine is None else engine.values_words
     _PROBE_EVALUATORS[unit] = evaluate
     return evaluate
 

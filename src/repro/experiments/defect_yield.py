@@ -22,14 +22,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.alu.base import FaultableUnit, Opcode
-from repro.alu.batched import build_batched_unit
 from repro.alu.reference import reference_compute
 from repro.alu.variants import build_alu
 from repro.faults.campaign import FaultCampaign
 from repro.faults.defects import DefectiveUnit, sample_defect_map
 from repro.faults.mask import ExactFractionMask
 from repro.faults.packing import words_for_sites
-from repro.kernels import build_compiled_unit
+from repro.kernels import build_engine
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
 
@@ -52,27 +51,23 @@ _TEST_BUNDLES = np.array(
 def functional_test(unit: FaultableUnit) -> bool:
     """True when the unit passes the full vector set fault-free.
 
-    Units with a batched engine check every vector in one batch; the
-    rest run the vectors one at a time.
+    Units with a plan engine check every vector in one batch; the rest
+    run the vectors one at a time.
     """
-    return _passes(unit, build_batched_unit(unit))
+    return _passes(unit, build_engine(unit))
 
 
-def _passes(unit: FaultableUnit, engine, packed: bool = False) -> bool:
-    """:func:`functional_test` on a given engine (``None``: scalar); a
-    ``packed`` (compiled) engine reads mask words, a batched one flags."""
+def _passes(unit: FaultableUnit, engine) -> bool:
+    """:func:`functional_test` on a given plan engine (``None``: scalar)."""
     if engine is None:
         return all(
             unit.compute(*vector).bundle == want
             for vector, want in zip(_TEST_VECTORS, _TEST_BUNDLES)
         )
-    n = len(_TEST_VECTORS)
-    if packed:
-        words = np.zeros((n, words_for_sites(unit.site_count)), np.uint64)
-        got = engine.bundles_words(_TEST_OPS, _TEST_A, _TEST_B, words)
-    else:
-        flags = np.zeros((n, unit.site_count), dtype=np.uint8)
-        got = engine.bundles(_TEST_OPS, _TEST_A, _TEST_B, flags)
+    words = np.zeros(
+        (len(_TEST_VECTORS), words_for_sites(unit.site_count)), np.uint64
+    )
+    got = engine.bundles_words(_TEST_OPS, _TEST_A, _TEST_B, words)
     return bool(np.array_equal(got, _TEST_BUNDLES))
 
 
@@ -129,33 +124,24 @@ def yield_at(
     parts = manufacture(variant, density, n_parts, seed=seed)
     workloads = paper_workloads(gradient(8, 8))
     # The parts share one design: build its engine once, overlay per part.
-    design = parts[0].pristine_unit
-    packed = backend in ("auto", "compiled")
-    design_engine = build_compiled_unit(design) if packed else None
-    if design_engine is None:
-        packed = False
-        if backend != "scalar":
-            design_engine = build_batched_unit(design)
+    # An explicit ``compiled`` request with no provider runs like ``auto``.
+    design_engine = build_engine(
+        parts[0].pristine_unit, "auto" if backend == "compiled" else backend
+    )
 
     passing = 0
     accuracies = []
     accuracies_transient = []
     for i, part in enumerate(parts):
-        engine = (
-            None if design_engine is None
-            else part.overlay(design_engine, packed=packed)
-        )
-        passing += _passes(part, engine, packed)
+        engine = None if design_engine is None else part.overlay(design_engine)
+        passing += _passes(part, engine)
         for fraction, scores in (
             (0.0, accuracies), (transient_fraction, accuracies_transient)
         ):
             campaign = FaultCampaign(
                 part, ExactFractionMask(fraction), seed=seed + i
             )
-            campaign.use_engines(
-                compiled=engine if packed else None,
-                batched=None if packed else engine,
-            )
+            campaign.use_engine(engine)
             scores.append(
                 campaign.run_workload_suite(
                     workloads, 1, backend=backend

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.coding.bits import popcount
 from repro.faults.mask import MaskPolicy
-from repro.faults.packing import unpack_flags, words_for_sites, words_to_int
+from repro.faults.packing import words_for_sites, words_to_int
 from repro.faults.stats import SampleStats, summarize
 from repro.obs import get_observer
 
@@ -81,8 +81,7 @@ class FaultCampaign:
         self._alu = alu
         self._policy = policy
         self._seed = seed
-        self._batched_engine = _UNSET  # built lazily on first batched run
-        self._compiled_engine = _UNSET  # built lazily on first compiled run
+        self._engine = _UNSET  # built lazily on the first packed run
 
     @property
     def policy(self) -> MaskPolicy:
@@ -104,79 +103,59 @@ class FaultCampaign:
             entropy = [self._seed, zlib.crc32(workload.encode("utf-8")), trial]
         return np.random.default_rng(np.random.SeedSequence(entropy))
 
-    def _engine(self):
-        """The unit's batched evaluator, or ``None`` for scalar fallback."""
-        if self._batched_engine is _UNSET:
-            from repro.alu.batched import build_batched_unit
-
-            self._batched_engine = build_batched_unit(self._alu)
-        return self._batched_engine
-
-    def _compiled(self):
-        """The unit's compiled evaluator, or ``None`` for batched fallback.
-
-        Built (and JIT-warmed) on first use -- outside every trial/suite
-        timer, so compile cost never pollutes campaign timings.
-        """
-        if self._compiled_engine is _UNSET:
-            from repro.kernels import build_compiled_unit
-
-            self._compiled_engine = build_compiled_unit(self._alu)
-        return self._compiled_engine
-
-    def use_engines(self, batched=_UNSET, compiled=_UNSET) -> None:
-        """Install pre-built evaluation engines (worker-pool cache hook).
+    def use_engine(self, engine) -> None:
+        """Install a pre-built plan engine (worker-pool cache hook).
 
         A fan-out worker runs many campaigns over the same unit family;
-        rebuilding the batched/compiled engines per campaign would waste
-        more time than evaluation itself.  Engines are stateless across
-        calls, so sharing them never perturbs results.
+        rebuilding the engine per campaign would waste more time than
+        evaluation itself.  Engines are stateless across calls, so
+        sharing them never perturbs results.
         """
-        if batched is not _UNSET:
-            self._batched_engine = batched
-        if compiled is not _UNSET:
-            self._compiled_engine = compiled
+        self._engine = engine
 
-    def built_engines(self) -> Dict[str, object]:
-        """Engines this campaign has materialised so far.
+    def built_engine(self):
+        """The engine this campaign built or was given, else ``None``.
 
-        The inverse of :meth:`use_engines`: a fan-out worker runs one
-        campaign, harvests whatever engines it built (``"batched"`` /
-        ``"compiled"`` keys; values may be ``None`` for units with no
-        such form -- that verdict is worth caching too), and seeds the
-        next campaign over the same unit spec.
+        The inverse of :meth:`use_engine`: a fan-out worker runs one
+        campaign, harvests its engine, and seeds the next campaign over
+        the same unit spec.
         """
-        built: Dict[str, object] = {}
-        if self._batched_engine is not _UNSET:
-            built["batched"] = self._batched_engine
-        if self._compiled_engine is not _UNSET:
-            built["compiled"] = self._compiled_engine
-        return built
+        return None if self._engine is _UNSET else self._engine
 
     def resolve_backend(self, backend: str = "auto") -> str:
         """The effective tier for this unit: scalar, batched, or compiled.
 
-        ``auto`` selects compiled exactly when this unit has a live
-        compiled engine, silently falling back to batched otherwise.  An
-        explicit ``compiled`` request without an engine degrades to
-        batched with a one-time stderr warning -- unless the *unit* is
-        the unsupported part while a provider is live, which mirrors the
-        batched tier's silent scalar fallback for unvectorizable units.
+        ``auto`` selects compiled exactly when a C kernel provider is
+        live and the unit lowers, batched otherwise.  An explicit
+        ``compiled`` request with no provider degrades like ``auto``,
+        with a one-time stderr warning.  A unit with no lowered form
+        reports ``batched`` and runs its scalar ``compute`` over the
+        packed mask stream, silently.
+
+        The plan engine is built here on first use -- outside every
+        suite timer, so lowering and kernel warmup never pollute
+        campaign timings -- and rebuilt only when a later request names
+        the other executor.
         """
+        from repro.kernels import build_engine, get_provider
         from repro.kernels import resolve_backend as _resolve
+        from repro.kernels.providers import warn_compiled_unavailable
 
         requested = _resolve(backend)
-        if requested == "auto":
-            effective = "compiled" if self._compiled() is not None else "batched"
-        elif requested == "compiled" and self._compiled() is None:
-            from repro.kernels import get_provider
-            from repro.kernels.providers import warn_compiled_unavailable
-
-            if get_provider() is None:
-                warn_compiled_unavailable("no Numba and no C compiler")
-            effective = "batched"
+        if requested == "scalar":
+            effective = "scalar"
         else:
-            effective = requested
+            native = requested != "batched" and get_provider() is not None
+            if requested == "compiled" and not native:
+                warn_compiled_unavailable("no working C compiler")
+            engine = self._engine
+            if engine is _UNSET or (
+                engine is not None and (engine.tier == "compiled") != native
+            ):
+                engine = self._engine = build_engine(
+                    self._alu, "compiled" if native else "batched"
+                )
+            effective = "batched" if engine is None else engine.tier
         get_observer().metrics.counter(f"kernel.backend.{effective}").inc()
         return effective
 
@@ -236,111 +215,83 @@ class FaultCampaign:
                 injected=injected,
             )
 
-    def run_workload_batched(
-        self,
-        instructions: Sequence[Instruction],
-        trial: int = 0,
-        workload: Optional[str] = None,
-    ) -> TrialResult:
-        """Vectorized :meth:`run_workload`: bit-identical, much faster.
+    def _run_packed(
+        self, jobs: Sequence[Tuple[Optional[str], Sequence[Instruction], int]]
+    ) -> List[TrialResult]:
+        """Run ``(workload, instructions, trial)`` jobs on the plan engine.
 
-        Draws the whole trial's mask stream in one
-        :meth:`~repro.faults.mask.MaskPolicy.generate_batch` call and
-        evaluates every instruction through the unit's batched NumPy
-        engine.  Units without a batched form (CMOS gate netlists,
-        gate-level decoders) are evaluated scalar over the same pre-drawn
-        masks, so the result is identical to :meth:`run_workload` for the
-        same ``(seed, trial, workload)`` in every case.
+        Stream identity fixes the draw shape: each job draws its own
+        trial stream, exactly as :meth:`run_workload` would, with one
+        :meth:`~repro.faults.mask.MaskPolicy.generate_batch` call.  The
+        draws land in one packed block, and evaluation, scoring and
+        fault accounting run once over all its rows.  A unit with no
+        engine runs its scalar ``compute`` over the same rows.  Callers
+        must have called :meth:`resolve_backend` first.
         """
+        engine = self._engine
         obs = get_observer()
-        source = f"campaign/{workload}" if workload else "campaign"
-        if obs.enabled:
-            obs.trace.emit(
-                "trial_start",
-                source=source,
-                trial=trial,
-                instructions=len(instructions),
-                batched=True,
-            )
-        rng = self._rng_for_trial(trial, workload)
         n_sites = self._alu.site_count
-        n = len(instructions)
-        with obs.metrics.time("campaign.trial_batched"):
-            words = self._policy.generate_batch(n_sites, n, rng)
-            flags = unpack_flags(words, n_sites)
-            injected = int(flags.sum())
-            engine = self._engine()
-            if engine is None:
-                correct = 0
-                for row, (op, a, b, expected) in enumerate(instructions):
-                    mask = words_to_int(words[row])
-                    if self._alu.compute(op, a, b, fault_mask=mask).value == expected:
-                        correct += 1
-            else:
-                ops = np.fromiter((i[0] for i in instructions), np.int64, count=n)
-                a_ops = np.fromiter((i[1] for i in instructions), np.int64, count=n)
-                b_ops = np.fromiter((i[2] for i in instructions), np.int64, count=n)
-                expected = np.fromiter(
-                    (i[3] for i in instructions), np.int64, count=n
+        total_rows = sum(len(instructions) for _, instructions, _ in jobs)
+        words = np.empty((total_rows, words_for_sites(n_sites)), np.uint64)
+        columns: Dict[Optional[str], Tuple[np.ndarray, ...]] = {}
+        row = 0
+        for name, instructions, trial in jobs:
+            n = len(instructions)
+            if obs.enabled:
+                obs.trace.emit(
+                    "trial_start",
+                    source=f"campaign/{name}" if name else "campaign",
+                    trial=trial,
+                    instructions=n,
+                    batched=True,
                 )
-                values = engine.values(ops, a_ops, b_ops, flags)
-                correct = int(np.count_nonzero(values == expected))
-        self._record_trial(obs, source, trial, n, correct, injected)
-        return TrialResult(total=n, correct=correct, injected_faults=injected)
-
-    def run_workload_compiled(
-        self,
-        instructions: Sequence[Instruction],
-        trial: int = 0,
-        workload: Optional[str] = None,
-    ) -> TrialResult:
-        """Compiled-tier :meth:`run_workload`: bit-identical, fastest.
-
-        The trial's mask stream is drawn packed (the same RNG
-        consumption as every other tier) and evaluated in place by the
-        native kernel -- no per-site flag expansion at all.  Callers
-        must have checked :meth:`resolve_backend` first; a unit without
-        a compiled engine belongs on the batched path.
-        """
-        engine = self._compiled()
+            if name not in columns:
+                columns[name] = tuple(
+                    np.fromiter((i[field] for i in instructions), np.int64, n)
+                    for field in range(4)
+                )
+            words[row : row + n] = self._policy.generate_batch(
+                n_sites, n, self._rng_for_trial(trial, name)
+            )
+            row += n
+        row_faults = np.bitwise_count(words).sum(axis=1)
+        ops, a_ops, b_ops = (
+            np.concatenate([columns[name][field] for name, _, _ in jobs])
+            for field in range(3)
+        )
         if engine is None:
-            return self.run_workload_batched(
-                instructions, trial=trial, workload=workload
+            values = np.fromiter(
+                (
+                    self._alu.compute(
+                        int(ops[r]), int(a_ops[r]), int(b_ops[r]),
+                        fault_mask=words_to_int(words[r]),
+                    ).value
+                    for r in range(total_rows)
+                ),
+                np.int64,
+                total_rows,
             )
-        obs = get_observer()
-        source = f"campaign/{workload}" if workload else "campaign"
-        if obs.enabled:
-            obs.trace.emit(
-                "trial_start",
-                source=source,
-                trial=trial,
-                instructions=len(instructions),
-                batched=True,
-                backend="compiled",
-            )
-        rng = self._rng_for_trial(trial, workload)
-        n_sites = self._alu.site_count
-        n = len(instructions)
-        with obs.metrics.time("campaign.trial_compiled"):
-            words = self._policy.generate_batch(n_sites, n, rng)
-            injected = int(np.bitwise_count(words).sum())
-            ops = np.fromiter((i[0] for i in instructions), np.int64, count=n)
-            a_ops = np.fromiter((i[1] for i in instructions), np.int64, count=n)
-            b_ops = np.fromiter((i[2] for i in instructions), np.int64, count=n)
-            expected = np.fromiter(
-                (i[3] for i in instructions), np.int64, count=n
-            )
+        else:
             values = engine.values_words(ops, a_ops, b_ops, words)
-            correct = int(np.count_nonzero(values == expected))
-        self._record_trial(obs, source, trial, n, correct, injected)
-        return TrialResult(total=n, correct=correct, injected_faults=injected)
+        obs.metrics.counter("kernel.fused_rows").inc(total_rows)
 
-    def _runner(self, effective: str):
-        if effective == "compiled":
-            return self.run_workload_compiled
-        if effective == "batched":
-            return self.run_workload_batched
-        return self.run_workload
+        trials: List[TrialResult] = []
+        row = 0
+        for name, instructions, trial in jobs:
+            n = len(instructions)
+            correct = int(
+                np.count_nonzero(values[row : row + n] == columns[name][3])
+            )
+            injected = int(row_faults[row : row + n].sum())
+            self._record_trial(
+                obs, f"campaign/{name}" if name else "campaign", trial, n,
+                correct, injected,
+            )
+            trials.append(
+                TrialResult(total=n, correct=correct, injected_faults=injected)
+            )
+            row += n
+        return trials
 
     def run_trials(
         self,
@@ -356,11 +307,12 @@ class FaultCampaign:
         """
         if n_trials <= 0:
             raise ValueError(f"n_trials must be positive, got {n_trials}")
-        run = self._runner(self.resolve_backend(backend))
-        trials = tuple(
-            run(instructions, trial=first_trial + t) for t in range(n_trials)
-        )
-        return CampaignResult(trials=trials)
+        trial_ids = range(first_trial, first_trial + n_trials)
+        if self.resolve_backend(backend) == "scalar":
+            trials = [self.run_workload(instructions, trial=t) for t in trial_ids]
+        else:
+            trials = self._run_packed([(None, instructions, t) for t in trial_ids])
+        return CampaignResult(trials=tuple(trials))
 
     def run_workload_suite(
         self,
@@ -378,106 +330,24 @@ class FaultCampaign:
         in the suite.  (Before PR 2 the stream was derived from the
         position, so adding a workload silently reseeded the others.)
 
-        ``backend`` picks the evaluation tier.  On the compiled tier the
-        whole suite -- every workload x trial -- is fused into one
-        rectangular mask block and one native kernel dispatch; per-trial
-        RNG streams are drawn independently exactly as on the other
-        tiers, so the pooled ``TrialResult``s stay bit-identical.
+        ``backend`` picks the evaluation tier.  On the batched and
+        compiled tiers the whole suite -- every workload x trial -- is
+        fused into one packed mask block and one engine call; per-trial
+        RNG streams are drawn independently exactly as on the scalar
+        tier, so the pooled ``TrialResult``s stay bit-identical.
         """
         effective = self.resolve_backend(backend)
-        if effective == "compiled":
-            return self._run_suite_compiled(workloads, trials_per_workload)
-        run = self._runner(effective)
-        all_trials: List[TrialResult] = []
+        jobs = [
+            (name, instructions, t)
+            for name, instructions in sorted(workloads.items())
+            for t in range(trials_per_workload)
+        ]
         with get_observer().metrics.time("campaign.suite"):
-            for name, instructions in sorted(workloads.items()):
-                for t in range(trials_per_workload):
-                    all_trials.append(run(instructions, trial=t, workload=name))
-        return CampaignResult(trials=tuple(all_trials))
-
-    def _run_suite_compiled(
-        self,
-        workloads: Dict[str, Sequence[Instruction]],
-        trials_per_workload: int,
-    ) -> CampaignResult:
-        """One fused kernel dispatch for the whole suite.
-
-        Stream identity constrains the fusion shape: each (workload,
-        trial) draws from its own ``SeedSequence``-derived generator, so
-        the RNG *draws* stay per-trial rectangles -- but they land in
-        one contiguous block, and evaluation, scoring, and fault
-        accounting run once over all rows.
-        """
-        engine = self._compiled()
-        assert engine is not None  # resolve_backend() guarantees it
-        obs = get_observer()
-        n_sites = self._alu.site_count
-        n_words = words_for_sites(n_sites)
-
-        jobs: List[Tuple[str, Sequence[Instruction], int, int]] = []
-        total_rows = 0
-        for name, instructions in sorted(workloads.items()):
-            for t in range(trials_per_workload):
-                jobs.append((name, instructions, t, total_rows))
-                total_rows += len(instructions)
-
-        with obs.metrics.time("campaign.suite"):
-            with obs.metrics.time("campaign.suite_compiled"):
-                words = np.empty((total_rows, n_words), dtype=np.uint64)
-                per_workload: Dict[str, Tuple[np.ndarray, ...]] = {}
-                for name, instructions, t, row in jobs:
-                    if obs.enabled:
-                        obs.trace.emit(
-                            "trial_start",
-                            source=f"campaign/{name}",
-                            trial=t,
-                            instructions=len(instructions),
-                            batched=True,
-                            backend="compiled",
-                        )
-                    if name not in per_workload:
-                        count = len(instructions)
-                        per_workload[name] = tuple(
-                            np.fromiter(
-                                (i[field] for i in instructions),
-                                np.int64,
-                                count=count,
-                            )
-                            for field in range(4)
-                        )
-                    rng = self._rng_for_trial(t, name)
-                    words[row : row + len(instructions)] = (
-                        self._policy.generate_batch(
-                            n_sites, len(instructions), rng
-                        )
-                    )
-                row_faults = np.bitwise_count(words).sum(axis=1)
-                ops = np.concatenate(
-                    [per_workload[name][0] for name, *_ in jobs]
-                )
-                a_ops = np.concatenate(
-                    [per_workload[name][1] for name, *_ in jobs]
-                )
-                b_ops = np.concatenate(
-                    [per_workload[name][2] for name, *_ in jobs]
-                )
-                values = engine.values_words(ops, a_ops, b_ops, words)
-                obs.metrics.counter("kernel.fused_rows").inc(total_rows)
-
-            all_trials: List[TrialResult] = []
-            for name, instructions, t, row in jobs:
-                n = len(instructions)
-                expected = per_workload[name][3]
-                correct = int(
-                    np.count_nonzero(values[row : row + n] == expected)
-                )
-                injected = int(row_faults[row : row + n].sum())
-                self._record_trial(
-                    obs, f"campaign/{name}", t, n, correct, injected
-                )
-                all_trials.append(
-                    TrialResult(
-                        total=n, correct=correct, injected_faults=injected
-                    )
-                )
-        return CampaignResult(trials=tuple(all_trials))
+            if effective == "scalar":
+                trials = [
+                    self.run_workload(instructions, trial=t, workload=name)
+                    for name, instructions, t in jobs
+                ]
+            else:
+                trials = self._run_packed(jobs)
+        return CampaignResult(trials=tuple(trials))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.coding.bits import bit_length_mask, popcount
-from repro.faults.packing import int_to_words, unpack_flags
+from repro.faults.packing import int_to_words
 from repro.faults.sites import SiteSpace
 
 
@@ -195,18 +195,11 @@ class DefectiveUnit:
         effective = (fault_mask & ~self._defects.defective_sites) ^ self._defect_xor
         return self._unit.compute(op, a, b, fault_mask=effective)
 
-    def overlay(self, engine, packed: bool) -> "DefectOverlay":
-        """This part's defects over its pristine design's batch engine.
-
-        ``packed`` selects the engine's mask format: ``uint64`` words
-        for a compiled engine, 0/1 flag rows for a batched one.
-        """
+    def overlay(self, engine) -> "DefectOverlay":
+        """This part's defects over its pristine design's plan engine."""
         n_sites = self.site_count
         clear = int_to_words(self._defects.defective_sites, n_sites)
         flip = int_to_words(self._defect_xor, n_sites)
-        if not packed:
-            clear = unpack_flags(clear[None, :], n_sites)[0]
-            flip = unpack_flags(flip[None, :], n_sites)[0]
         return DefectOverlay(engine, keep=~clear, flip=flip)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -217,15 +210,12 @@ class DefectiveUnit:
 
 
 class DefectOverlay:
-    """A pristine design's batch engine seen through one part's defects.
+    """A pristine design's plan engine seen through one part's defects.
 
     Applies :meth:`DefectiveUnit.compute`'s transform,
-    ``effective = (m & ~defective) ^ defect_xor``, to every mask row of a
-    batch at once, then evaluates the rows on the wrapped engine.  The
-    two rows are held in the engine's own mask format (0/1 flags for a
-    batched engine, packed words for a compiled one), and each
-    evaluation method forwards to the engine's method of the same name;
-    every other attribute is the engine's.
+    ``effective = (m & ~defective) ^ defect_xor``, to every packed mask
+    row of a batch at once, then evaluates the rows on the wrapped
+    engine (either executor).  Every other attribute is the engine's.
     """
 
     def __init__(self, engine, keep: np.ndarray, flip: np.ndarray) -> None:
@@ -238,12 +228,6 @@ class DefectOverlay:
         if rows.ndim != 2 or rows.shape[1] != self._flip.shape[0]:
             return rows  # malformed: the engine raises its own shape error
         return (rows.astype(self._keep.dtype, copy=False) & self._keep) ^ self._flip
-
-    def bundles(self, ops, a, b, fault_bits):
-        return self._engine.bundles(ops, a, b, self._apply(fault_bits))
-
-    def values(self, ops, a, b, fault_bits):
-        return self._engine.values(ops, a, b, self._apply(fault_bits))
 
     def bundles_words(self, ops, a, b, words):
         return self._engine.bundles_words(ops, a, b, self._apply(words))

@@ -202,19 +202,9 @@ class GridSimulator:
         design.site_space.freeze()
         sites = design.site_count
         if backend is not None:
-            from repro.kernels import (
-                AcceleratedUnit,
-                build_compiled_unit,
-                resolve_backend,
-            )
-            from repro.kernels.providers import warn_compiled_unavailable
+            from repro.kernels import accelerate_unit
 
-            if resolve_backend(backend) in ("compiled", "auto"):
-                kernel_engine = build_compiled_unit(design)
-                if kernel_engine is not None:
-                    design = AcceleratedUnit(design, kernel_engine)
-                elif backend == "compiled":
-                    warn_compiled_unavailable("no provider or unsupported unit")
+            design = accelerate_unit(design, backend)
 
         def alu_factory() -> FaultableUnit:
             return design

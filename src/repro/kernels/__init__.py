@@ -1,23 +1,22 @@
-"""Compiled kernel tier: the raw-speed backend below the NumPy engine.
+"""Lowered kernel plans and the executors that run them.
 
 Three evaluation tiers share one contract -- bit- and stream-identical
 ``TrialResult``s for the same ``(seed, workload, trial)``:
 
 * **scalar** -- the reference object graph, one instruction at a time;
-* **batched** -- the vectorized NumPy engine (:mod:`repro.alu.batched`);
-* **compiled** -- a lowered plan (:mod:`repro.kernels.plan`) run by a
-  native executor: ``numba.njit`` over the reference interpreter when
-  Numba is installed, otherwise a generated-and-cached C extension
-  loaded via ``ctypes`` (:mod:`repro.kernels.cbuild`).
+* **batched** -- the unit's lowered plan (:mod:`repro.kernels.plan`) on
+  the NumPy executor (:class:`repro.alu.batched.BatchedEngine`);
+* **compiled** -- the same plan on the generated C kernel, built and
+  cached when a C compiler is on PATH (:mod:`repro.kernels.cbuild`).
 
 ``auto`` -- the default of every campaign driver (figures, ablations,
 the yield sweep, the executor's work items) -- resolves per unit to the
-fastest tier available at runtime: compiled when the unit lowers and a
-native provider is live, batched otherwise, silently.  Explicit
-``compiled`` requests degrade to ``batched`` with a one-time stderr
-warning when no native provider is live.  Selection is surfaced as
-``--backend`` on the sweep/grid/chaos/lifecycle CLIs and the
-``REPRO_BACKEND`` environment variable.
+fastest tier available at runtime: compiled when the unit lowers and the
+C kernel is live, batched otherwise, silently.  Explicit ``compiled``
+requests degrade to ``batched`` with a one-time stderr warning when no
+C kernel is live.  Selection is surfaced as ``--backend`` on the
+sweep/grid/chaos/lifecycle CLIs and the ``REPRO_BACKEND`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from typing import Optional
 from repro.kernels.engine import (
     AcceleratedUnit,
     CompiledEngine,
+    PlanEngine,
     accelerate_unit,
-    build_compiled_unit,
+    build_engine,
 )
 from repro.kernels.plan import KernelPlan, build_plan
 from repro.kernels.providers import (
@@ -63,7 +63,7 @@ def resolve_backend(backend: str) -> str:
     """Validate a backend request.
 
     ``"auto"`` stays symbolic here; it is resolved per *unit* (compiled
-    when the unit lowers and a provider is live, batched otherwise).
+    when the unit lowers and the C kernel is live, batched otherwise).
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -79,9 +79,10 @@ __all__ = [
     "CompiledEngine",
     "KernelPlan",
     "KernelProvider",
+    "PlanEngine",
     "accelerate_unit",
     "backend_from_env",
-    "build_compiled_unit",
+    "build_engine",
     "build_plan",
     "get_provider",
     "provider_failures",

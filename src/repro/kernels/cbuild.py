@@ -120,9 +120,9 @@ _U64_MAX = (1 << 64) - 1
 def load_eval(lib_path: Path) -> Callable:
     """dlopen the kernel and wrap its entry point in the eval signature.
 
-    The returned callable matches :func:`repro.kernels.interp.make_eval`'s
-    product: ``fn(header, ipool, bpool, ops, va, vb, words, n, n_words,
-    out, scratch)`` over contiguous NumPy arrays.
+    The returned callable is the plan evaluator ``fn(header, ipool,
+    bpool, ops, va, vb, words, n, n_words, out, scratch)`` over
+    contiguous NumPy arrays.
     """
     try:
         lib = ctypes.CDLL(str(lib_path))

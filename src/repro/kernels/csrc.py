@@ -1,7 +1,8 @@
 """Generated C source for the compiled kernel tier.
 
-A transliteration of :mod:`repro.kernels.interp` -- same plan format,
-same arithmetic, same evaluation order -- compiled once per machine by
+A transliteration of the row-at-a-time reference interpreter kept with
+the tests (``tests/kernels/interp.py``) -- same plan format, same
+arithmetic, same evaluation order -- compiled once per machine by
 :mod:`repro.kernels.cbuild` and called through ``ctypes``.  The ABI is
 the plan evaluator:
 

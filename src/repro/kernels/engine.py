@@ -1,43 +1,49 @@
-"""Campaign-facing compiled evaluation engine.
+"""Campaign-facing plan engines: one packed-word API, two executors.
 
-:class:`CompiledEngine` is the third tier below the scalar unit and the
-batched NumPy engine: same validation, same results, but evaluation runs
-through a provider's plan executor (Numba-jitted interpreter or the
-generated C kernel) directly over *packed* ``uint64`` fault words.  The
-batched tier pays ``unpack_flags`` -- an (n, site_count) uint8
-materialisation -- plus dozens of NumPy kernel launches per trial; the
-compiled tier reads mask bits in place and retires a whole suite in one
-native call.
+A unit lowered to a :class:`~repro.kernels.plan.KernelPlan` evaluates
+a whole batch of instructions over *packed* ``uint64`` fault words, the
+rows exactly as ``MaskPolicy.generate_batch`` draws them.  Two engines
+run the plan:
+
+* :class:`CompiledEngine` -- the generated C kernel (the ``compiled``
+  tier), one native call per batch;
+* :class:`repro.alu.batched.BatchedEngine` -- the NumPy executor (the
+  ``batched`` tier), used when no C compiler is available.
+
+Both share :class:`PlanEngine`'s input validation and results, bit for
+bit.  :func:`build_engine` picks the engine for a backend request.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.alu.base import ALUResult, FaultableUnit
 from repro.faults.packing import WORD_DTYPE, int_to_words, words_for_sites
-from repro.kernels.plan import KernelPlan, build_plan
+from repro.kernels.plan import H_IMAP, KernelPlan, build_plan
 from repro.kernels.providers import KernelProvider, get_provider
 from repro.obs import get_observer
 
 _RESULT_MASK = 0xFF
 
 
-class CompiledEngine:
-    """One lowered unit bound to the process's kernel provider."""
+class PlanEngine:
+    """One lowered unit bound to an executor.
 
-    def __init__(self, plan: KernelPlan, provider: KernelProvider) -> None:
+    Subclasses implement ``bundles_words``; ``tier`` names the backend
+    (``"batched"`` or ``"compiled"``) the engine runs.
+    """
+
+    tier = ""
+
+    def __init__(self, plan: KernelPlan) -> None:
         self._plan = plan
-        self._eval = provider.eval_fn
-        self.provider_name = provider.name
         self._site_count = plan.site_count
         self._n_words = words_for_sites(plan.site_count)
-        self._scratch = np.zeros(plan.scratch_size, dtype=np.uint8)
-        self._internal_map = plan.ipool[
-            plan.header[11] : plan.header[11] + 8
-        ]
+        imap = int(plan.header[H_IMAP])
+        self._internal_map = plan.ipool[imap : imap + 8]
 
     @property
     def site_count(self) -> int:
@@ -48,24 +54,23 @@ class CompiledEngine:
         """Packed ``uint64`` words per mask row for this unit."""
         return self._n_words
 
-    def bundles_words(
+    def _batch(
         self,
         ops: np.ndarray,
         a: np.ndarray,
         b: np.ndarray,
         words: np.ndarray,
-    ) -> np.ndarray:
-        """9-bit result bundles for a batch over packed mask words.
-
-        Args:
-            ops: ``(n,)`` architectural 3-bit opcodes.
-            a, b: ``(n,)`` 8-bit operands.
-            words: ``(n, n_words)`` packed ``uint64`` mask rows, exactly
-                as drawn by ``MaskPolicy.generate_batch``.
-        """
-        ops = np.ascontiguousarray(ops, dtype=np.int64)
-        a = np.ascontiguousarray(a, dtype=np.int64)
-        b = np.ascontiguousarray(b, dtype=np.int64)
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Validate one batch; returns contiguous ``int64`` ``ops``/``a``/
+        ``b`` and ``uint64`` words, or raises :class:`ValueError`."""
+        ops, a, b = (np.asarray(x) for x in (ops, a, b))
+        if not (ops.ndim == a.ndim == b.ndim == 1
+                and ops.shape == a.shape == b.shape):
+            raise ValueError(
+                "ops, a and b must be 1-D and of one length, got shapes "
+                f"{ops.shape}, {a.shape}, {b.shape}"
+            )
+        ops, a, b = (np.ascontiguousarray(x, dtype=np.int64) for x in (ops, a, b))
         if np.any((ops < 0) | (ops > 7)):
             raise ValueError("opcode out of 3-bit range in batch")
         internal = self._internal_map[ops]
@@ -76,20 +81,30 @@ class CompiledEngine:
             raise ValueError("operand a out of 8-bit range in batch")
         if np.any((b < 0) | (b > _RESULT_MASK)):
             raise ValueError("operand b out of 8-bit range in batch")
-        n = ops.shape[0]
-        if words.shape != (n, self._n_words):
+        words = np.asarray(words)
+        if words.shape != (ops.shape[0], self._n_words):
             raise ValueError(
-                f"words shape {words.shape} != ({n}, {self._n_words})"
+                f"words shape {words.shape} != ({ops.shape[0]}, {self._n_words})"
             )
-        flat = np.ascontiguousarray(
-            words.astype(WORD_DTYPE, copy=False)
-        ).reshape(-1).view(np.uint64)
-        out = np.empty(n, dtype=np.int64)
-        self._eval(
-            self._plan.header, self._plan.ipool, self._plan.bpool,
-            ops, a, b, flat, n, self._n_words, out, self._scratch,
-        )
-        return out
+        words = np.ascontiguousarray(words.astype(WORD_DTYPE, copy=False))
+        return ops, a, b, words.view(np.uint64)
+
+    def bundles_words(
+        self,
+        ops: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        words: np.ndarray,
+    ) -> np.ndarray:
+        """9-bit result bundles (value | carry << 8) for a batch.
+
+        Args:
+            ops: ``(n,)`` architectural 3-bit opcodes.
+            a, b: ``(n,)`` 8-bit operands.
+            words: ``(n, n_words)`` packed ``uint64`` mask rows, exactly
+                as drawn by ``MaskPolicy.generate_batch``.
+        """
+        raise NotImplementedError
 
     def values_words(
         self,
@@ -102,31 +117,57 @@ class CompiledEngine:
         return self.bundles_words(ops, a, b, words) & _RESULT_MASK
 
 
-def build_compiled_unit(unit) -> Optional[CompiledEngine]:
-    """Compile a campaign compute unit, or return ``None`` to fall back.
+class CompiledEngine(PlanEngine):
+    """A plan run by the process's C kernel provider."""
 
-    ``None`` means either no provider is live on this machine (no Numba,
-    no C compiler) or the unit has no lowered form (the same family the
-    batched tier rejects).  Callers degrade to batched/scalar; results
-    are identical on every tier.  A defective part gets its pristine
+    tier = "compiled"
+
+    def __init__(self, plan: KernelPlan, provider: KernelProvider) -> None:
+        super().__init__(plan)
+        self._eval = provider.eval_fn
+        self._scratch = np.zeros(plan.scratch_size, dtype=np.uint8)
+
+    def bundles_words(self, ops, a, b, words):
+        """One native call over the batch (see :meth:`PlanEngine.bundles_words`)."""
+        ops, a, b, words = self._batch(ops, a, b, words)
+        n = ops.shape[0]
+        out = np.empty(n, dtype=np.int64)
+        self._eval(
+            self._plan.header, self._plan.ipool, self._plan.bpool,
+            ops, a, b, words.reshape(-1), n, self._n_words, out, self._scratch,
+        )
+        return out
+
+
+def build_engine(unit, backend: str = "auto") -> Optional[PlanEngine]:
+    """The unit's plan on the executor ``backend`` names, or ``None``.
+
+    ``compiled`` is the C kernel, ``batched`` the NumPy executor, and
+    ``auto`` the C kernel when a provider is live, else NumPy.
+    ``None`` means the request has no engine: ``scalar``, a unit with no
+    lowered form, or ``compiled`` with no provider live.  Results are
+    identical on every engine.  A defective part gets its pristine
     design's engine behind a defect overlay on the packed mask words.
     """
     from repro.faults.defects import DefectiveUnit
 
     if isinstance(unit, DefectiveUnit):
-        engine = build_compiled_unit(unit.pristine_unit)
-        return None if engine is None else unit.overlay(engine, packed=True)
-    provider = get_provider()
-    if provider is None:
+        engine = build_engine(unit.pristine_unit, backend)
+        return None if engine is None else unit.overlay(engine)
+    provider = None if backend in ("scalar", "batched") else get_provider()
+    if backend == "scalar" or (backend == "compiled" and provider is None):
         return None
     plan = build_plan(unit)
     if plan is None:
         return None
+    if provider is None:
+        from repro.alu.batched import BatchedEngine
+
+        return BatchedEngine(plan)
     engine = CompiledEngine(plan, provider)
     obs = get_observer()
     obs.metrics.counter("kernel.engines_built").inc()
-    # First-call warmup outside every campaign timer: with Numba the
-    # per-signature specialisation compiles here, not inside a trial.
+    # First-call warmup outside every campaign timer.
     with obs.metrics.time("kernel.warmup"):
         engine.bundles_words(
             np.zeros(1, dtype=np.int64),
@@ -215,7 +256,7 @@ def accelerate_unit(unit: FaultableUnit, backend: str = "auto") -> FaultableUnit
 
     if resolve_backend(backend) in ("scalar", "batched"):
         return unit
-    engine = build_compiled_unit(unit)
+    engine = build_engine(unit, "compiled")
     if engine is None:
         if backend == "compiled":
             warn_compiled_unavailable("no provider or unsupported unit")

@@ -1,21 +1,16 @@
-"""Compiled-kernel provider chain: Numba first, generated C second.
+"""The compiled-kernel provider: the generated C kernel, or none.
 
-A *provider* is a named evaluator implementing the plan-eval signature
-of :func:`repro.kernels.interp.make_eval`.  Probing order:
+A *provider* is the native side of the compiled tier: the plan
+evaluator of the generated C kernel (:mod:`repro.kernels.cbuild`),
+built and cached when a C compiler is on PATH, plus its optional mask
+draw and tape scan.  With no compiler there is no provider, and callers
+run plans on the NumPy executor instead (silently under ``auto``; with
+a one-time stderr warning when ``compiled`` was requested explicitly).
 
-1. **numba** -- ``numba.njit`` over the reference interpreter, when the
-   optional dependency is importable and compiles;
-2. **cc** -- the generated C kernel (:mod:`repro.kernels.cbuild`), when
-   a C compiler is on PATH;
-3. none -- the compiled tier is unavailable and callers degrade to the
-   batched NumPy tier (silently under ``auto``; with a one-time stderr
-   warning when ``compiled`` was requested explicitly).
-
-Every probe failure is captured, never raised: a broken Numba install
-or missing toolchain can only cost speed, not correctness.  Probing is
-cached per process; tests monkeypatch :func:`_import_numba` /
-:func:`_build_cc` and call :func:`reset_provider_cache` to exercise
-each degradation path.
+Every probe failure is captured, never raised: a missing toolchain can
+only cost speed, not correctness.  Probing is cached per process; tests
+monkeypatch :func:`_build_cc` and call :func:`reset_provider_cache` to
+exercise each degradation path.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from repro.obs import get_observer
 class KernelProvider:
     """One live compiled-tier executor."""
 
-    name: str  # "numba" | "cc"
+    name: str  # "cc"
     eval_fn: Callable
     compile_seconds: float
     #: The native exact-fraction mask draw (see
@@ -51,36 +46,8 @@ _failures: List[str] = []
 _warned = False
 
 
-def _import_numba():
-    """Import hook isolated for tests (mocked away to simulate absence)."""
-    import numba
-
-    return numba
-
-
-def _build_numba() -> KernelProvider:
-    """Provider 1: the reference interpreter under ``numba.njit``."""
-    numba = _import_numba()
-    from repro.kernels.interp import make_eval
-
-    start = time.perf_counter()
-    # Plain njit: closure-captured dispatchers preclude on-disk caching,
-    # and the per-process compile lands on the jit_compile timer anyway.
-    eval_fn = make_eval(numba.njit)
-    # Force a real compile now (first engine warmup would otherwise hide
-    # a broken toolchain until deep inside a campaign).
-    from repro.kernels.cbuild import self_test
-
-    self_test(eval_fn)
-    return KernelProvider(
-        name="numba",
-        eval_fn=eval_fn,
-        compile_seconds=time.perf_counter() - start,
-    )
-
-
 def _build_cc() -> KernelProvider:
-    """Provider 2: the generated-and-cached C extension via ctypes.
+    """The generated-and-cached C extension via ctypes.
 
     The mask draw and the tape scan are optional: if one is missing or
     fails its self-test, the reason joins :func:`provider_failures` and
@@ -126,7 +93,7 @@ def _build_cc() -> KernelProvider:
 def get_provider() -> Optional[KernelProvider]:
     """The process's compiled-tier provider, or ``None`` if unavailable.
 
-    The first call probes (and JIT-compiles); the verdict is cached.
+    The first call probes (and compiles); the verdict is cached.
     Compile time lands on the ``kernel.jit_compile`` observability timer
     -- *outside* every campaign trial timer, so benchmark numbers never
     include first-call warmup.
@@ -139,17 +106,15 @@ def get_provider() -> Optional[KernelProvider]:
 
 def _probe() -> Optional[KernelProvider]:
     obs = get_observer()
-    for name, builder in (("numba", _build_numba), ("cc", _build_cc)):
-        try:
-            with obs.metrics.time("kernel.jit_compile"):
-                provider = builder()
-        except Exception as exc:  # noqa: BLE001 - any failure means "skip"
-            _failures.append(f"{name}: {exc!r}")
-            continue
-        obs.metrics.counter(f"kernel.provider.{provider.name}").inc()
-        return provider
-    obs.metrics.counter("kernel.provider.none").inc()
-    return None
+    try:
+        with obs.metrics.time("kernel.jit_compile"):
+            provider = _build_cc()
+    except Exception as exc:  # noqa: BLE001 - any failure means "none"
+        _failures.append(f"cc: {exc!r}")
+        obs.metrics.counter("kernel.provider.none").inc()
+        return None
+    obs.metrics.counter(f"kernel.provider.{provider.name}").inc()
+    return provider
 
 
 def provider_failures() -> List[str]:
@@ -167,7 +132,7 @@ def reset_provider_cache() -> None:
 
 def warn_compiled_unavailable(reason: str = "") -> None:
     """One-time stderr notice that an explicit ``compiled`` request fell
-    back to the batched tier.  ``auto`` selection never calls this."""
+    back to the NumPy executor.  ``auto`` selection never calls this."""
     global _warned
     if _warned:
         return
@@ -175,7 +140,7 @@ def warn_compiled_unavailable(reason: str = "") -> None:
     detail = f" ({reason})" if reason else ""
     print(
         "repro.kernels: compiled backend unavailable"
-        f"{detail}; falling back to the batched NumPy tier. "
+        f"{detail}; falling back to the batched NumPy executor. "
         "Results are bit-identical, only slower.",
         file=sys.stderr,
     )

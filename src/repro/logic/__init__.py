@@ -10,7 +10,6 @@ whose node counts reproduce Table 2 (192 nodes per ALU, 81 per voter).
 
 from repro.logic.gates import Gate, GateType, Signal, SignalKind
 from repro.logic.netlist import Netlist
-from repro.logic.batched import BatchedNetlist
 from repro.logic.builders import (
     build_cmos_alu,
     build_cmos_voter,
@@ -19,7 +18,6 @@ from repro.logic.builders import (
 )
 
 __all__ = [
-    "BatchedNetlist",
     "Gate",
     "GateType",
     "Netlist",

@@ -14,14 +14,11 @@ package provides:
 from repro.lut.table import TruthTable
 from repro.lut.synth import figure1_sum_table, synthesize
 from repro.lut.coded import CodedLUT, LUTReadTrace
-from repro.lut.batched import BatchedLUT, build_batched_lut
 
 __all__ = [
-    "BatchedLUT",
     "CodedLUT",
     "LUTReadTrace",
     "TruthTable",
-    "build_batched_lut",
     "figure1_sum_table",
     "synthesize",
 ]

@@ -86,20 +86,13 @@ class CampaignExecutionError(RuntimeError):
     """A chunk kept failing after exhausting its retry budget."""
 
 
-#: Per-worker-process cache: unit + evaluation engines, keyed by the
-#: (hashable, frozen) ALU spec.  A sweep chunk runs dozens of items over
-#: a handful of unit variants; without this every item would re-lower
-#: and re-warm its compiled engine, which costs more than evaluation.
-#: Engines are stateless across calls, so sharing never perturbs results.
-_WORKER_UNITS: Dict[ALUSpec, Tuple[object, Dict[str, object]]] = {}
-
-
-def _cached_unit(spec: ALUSpec) -> Tuple[object, Dict[str, object]]:
-    entry = _WORKER_UNITS.get(spec)
-    if entry is None:
-        entry = (spec.build(), {})
-        _WORKER_UNITS[spec] = entry
-    return entry
+#: Per-worker-process cache: unit + plan engine (``None`` until one is
+#: built), keyed by the (hashable, frozen) ALU spec.  A sweep chunk runs
+#: dozens of items over a handful of unit variants; without this every
+#: item would re-lower and re-warm its engine, which costs more than
+#: evaluation.  Engines are stateless across calls, so sharing never
+#: perturbs results.
+_WORKER_UNITS: Dict[ALUSpec, Tuple[object, object]] = {}
 
 
 def _execute_item(item: CampaignWorkItem) -> CampaignResult:
@@ -107,8 +100,8 @@ def _execute_item(item: CampaignWorkItem) -> CampaignResult:
 
     Module-level (not a closure) so it pickles for the process pool.
     Items arrive as pure specs (seed + recipes, no arrays) unless a
-    custom bitmap rides along; the unit and its batched/compiled
-    engines come from the per-process cache.
+    custom bitmap rides along; the unit and its plan engine come from
+    the per-process cache.
     """
     from repro.workloads.imaging import paper_workloads
 
@@ -119,15 +112,16 @@ def _execute_item(item: CampaignWorkItem) -> CampaignResult:
     else:
         bmp = item.bitmap
         obs.metrics.counter("kernel.items_with_array").inc()
-    unit, engines = _cached_unit(item.alu)
+    unit, engine = _WORKER_UNITS.get(item.alu) or (item.alu.build(), None)
     campaign = FaultCampaign(unit, item.policy.build(), seed=item.seed)
-    campaign.use_engines(**engines)
+    if engine is not None:
+        campaign.use_engine(engine)
     result = campaign.run_workload_suite(
         paper_workloads(bmp),
         trials_per_workload=item.trials_per_workload,
         backend=item.backend,
     )
-    engines.update(campaign.built_engines())
+    _WORKER_UNITS[item.alu] = (unit, campaign.built_engine() or engine)
     return result
 
 

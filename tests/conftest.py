@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import providers
-from repro.kernels.cbuild import KernelBuildError
+from repro.kernels.cbuild import KernelBuildError, find_compiler
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
 
@@ -17,9 +17,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def no_numba():
-    """Stand-in for ``providers._import_numba`` when Numba is absent."""
-    raise ModuleNotFoundError("No module named 'numba'")
+#: Marks a test of the C kernel itself: it needs a C compiler on PATH.
+requires_cc = pytest.mark.skipif(
+    find_compiler() is None, reason="no C compiler on PATH"
+)
 
 
 def no_cc():
@@ -31,11 +32,10 @@ def no_cc():
 def kernel_provider(request, monkeypatch):
     """The process's provider, once live (the C kernel, with its native
     mask draw and tape scan) and once dead (no provider: every path is
-    NumPy).
+    NumPy, plans included).
 
     Yields the provider or ``None``; the real verdict is restored after.
     """
-    monkeypatch.setattr(providers, "_import_numba", no_numba)
     if request.param == "dead":
         monkeypatch.setattr(providers, "_build_cc", no_cc)
     providers.reset_provider_cache()

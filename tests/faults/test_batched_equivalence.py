@@ -1,7 +1,8 @@
-"""Scalar/batched equivalence: the batched engine's defining contract.
+"""Scalar/batched equivalence: the batched tier's defining contract.
 
-``FaultCampaign.run_workload_batched`` must return a ``TrialResult`` equal
-field-for-field to ``run_workload`` for the same ``(seed, trial, workload)``
+A suite on the ``batched`` tier -- the unit's plan on the NumPy executor
+-- must return ``TrialResult``s equal field-for-field to the scalar
+``run_workload`` for the same ``(seed, trial, workload)``
 -- for every registered Table 2 ALU variant, both mask policies, and
 fault fractions spanning none / sparse / heavy / saturated.  The mask
 policies themselves must be *stream*-identical: ``generate_batch`` consumes

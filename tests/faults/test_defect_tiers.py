@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alu.base import Opcode
-from repro.alu.batched import build_batched_unit
 from repro.alu.reference import reference_compute
 from repro.alu.variants import build_alu, variant_names
 from repro.experiments.defect_yield import TEST_OPERANDS, functional_test
@@ -24,7 +23,7 @@ from repro.faults.campaign import FaultCampaign
 from repro.faults.defects import DefectiveUnit, DefectOverlay, sample_defect_map
 from repro.faults.mask import BernoulliMask, ExactFractionMask
 from repro.faults.packing import pack_flags
-from repro.kernels import accelerate_unit, build_compiled_unit
+from repro.kernels import accelerate_unit, build_engine
 from repro.kernels.plan import build_plan
 from repro.perf.spec import ALUSpec
 from repro.workloads.bitmap import gradient
@@ -80,9 +79,9 @@ class TestTable2Parts:
         self, kernel_provider, workloads, variant, density, policy
     ):
         part = _part(build_alu(variant), density)
-        assert isinstance(build_batched_unit(part), DefectOverlay)
+        assert isinstance(build_engine(part, "batched"), DefectOverlay)
         if kernel_provider is not None:
-            assert isinstance(build_compiled_unit(part), DefectOverlay)
+            assert isinstance(build_engine(part, "compiled"), DefectOverlay)
         _assert_three_tier_identity(part, policy, workloads)
 
     @pytest.mark.parametrize("variant", ["aluncmos", "aluscmos", "alutcmos",
@@ -101,9 +100,9 @@ class TestUnvectorisableDesign:
         self, kernel_provider, workloads, scheme
     ):
         part = _part(ALUSpec.simplex(scheme).build(), 5e-2)
-        assert build_batched_unit(part) is None
         assert build_plan(part) is None
-        assert build_compiled_unit(part) is None
+        for backend in ("batched", "compiled", "auto"):
+            assert build_engine(part, backend) is None
         _assert_three_tier_identity(part, ExactFractionMask(0.01), workloads)
         assert functional_test(part) == _scalar_functional_test(part)
 
@@ -130,15 +129,15 @@ class TestOverlay:
             ).bundle
             for r in range(n)
         ]
-        batched = build_batched_unit(part)
-        assert batched.bundles(ops, a, b, flags).tolist() == want
-        assert batched.values(ops, a, b, flags).tolist() == [
-            w & 0xFF for w in want
-        ]
-        compiled = build_compiled_unit(part)
-        if compiled is not None:
-            words = pack_flags(flags)
-            assert compiled.bundles_words(ops, a, b, words).tolist() == want
+        words = pack_flags(flags)
+        for backend in ("batched", "compiled"):
+            engine = build_engine(part, backend)
+            if engine is None:
+                continue
+            assert engine.bundles_words(ops, a, b, words).tolist() == want
+            assert engine.values_words(ops, a, b, words).tolist() == [
+                w & 0xFF for w in want
+            ]
 
     def test_accelerated_part_matches_scalar(self, kernel_provider):
         part = _part(build_alu("alush"), 5e-2)
@@ -149,19 +148,24 @@ class TestOverlay:
                     op, a, b, mask
                 )
 
-    def test_malformed_rows_get_the_engine_error(self):
+    @pytest.mark.parametrize("backend", ["batched", "compiled"])
+    def test_malformed_rows_get_the_engine_error(self, backend):
         part = _part(build_alu("alunn"), 5e-2)
-        engine = build_batched_unit(part)
+        engine = build_engine(part, backend)
+        if engine is None:
+            pytest.skip("no C kernel")
         ok = np.zeros(2, dtype=np.int64)
-        with pytest.raises(ValueError, match="fault_bits shape"):
-            engine.values(ok, ok, ok, np.zeros((2, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="fault_bits shape"):
-            engine.values(ok, ok, ok, np.zeros((3, 512), dtype=np.uint8))
+        with pytest.raises(ValueError, match="words shape"):
+            engine.values_words(ok, ok, ok, np.zeros((2, 3), dtype=np.uint64))
+        with pytest.raises(ValueError, match="words shape"):
+            engine.values_words(
+                ok, ok, ok, np.zeros((3, engine.n_words), dtype=np.uint64)
+            )
 
     def test_stacked_parts_compose(self, workloads):
         """A part of a part applies both defect maps, on every tier."""
         outer = _part(_part(build_alu("alunh"), 5e-2), 5e-2, seed=7)
-        assert isinstance(build_batched_unit(outer), DefectOverlay)
+        assert isinstance(build_engine(outer, "batched"), DefectOverlay)
         _assert_three_tier_identity(outer, ExactFractionMask(0.01), workloads)
 
 

@@ -5,8 +5,9 @@ one tier down: for every Table 2 variant -- including the faulty-voter
 and faulty-decoder ablation units -- and every mask policy, the three
 backends must produce field-identical ``TrialResult`` streams from the
 same ``(seed, workload, trial)``.  A skipping fallback would make these
-tests vacuous, so the compiled runs also assert that a native provider
-is actually live (the CI image always has at least a C compiler).
+tests vacuous, so wherever a C compiler is on PATH the compiled runs
+also assert that the C kernel is actually live.  With no compiler they
+still pin scalar = batched, the tier ``compiled`` then degrades to.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ from repro.faults.mask import (
     FixedCountMask,
 )
 from repro.faults.packing import pack_flags
-from repro.kernels import build_compiled_unit, get_provider
+from repro.kernels import build_engine, get_provider
+from repro.kernels.cbuild import find_compiler
 from repro.perf.spec import ALUSpec
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
@@ -37,8 +39,9 @@ def workloads():
 @pytest.fixture(scope="module", autouse=True)
 def require_provider():
     """These tests are meaningless if the compiled tier silently fell
-    back; the environment guarantees at least a C compiler."""
-    assert get_provider() is not None
+    back while a C compiler is available."""
+    if find_compiler() is not None:
+        assert get_provider() is not None
 
 
 def _assert_three_tier_identity(unit, policy, workloads, seed=2004):
@@ -106,7 +109,7 @@ class TestEngineProperties:
     @settings(max_examples=30, deadline=None)
     def test_engine_matches_scalar_compute(self, variant, data, seed):
         unit = build_alu(variant)
-        engine = build_compiled_unit(unit)
+        engine = build_engine(unit, "auto")
         assert engine is not None
         n = data.draw(st.integers(min_value=1, max_value=8))
         rng = np.random.default_rng(seed)
@@ -128,9 +131,12 @@ class TestEngineProperties:
             )
             assert int(got[row]) == ref.bundle
 
-    def test_batch_validation_matches_batched_tier(self):
-        """The compiled engine rejects what the batched engine rejects."""
-        engine = build_compiled_unit(build_alu("alunn"))
+    @pytest.mark.parametrize("tier", ["batched", "compiled"])
+    def test_batch_validation_matches_batched_tier(self, tier):
+        """Both executors reject the same malformed batches."""
+        engine = build_engine(build_alu("alunn"), tier)
+        if engine is None:
+            pytest.skip("no C kernel")
         ok = np.zeros(2, dtype=np.int64)
         words = np.zeros((2, engine.n_words), dtype=np.uint64)
         with pytest.raises(ValueError, match="opcode out of 3-bit range"):
@@ -146,15 +152,17 @@ class TestEngineProperties:
 
 
 class TestSuiteFusion:
-    """The fused suite path must equal the per-trial paths exactly."""
+    """The fused suite path must equal the scalar per-trial path exactly."""
 
     def test_fused_suite_equals_per_trial_runs(self, workloads):
         campaign = FaultCampaign(
             build_alu("aluncmos"), ExactFractionMask(0.04), seed=77
         )
         fused = campaign.run_workload_suite(workloads, 3, backend="compiled")
-        reference = campaign.run_workload_suite(workloads, 3, backend="batched")
+        reference = campaign.run_workload_suite(workloads, 3, backend="scalar")
         assert fused.trials == reference.trials
+        batched = campaign.run_workload_suite(workloads, 3, backend="batched")
+        assert batched.trials == reference.trials
 
     def test_fused_suite_is_rerun_stable(self, workloads):
         campaign = FaultCampaign(

@@ -1,8 +1,8 @@
 """Provider probing and graceful degradation of the compiled tier.
 
-The chain is numba -> generated C -> none; any failure is captured, not
-raised.  ``auto`` degrades silently; an explicit ``compiled`` request
-warns exactly once on stderr.  The probe verdict is cached per process,
+The provider is the generated C kernel or none; any failure is
+captured, not raised.  ``auto`` degrades silently; an explicit
+``compiled`` request warns exactly once on stderr.  The probe verdict is cached per process,
 so each test resets the cache around its monkeypatching (and the module
 restores the real verdict afterwards for the rest of the suite).
 """
@@ -18,7 +18,7 @@ from repro.kernels import providers as providers_mod
 from repro.perf.spec import ALUSpec
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
-from tests.conftest import no_cc, no_numba
+from tests.conftest import no_cc, requires_cc
 
 
 @pytest.fixture(autouse=True)
@@ -31,19 +31,18 @@ def fresh_probe():
 
 
 class TestProviderChain:
-    def test_numba_absent_falls_through_to_cc(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
+    @requires_cc
+    def test_live_provider_is_the_c_kernel(self):
         provider = get_provider()
         assert provider is not None
         assert provider.name == "cc"
-        assert any("numba" in f for f in provider_failures())
+        assert not any(f.startswith("cc:") for f in provider_failures())
 
     def test_no_provider_at_all(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", no_cc)
         assert get_provider() is None
         failures = provider_failures()
-        assert len(failures) == 2
+        assert len(failures) == 1 and failures[0].startswith("cc:")
 
     def test_probe_verdict_is_cached(self, monkeypatch):
         calls = []
@@ -52,30 +51,13 @@ class TestProviderChain:
             calls.append(1)
             no_cc()
 
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", counting_cc)
         assert get_provider() is None
         assert get_provider() is None
         assert len(calls) == 1
 
-    def test_broken_jit_is_captured_not_raised(self, monkeypatch):
-        """A Numba import that *succeeds* but fails to compile still
-        degrades cleanly to the next provider."""
 
-        class BrokenNumba:
-            @staticmethod
-            def njit(fn):
-                raise RuntimeError("LLVM exploded")
-
-        monkeypatch.setattr(
-            providers_mod, "_import_numba", lambda: BrokenNumba
-        )
-        provider = get_provider()
-        assert provider is not None
-        assert provider.name == "cc"
-        assert any("LLVM exploded" in f for f in provider_failures())
-
-
+@requires_cc
 class TestMaskEntryDegradation:
     """The native mask draw is optional: losing it keeps ``eval`` live."""
 
@@ -100,7 +82,6 @@ class TestMaskEntryDegradation:
 
             return flips_site_zero
 
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(cbuild, "load_exact_fraction", broken_load)
         provider = get_provider()
         self._assert_eval_live_mask_dead(provider)
@@ -133,7 +114,6 @@ class TestMaskEntryDegradation:
                 "#ifdef __SIZEOF_INT128__", "#ifdef REPRO_NO_SUCH_MACRO"
             ),
         )
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         provider = get_provider()
         self._assert_eval_live_mask_dead(provider)
         assert any("no mask entry" in f for f in provider_failures())
@@ -142,6 +122,7 @@ class TestMaskEntryDegradation:
         assert any("no tape entry" in f for f in provider_failures())
 
 
+@requires_cc
 class TestTapeEntryDegradation:
     """The native tape scan is optional: losing it keeps ``eval`` and the
     mask draw live, and the fault streams fall back to NumPy."""
@@ -169,7 +150,6 @@ class TestTapeEntryDegradation:
 
             return one_draw_short
 
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(cbuild, "load_tape_scan", broken_load)
         failure = self._assert_only_tape_dead(get_provider())
         assert "tape self-test" in failure
@@ -192,7 +172,6 @@ class TestTapeEntryDegradation:
         def missing(lib_path):
             raise cbuild.KernelBuildError(f"no tape entry in {lib_path}")
 
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(cbuild, "load_tape_scan", missing)
         failure = self._assert_only_tape_dead(get_provider())
         assert "no tape entry" in failure
@@ -201,7 +180,6 @@ class TestTapeEntryDegradation:
 class TestDegradedCampaigns:
     @pytest.fixture
     def dead_tier(self, monkeypatch):
-        monkeypatch.setattr(providers_mod, "_import_numba", no_numba)
         monkeypatch.setattr(providers_mod, "_build_cc", no_cc)
 
     @pytest.fixture
@@ -217,7 +195,7 @@ class TestDegradedCampaigns:
     def test_explicit_compiled_warns_once(self, dead_tier, campaign, capsys):
         assert campaign.resolve_backend("compiled") == "batched"
         first = capsys.readouterr().err
-        assert "compiled backend unavailable" in first
+        assert "compiled backend unavailable (no working C compiler)" in first
         assert campaign.resolve_backend("compiled") == "batched"
         assert capsys.readouterr().err == ""
 
@@ -227,6 +205,7 @@ class TestDegradedCampaigns:
         batched = campaign.run_workload_suite(workloads, 1, backend="batched")
         assert degraded.trials == batched.trials
 
+    @requires_cc
     @pytest.mark.parametrize("scheme", ["parity", "hamming-gate"])
     def test_unsupported_unit_with_live_provider_is_silent(
         self, capsys, scheme
@@ -243,18 +222,19 @@ class TestDegradedCampaigns:
         assert capsys.readouterr().err == ""
 
 
+@requires_cc
 class TestWarmupAccounting:
     def test_compile_time_lands_on_jit_timer(self):
         """First-call JIT/compile cost is excluded from trial timers by
         recording it under kernel.jit_compile / kernel.warmup instead."""
-        from repro.kernels import build_compiled_unit
+        from repro.kernels import build_engine
         from repro.obs import Observer, observing
 
         obs = Observer()
         with observing(obs):
             reset_provider_cache()
             assert get_provider() is not None
-            engine = build_compiled_unit(ALUSpec.variant("alunn").build())
+            engine = build_engine(ALUSpec.variant("alunn").build(), "compiled")
             assert engine is not None
             snapshot = obs.metrics.snapshot()
         timers = set(snapshot["histograms"])

@@ -5,9 +5,9 @@ lowered LUT kind that differs only in its per-stored-bit column table and
 its false-positive table.  For the two decoders that kind newly covers
 (textbook SEC and Hsiao SEC-DED), at block sizes 4, 8 and 16, every
 address is read under every single and every double stored-bit fault
-four ways -- ``CodedLUT.read`` (the scalar oracle),
-``BatchedLUT.read_batch``, the reference interpreter and the C kernel --
-and all four must deliver the same bit.
+four ways -- ``CodedLUT.read`` (the scalar oracle), the NumPy executor,
+the row-at-a-time reference interpreter and the C kernel -- and all four
+must deliver the same bit.
 """
 
 import itertools
@@ -15,10 +15,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.alu.batched import BatchedEngine
 from repro.alu.nanobox import result_truth_table
 from repro.faults.packing import pack_flags
-from repro.kernels import get_provider, provider_failures
-from repro.kernels.interp import eval_batch_python
+from repro.kernels import CompiledEngine, get_provider, provider_failures
 from repro.kernels.plan import (
     COMP_SIMPLEX,
     H_BASE0,
@@ -36,9 +36,9 @@ from repro.kernels.plan import (
     _Builder,
     _lower_lut,
 )
-from repro.lut.batched import _SyndromeBatchedLUT, build_batched_lut
 from repro.lut.coded import CodedLUT
 from repro.lut.table import TruthTable
+from tests.kernels.interp import eval_batch
 
 SCHEMES = ("hamming-sec", "hsiao")
 BLOCK_SIZES = (4, 8, 16)
@@ -57,8 +57,8 @@ def _fault_rows(total_bits):
     return rows
 
 
-def _probe_plan(kernel):
-    """A two-slice LUT core whose bundle bit 1 is one read of ``kernel``.
+def _probe_plan(lut):
+    """A two-slice LUT core whose bundle bit 1 is one read of ``lut``.
 
     Slice 1 of a NanoBox core reads its result table at ``a1 | b1 << 1
     | carry << 2 | op << 3``.  Here the carry into slice 1 comes from an
@@ -68,9 +68,9 @@ def _probe_plan(kernel):
     above them, fault-free.
     """
     b = _Builder()
-    t = kernel.total_bits
-    result_desc = _lower_lut(b, kernel)
-    carry_desc = _lower_lut(b, build_batched_lut(CodedLUT(_CARRY_A0, "none")))
+    t = lut.total_bits
+    result_desc = _lower_lut(b, lut)
+    carry_desc = _lower_lut(b, CodedLUT(_CARRY_A0, "none"))
     r_off = b.iadd([t, 0])
     c_off = b.iadd([2 * t, 2 * t])
     header = np.zeros(HEADER_LEN, dtype=np.int64)
@@ -92,18 +92,39 @@ def _probe_plan(kernel):
     )
 
 
-def _plan_reads(eval_fn, plan, addresses, words):
-    """Bit the probe plan's LUT delivers at each (address, mask row)."""
-    n = addresses.shape[0]
+def _operands(addresses):
+    """``(op, a, b)`` reaching each address of the probe plan's LUT."""
     ops = addresses >> 3
     a = ((addresses >> 2) & 1) | ((addresses & 1) << 1)
     b = addresses & 0b10
+    return ops, a, b
+
+
+def _interpreter_reads(plan, addresses, words):
+    """Bit the probe plan's LUT delivers at each (address, mask row),
+    read by the reference interpreter."""
+    n = addresses.shape[0]
     out = np.empty(n, dtype=np.int64)
-    eval_fn(
-        plan.header, plan.ipool, plan.bpool, ops, a, b, words.reshape(-1),
-        n, words.shape[1], out, np.zeros(plan.scratch_size, dtype=np.uint8),
+    eval_batch(
+        plan.header, plan.ipool, plan.bpool, *_operands(addresses),
+        words.reshape(-1), n, words.shape[1], out,
+        np.zeros(plan.scratch_size, dtype=np.uint8),
     )
     return (out >> 1) & 1
+
+
+def _engine_reads(engine, addresses, words):
+    """The same reads through an executor's packed-word API."""
+    return (engine.bundles_words(*_operands(addresses), words) >> 1) & 1
+
+
+def _executors(plan):
+    """The NumPy executor and, when live, the C kernel, on ``plan``."""
+    engines = [BatchedEngine(plan)]
+    provider = get_provider()
+    if provider is not None:
+        engines.append(CompiledEngine(plan, provider))
+    return engines
 
 
 @pytest.fixture(scope="module", params=[
@@ -123,7 +144,7 @@ def case(request):
         [lut.read(a, w) for a in range(lut.truth.size) for w in row_words],
         dtype=np.int64,
     )
-    plan = _probe_plan(build_batched_lut(lut))
+    plan = _probe_plan(lut)
     flags = np.zeros((addresses.shape[0], plan.site_count), dtype=np.uint8)
     flags[:, : lut.total_bits] = faults
     return lut, addresses, faults, want, plan, pack_flags(flags)
@@ -131,19 +152,18 @@ def case(request):
 
 class TestEveryTierAgrees:
     def test_lowers_as_one_syndrome_kind(self, case):
-        lut, *_, plan, _ = case
-        assert isinstance(build_batched_lut(lut), _SyndromeBatchedLUT)
+        *_, plan, _ = case
         result_desc = plan.ipool[plan.header[H_CORE] + 1]
         assert plan.ipool[result_desc] == LUT_SYNDROME
 
     def test_batched_matches_scalar(self, case):
-        lut, addresses, faults, want, _, _ = case
-        got = build_batched_lut(lut).read_batch(addresses, faults)
+        _, addresses, _, want, plan, words = case
+        got = _engine_reads(BatchedEngine(plan), addresses, words)
         np.testing.assert_array_equal(got, want)
 
     def test_interpreter_matches_scalar(self, case):
         _, addresses, _, want, plan, words = case
-        got = _plan_reads(eval_batch_python, plan, addresses, words)
+        got = _interpreter_reads(plan, addresses, words)
         np.testing.assert_array_equal(got, want)
 
     def test_c_kernel_matches_scalar(self, case):
@@ -151,7 +171,7 @@ class TestEveryTierAgrees:
         provider = get_provider()
         if provider is None:
             pytest.skip(f"no kernel provider: {provider_failures()}")
-        got = _plan_reads(provider.eval_fn, plan, addresses, words)
+        got = _engine_reads(CompiledEngine(plan, provider), addresses, words)
         np.testing.assert_array_equal(got, want)
 
 
@@ -162,21 +182,23 @@ def test_hsiao_even_syndrome_never_corrects(block):
     tier delivers the raw stored bit -- wrong exactly when one of the two
     faults hit the addressed bit."""
     lut = CodedLUT(result_truth_table(), "hsiao", block_size=block)
-    kernel = build_batched_lut(lut)
+    plan = _probe_plan(lut)
     truth = lut.truth.outputs_array()
     for code, stored_offset, data_offset in lut.blocks:
         pairs = np.array(
             list(itertools.combinations(range(code.total_bits), 2))
         ) + stored_offset
-        faults = np.zeros((len(pairs), lut.total_bits), dtype=np.uint8)
+        faults = np.zeros((len(pairs), plan.site_count), dtype=np.uint8)
         faults[np.arange(len(pairs))[:, None], pairs] = 1
+        words = pack_flags(faults)
         for payload in range(code.data_bits):
             address = data_offset + payload
             raw = truth[address] ^ faults[:, stored_offset + payload]
             addresses = np.full(len(pairs), address)
-            np.testing.assert_array_equal(
-                kernel.read_batch(addresses, faults), raw
-            )
+            for engine in _executors(plan):
+                np.testing.assert_array_equal(
+                    _engine_reads(engine, addresses, words), raw
+                )
             assert [
-                lut.read(address, int(w)) for w in pack_flags(faults)[:, 0]
+                lut.read(address, int(w)) for w in words[:, 0]
             ] == raw.tolist()

@@ -76,11 +76,12 @@ class TestWorkerEngineCache:
         )
         first = _execute_item(item)
         assert spec in _WORKER_UNITS
-        unit, engines = _WORKER_UNITS[spec]
-        assert "compiled" in engines and engines["compiled"] is not None
-        # A second item over the same spec reuses unit and engines.
+        unit, engine = _WORKER_UNITS[spec]
+        assert engine is not None
+        # A second item over the same spec reuses unit and engine.
         second = _execute_item(item)
         assert _WORKER_UNITS[spec][0] is unit
+        assert _WORKER_UNITS[spec][1] is engine
         assert first.trials == second.trials
 
     def test_by_seed_vs_with_array_counters(self):
