@@ -305,26 +305,39 @@ def _add_backend_arg(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
-def _add_grid_engine_arg(parser: argparse.ArgumentParser) -> None:
-    """Attach the fabric-tier flag shared by the grid-simulation commands.
-
-    The default comes from the ``REPRO_GRID_ENGINE`` environment variable
-    (unset means dense); an explicit flag wins.  Both engines are
-    bit-identical -- the choice only affects speed.
-    """
+def _grid_engine_from_env() -> str:
+    """The ``REPRO_GRID_ENGINE`` selection, validated; dense if unset."""
     import os
 
     from repro.grid.simulator import GRID_ENGINES
 
-    default = os.environ.get("REPRO_GRID_ENGINE", "dense")
-    if default not in GRID_ENGINES:
-        default = "dense"
+    value = os.environ.get("REPRO_GRID_ENGINE")
+    if not value:
+        return "dense"
+    if value not in GRID_ENGINES:
+        raise ValueError(
+            f"REPRO_GRID_ENGINE={value!r} is not a grid engine; "
+            f"valid: {GRID_ENGINES}"
+        )
+    return value
+
+
+def _add_grid_engine_arg(parser: argparse.ArgumentParser) -> None:
+    """Attach the fabric-tier flag shared by the grid-simulation commands.
+
+    The default comes from the ``REPRO_GRID_ENGINE`` environment variable
+    (already validated by :func:`build_parser`; unset means dense); an
+    explicit flag wins.  Both engines are bit-identical -- the choice
+    only affects speed.
+    """
+    from repro.grid.simulator import GRID_ENGINES
+
     parser.add_argument(
-        "--grid-engine", choices=GRID_ENGINES, default=default,
+        "--grid-engine", choices=GRID_ENGINES, default=_grid_engine_from_env(),
         help="fabric tier: dense (per-cell work every cycle), sparse "
-             "(event-driven core for large, mostly quiescent fleets; "
-             "falls back with a warning when unsupported), or auto "
-             "(sparse when supported); default honours $REPRO_GRID_ENGINE",
+             "(event-driven core, per-cycle cost proportional to the "
+             "active cells), or auto (sparse); default honours "
+             "$REPRO_GRID_ENGINE, else dense",
     )
 
 
@@ -932,6 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     try:
         backend_from_env()
+        _grid_engine_from_env()
     except ValueError as exc:
         parser.error(str(exc))  # a usage error (exit 2), not a traceback
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,13 +42,13 @@ statistics, and dropped-packet lists.  Identity holds because
 * iteration orders over the active sets match the dense row-major /
   link-index orders, so same-cycle event interleavings are identical.
 
-One dense feature is *not* supported: persistent memory upsets
-(``memory_upset_rate``) draw from a single RNG shared sequentially
-across all cells every cycle, which cannot be reproduced without
-touching every cell; :class:`~repro.grid.simulator.GridSimulator` falls
-back to the dense engine when they are enabled.  Custom ``alu_factory``
-callables must likewise be construction-order independent (the built-in
-ones hand every cell one shared, stateless unit).
+Persistent memory upsets (``memory_upset_rate``) draw from one RNG
+shared by every alive cell in row-major order.
+:class:`~repro.grid.simulator.GridSimulator` draws them the same way on
+both engines: one vectorised count draw over :meth:`SparseGrid.alive_indices`
+(read from the liveness mask), materialising only the cells hit.
+Custom ``alu_factory`` callables must be construction-order independent
+(the built-in ones hand every cell one shared, stateless unit).
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class SparseGrid(NanoBoxGrid):
         self._active_buses: Set[Tuple[object, object]] = set()
         self._active_inboxes: Set[Coord] = set()
         self._active_outboxes: Set[Coord] = set()
+        # Stream index of every materialised link: the tick order key.
+        self._link_index: Dict[Tuple[object, object], int] = {}
         self._alive_listeners: List[Callable[[Coord, bool], None]] = []
         self._cells = _LazyDict(self._materialise_cell)
         self._buses = _LazyDict(self._materialise_link)
@@ -184,6 +186,7 @@ class SparseGrid(NanoBoxGrid):
             )
         if not valid:
             raise KeyError(key)
+        self._link_index[key] = self._link_stream_index(src, dst)
         return self._make_bus(src, dst)
 
     def _materialise_outbox(self, coord: Coord):
@@ -354,6 +357,9 @@ class SparseGrid(NanoBoxGrid):
         rows_idx, cols_idx = np.nonzero(self._alive)
         return [(int(r), int(c)) for r, c in zip(rows_idx, cols_idx)]
 
+    def alive_indices(self) -> np.ndarray:
+        return np.flatnonzero(self._alive)
+
     def alive_count(self) -> int:
         return int(self._alive.sum())
 
@@ -412,9 +418,7 @@ class SparseGrid(NanoBoxGrid):
         self._drain_outboxes()
 
     def _tick_buses(self) -> None:
-        for key in sorted(
-            self._active_buses, key=lambda k: self._link_stream_index(*k)
-        ):
+        for key in sorted(self._active_buses, key=self._link_index.__getitem__):
             bus = self._buses[key]
             delivered = bus.tick()
             if delivered is not None:
@@ -545,7 +549,7 @@ class SparseGrid(NanoBoxGrid):
         busiest_name = ""
         busiest_util = -1.0
         for (src, dst), bus in sorted(
-            self._buses.items(), key=lambda item: self._link_stream_index(*item[0])
+            self._buses.items(), key=lambda item: self._link_index[item[0]]
         ):
             utilisation = bus.busy_cycles / self._cycle
             delivered += bus.delivered_count

@@ -366,6 +366,12 @@ class NanoBoxGrid:
         """Coordinates of all cells whose heartbeat is healthy."""
         return [coord for coord, cell in self._cells.items() if cell.alive]
 
+    def alive_indices(self) -> np.ndarray:
+        """Row-major flat indices (``row * cols + col``) of alive cells."""
+        return np.array(
+            [r * self.cols + c for r, c in self.alive_cells()], dtype=np.int64
+        )
+
     def alive_count(self) -> int:
         """Number of alive cells (the sparse engine answers from its mask)."""
         return len(self.alive_cells())

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.alu.base import FaultableUnit
 from repro.alu.nanobox import NanoBoxALU
+from repro.cell.memory import memory_layout
 from repro.faults.mask import MaskPolicy
 from repro.faults.temporal import TemporalFaultProcess
 from repro.grid.control import ControlProcessor, JobInstruction, JobResult
@@ -23,10 +24,47 @@ from repro.grid.engine import SparseGrid, TemporalScheduler
 from repro.grid.grid import Coord, LinkFaultPolicy, NanoBoxGrid
 from repro.grid.watchdog import CellState, LifecyclePolicy, Watchdog
 
-#: Valid ``grid_engine`` selections (mirrors the ALU ``backend`` tiers).
-GRID_ENGINES = ("dense", "sparse", "auto")
 from repro.workloads.bitmap import Bitmap
 from repro.workloads.imaging import ImageWorkload
+
+#: Valid ``grid_engine`` selections (mirrors the ALU ``backend`` tiers).
+GRID_ENGINES = ("dense", "sparse", "auto")
+
+
+def draw_memory_upsets(
+    rng: np.random.Generator, alive: np.ndarray, bits: int, rate: float
+) -> List[Tuple[int, int, int]]:
+    """One tick's persistent memory upsets over the alive cells.
+
+    ``alive`` holds the alive cells' row-major flat indices in order.
+    Each cell draws a binomial upset count over its ``bits`` stored bits
+    and, when nonzero, that many distinct bit positions.  The counts of
+    all cells come from one vectorised ``binomial`` call, which consumes
+    the PCG64 stream exactly as the same number of scalar calls do.  On
+    a hit the stream is rewound and redrawn through the hit cell, so its
+    position draw lands where a per-cell loop would make it, and the
+    scan resumes after it.  The stream therefore ends where the per-cell
+    loop leaves it.  Returns ``(index, count, mask)`` for every hit
+    cell, in order.
+    """
+    hits: List[Tuple[int, int, int]] = []
+    start = 0
+    while start < len(alive):
+        saved = rng.bit_generator.state
+        counts = rng.binomial(bits, rate, size=len(alive) - start)
+        nonzero = np.flatnonzero(counts)
+        if not nonzero.size:
+            break
+        k = int(nonzero[0])
+        rng.bit_generator.state = saved
+        rng.binomial(bits, rate, size=k + 1)
+        count = int(counts[k])
+        mask = 0
+        for position in rng.choice(bits, size=count, replace=False):
+            mask |= 1 << int(position)
+        hits.append((int(alive[start + k]), count, mask))
+        start += k + 1
+    return hits
 
 
 @dataclass(frozen=True)
@@ -119,12 +157,12 @@ class GridSimulator:
             per-cell work every cycle; ``sparse`` is the event-driven
             :class:`~repro.grid.engine.SparseGrid` core, bit-identical
             to dense but with per-cycle cost proportional to the active
-            frontier rather than the grid area; ``auto`` picks sparse
-            whenever the configuration supports it.  Persistent memory
-            upsets (``memory_upset_rate``) require dense: their upset
-            draws come from one RNG shared sequentially across all
-            cells.  An explicit ``sparse`` request in that case warns on
-            stderr and falls back to dense (stdout is unaffected).
+            frontier rather than the grid area; ``auto`` resolves to
+            sparse.  Every configuration runs on both engines:
+            persistent memory upsets draw one tick's counts for all
+            alive cells in one vectorised call that consumes the shared
+            upset RNG exactly as a per-cell loop would, and materialise
+            only the cells they hit.
     """
 
     def __init__(
@@ -163,30 +201,13 @@ class GridSimulator:
             raise ValueError(
                 f"unknown grid_engine {grid_engine!r}; valid: {GRID_ENGINES}"
             )
-        unsupported = None
-        if memory_upset_rate > 0:
-            unsupported = (
-                "persistent memory upsets draw from one RNG shared "
-                "sequentially across all cells"
-            )
-        if grid_engine == "auto":
-            resolved_engine = "dense" if unsupported else "sparse"
-        elif grid_engine == "sparse" and unsupported:
-            import sys
-
-            print(
-                f"warning: sparse grid engine unavailable ({unsupported}); "
-                "falling back to dense",
-                file=sys.stderr,
-            )
-            resolved_engine = "dense"
-        else:
-            resolved_engine = grid_engine
+        resolved_engine = "sparse" if grid_engine == "auto" else grid_engine
         #: Fabric tier actually in use ("dense" or "sparse").
         self.grid_engine = resolved_engine
         self._rng = np.random.default_rng(seed)
         self._alu_policy = alu_fault_policy
         self._memory_upset_rate = memory_upset_rate
+        self._memory_bits = memory_layout(n_words)[0].total_sites
         self._scrub_interval = scrub_interval
         self._scrub_corrections = 0
         self._kill_schedule = {
@@ -319,20 +340,14 @@ class GridSimulator:
     def _apply_memory_upsets(self) -> None:
         if self._memory_upset_rate <= 0:
             return
-        bits_per_cell = None
-        for cell in self.grid.cells():
-            if not cell.alive:
-                continue
-            if bits_per_cell is None:
-                bits_per_cell = cell.memory.site_count
-            count = int(self._rng.binomial(bits_per_cell, self._memory_upset_rate))
-            if count == 0:
-                continue
-            positions = self._rng.choice(bits_per_cell, size=count, replace=False)
-            mask = 0
-            for p in positions:
-                mask |= 1 << int(p)
-            cell.memory.apply_faults(mask)
+        cols = self.grid.cols
+        for index, count, mask in draw_memory_upsets(
+            self._rng,
+            self.grid.alive_indices(),
+            self._memory_bits,
+            self._memory_upset_rate,
+        ):
+            self.grid.cell(*divmod(index, cols)).memory.apply_faults(mask)
             self._memory_upsets += count
 
     def _apply_scrub(self) -> None:

@@ -7,8 +7,9 @@ transitions, heartbeat scores and beat counts, delivery statistics,
 memory images, bus statistics, dropped-packet sequences -- must match
 tick for tick.  These tests drive both engines through identical
 scenarios and compare full :class:`~repro.grid.engine.GridState`
-snapshots, across all three temporal fault kinds, link faults, load
-shedding, and a matrix of seeds and grid sizes.
+snapshots, across all three temporal fault kinds, persistent memory
+upsets, link faults, load shedding, and a matrix of seeds and grid
+sizes.
 """
 
 import random
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.faults.mask import ExactFractionMask
 from repro.faults.temporal import TemporalFaultProcess
 from repro.grid import (
     ControlProcessor,
@@ -29,6 +31,8 @@ from repro.grid import (
     SparseGrid,
     Watchdog,
 )
+from repro.workloads.bitmap import gradient
+from repro.workloads.imaging import hue_shift, reverse_video
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -360,8 +364,6 @@ class TestSizeSeedMatrix:
         assert_identical(kwargs, run)
 
     def test_scrub_and_alu_faults(self):
-        from repro.faults.mask import ExactFractionMask
-
         kwargs = dict(
             rows=4,
             cols=4,
@@ -377,6 +379,66 @@ class TestSizeSeedMatrix:
             return (job.results, job.delivery, sim.scrub_corrections)
 
         assert_identical(kwargs, run)
+
+
+@pytest.mark.usefixtures("kernel_provider")
+class TestMemoryUpsets:
+    """Sparse == dense with persistent memory upsets, which draw from one
+    RNG shared by every alive cell in row-major order."""
+
+    @pytest.mark.parametrize("job", [reverse_video, hue_shift])
+    @pytest.mark.parametrize("scrub_interval", [0, 64])
+    @pytest.mark.parametrize("salvageable", [True, False])
+    def test_image_job(self, job, scrub_interval, salvageable):
+        kwargs = dict(
+            rows=6,
+            cols=6,
+            alu_fault_policy=ExactFractionMask(0.01),
+            memory_upset_rate=2e-5,
+            scrub_interval=scrub_interval,
+            kill_schedule={25: [(2, 3)], 60: [(5, 0)]},
+            memory_salvageable=salvageable,
+            seed=13,
+            backend="auto",
+        )
+
+        def run(sim):
+            outcome = sim.run_image_job(gradient(10, 10), job())
+            assert outcome.stats.memory_upsets > 0
+            return (
+                outcome,
+                sim.stats().memory_upsets,
+                sim.scrub_corrections,
+                [(type(p).__name__, p.instruction_id)
+                 for p in sim.grid.dropped_packets],
+            )
+
+        assert_identical(kwargs, run)
+
+    def test_upsets_across_a_job_series(self):
+        """The shared stream carries over from job to job identically."""
+        kwargs = dict(rows=5, cols=4, memory_upset_rate=1e-4, seed=3)
+
+        def run(sim):
+            return [
+                sim.run_instructions(workload(60, k), max_rounds=2).results
+                for k in range(3)
+            ] + [sim.stats()]
+
+        assert_identical(kwargs, run)
+
+    def test_auto_resolves_to_sparse(self):
+        sim = GridSimulator(4, 4, memory_upset_rate=1e-6, grid_engine="auto")
+        assert sim.grid_engine == "sparse"
+        assert isinstance(sim.grid, SparseGrid)
+
+    def test_explicit_sparse_is_silent(self, capfd):
+        sim = GridSimulator(
+            4, 4, memory_upset_rate=1e-6, grid_engine="sparse"
+        )
+        sim.run_image_job(gradient(4, 4), reverse_video())
+        assert sim.grid_engine == "sparse"
+        assert capfd.readouterr().err == ""
 
 
 class TestWatchdogTransitionTrace:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, _parse_kill
+from repro.grid.simulator import GRID_ENGINES
 from repro.kernels import BACKENDS
 
 
@@ -220,6 +221,22 @@ class TestParser:
         err = capsys.readouterr().err
         assert "REPRO_BACKEND='bogus' is not a backend" in err
         assert all(repr(backend) in err for backend in BACKENDS)
+
+    @pytest.mark.parametrize("argv", [["grid", "--help"], ["table1"]])
+    def test_bad_grid_engine_env_is_a_usage_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("REPRO_GRID_ENGINE", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "REPRO_GRID_ENGINE='bogus' is not a grid engine" in err
+        assert all(repr(engine) in err for engine in GRID_ENGINES)
+
+    def test_grid_engine_env_sets_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRID_ENGINE", "sparse")
+        assert build_parser().parse_args(["grid"]).grid_engine == "sparse"
+        monkeypatch.delenv("REPRO_GRID_ENGINE")
+        assert build_parser().parse_args(["grid"]).grid_engine == "dense"
 
     def test_backend_env_sets_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "batched")
