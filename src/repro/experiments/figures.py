@@ -13,6 +13,7 @@ module-level *space* redundancy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -146,6 +147,13 @@ def _sweep_items(
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _site_count(variant: str) -> int:
+    """A variant's fault-site count; building the unit to read it costs
+    up to a millisecond (the CMOS netlists), so it is built once."""
+    return build_alu(variant).site_count
+
+
 def _assemble_points(
     variants: Sequence[str],
     fault_percents: Sequence[float],
@@ -157,7 +165,6 @@ def _assemble_points(
     resilient run) yields a ``None`` point in the same slot, so partial
     runs keep every computed cell in its proper place.
     """
-    site_counts = {v: build_alu(v).site_count for v in set(variants)}
     points: List[Optional[SeriesPoint]] = []
     index = 0
     for variant in variants:
@@ -176,7 +183,7 @@ def _assemble_points(
                     stddev=stats.stddev,
                     samples=stats.n,
                     fit_rate=fit_for_fault_fraction(
-                        percent / 100.0, site_counts[variant]
+                        percent / 100.0, _site_count(variant)
                     ),
                 )
             )

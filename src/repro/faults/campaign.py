@@ -10,6 +10,7 @@ result matches the expected value.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,6 +28,21 @@ Instruction = Tuple[int, int, int, int]
 
 #: Sentinel distinguishing "not built yet" from "built, unsupported (None)".
 _UNSET = object()
+
+
+@functools.lru_cache(maxsize=32)
+def _columns(instructions: Tuple[Instruction, ...]) -> Tuple[np.ndarray, ...]:
+    """The opcode, operand and expected-result columns of a workload, as
+    read-only int64 arrays; cached, so a workload shared across suites
+    (every sweep's default pair) is converted once per process."""
+    n = len(instructions)
+    columns = tuple(
+        np.fromiter((i[field] for i in instructions), np.int64, n)
+        for field in range(4)
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 @dataclass(frozen=True)
@@ -246,10 +262,7 @@ class FaultCampaign:
                     batched=True,
                 )
             if name not in columns:
-                columns[name] = tuple(
-                    np.fromiter((i[field] for i in instructions), np.int64, n)
-                    for field in range(4)
-                )
+                columns[name] = _columns(tuple(instructions))
             words[row : row + n] = self._policy.generate_batch(
                 n_sites, n, self._rng_for_trial(trial, name)
             )

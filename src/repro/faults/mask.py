@@ -136,6 +136,9 @@ class ExactFractionMask(MaskPolicy):
         mask draw and ``rng`` is a ``PCG64`` stream (every campaign
         stream is), :meth:`native_batch` draws, selects and packs in C;
         otherwise, or when the kernel declines, :meth:`numpy_batch` does.
+        The ``kernel.mask.native`` / ``kernel.mask.numpy`` counters count
+        the masks each path drew; ``kernel.mask.declined`` counts the
+        masks the kernel declined and left to :meth:`numpy_batch`.
         """
         if n_sites < 0:
             raise ValueError(f"n_sites must be non-negative, got {n_sites}")
@@ -154,6 +157,7 @@ class ExactFractionMask(MaskPolicy):
             if words is not None:
                 metrics.counter("kernel.mask.native").inc(n_draws)
                 return words
+            metrics.counter("kernel.mask.declined").inc(n_draws)
         metrics.counter("kernel.mask.numpy").inc(n_draws)
         return self.numpy_batch(n_sites, n_draws, rng)
 
@@ -166,19 +170,20 @@ class ExactFractionMask(MaskPolicy):
     ) -> Optional[np.ndarray]:
         """:meth:`generate_batch` through a native mask draw, or ``None``.
 
-        ``draw`` is a provider's ``mask_fn``.  It sets the sites whose
-        uniform falls below the selection band directly and quickselects
-        the boundary among those inside it.  The band is centred on the
-        expected boundary; its half-width of ``_BAND_SIGMAS`` binomial
-        standard deviations plus as many sites (which covers the heavier
-        tail of small counts) keeps the chance that a row's boundary
-        falls outside it below 1e-9 at any site count and fraction.
-        ``None`` (a boundary outside the band, a tie, or the all-sites
-        case) leaves ``rng`` untouched for :meth:`numpy_batch`.
+        ``draw`` is a provider's ``mask_fn``.  Every row consumes the same
+        block of uniforms, so the kernel jumps the generator one block
+        ahead and draws two rows at once from independent states.  It
+        sets the sites whose uniform falls below the selection band
+        directly, counts the band's values into 256 buckets, and
+        quickselects the boundary inside the one bucket that holds it.
+        The band is centred on the expected boundary; its half-width of
+        ``_BAND_SIGMAS`` binomial standard deviations plus as many sites
+        (which covers the heavier tail of small counts) keeps the chance
+        that a row's boundary falls outside it below 1e-9 at any site
+        count and fraction.  ``None`` (a boundary outside the band, or a
+        tie) leaves ``rng`` untouched for :meth:`numpy_batch`.
         """
         base, remainder = self._split_count(n_sites)
-        if base >= n_sites:
-            return None
         sd = math.sqrt((base + 1) * (1.0 - base / n_sites))
         centre = (base + 0.5) / n_sites
         half = _BAND_SIGMAS * (sd + _BAND_SIGMAS) / n_sites

@@ -181,8 +181,9 @@ def load_exact_fraction(lib_path: Path) -> Callable:
     def exact_fraction(bit_generator, n_sites, n_draws, base, remainder,
                        tlo, thi):
         words = np.empty((n_draws, words_for_sites(n_sites)), dtype=WORD_DTYPE)
-        band_val = np.empty(n_sites, dtype=np.uint64)
-        band_idx = np.empty(n_sites, dtype=np.int64)
+        # Two rows' band values plus the bucket scratch, two rows' sites.
+        band_val = np.empty(3 * n_sites, dtype=np.uint64)
+        band_idx = np.empty(2 * n_sites, dtype=np.int64)
         with bit_generator.lock:
             state = bit_generator.state
             pcg = state["state"]
@@ -286,8 +287,20 @@ def self_test(eval_fn) -> None:
         )
 
 
+#: (fraction, n_sites, n_draws) of the mask self-test.  The kernel draws
+#: rows in pairs one block of uniforms apart, so the cases cover both
+#: block strides (a rounding uniform or none: 25% of 128 sites is exact),
+#: odd draw counts (a lone last row) and rows of one and of several words.
+_MASK_SELF_TEST = (
+    (0.0517, 1, 3),
+    (0.0517, 64, 5),
+    (0.0517, 300, 16),
+    (0.25, 128, 7),
+)
+
+
 def mask_self_test(draw) -> None:
-    """Check a mask draw against the NumPy body on a small draw.
+    """Check a mask draw against the NumPy body on a few small draws.
 
     The native draw must give the same words *and* leave the generator
     in the same state; a draw that declines, differs or desynchronises
@@ -295,8 +308,8 @@ def mask_self_test(draw) -> None:
     """
     from repro.faults.mask import ExactFractionMask
 
-    policy = ExactFractionMask(0.0517)
-    for n_sites, n_draws in ((1, 3), (64, 5), (300, 16)):
+    for fraction, n_sites, n_draws in _MASK_SELF_TEST:
+        policy = ExactFractionMask(fraction)
         native_rng = np.random.default_rng(2004)
         numpy_rng = np.random.default_rng(2004)
         got = policy.native_batch(draw, n_sites, n_draws, native_rng)

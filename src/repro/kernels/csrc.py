@@ -36,19 +36,32 @@ and the temporal fault-stream scan behind
 Both reproduce NumPy's ``PCG64`` ``random()`` doubles from registers
 (state high/low, increment high/low) through one shared step, so they
 consume exactly the uniforms the NumPy bodies would.  The mask draw
-advances the one generator in ``pcg``.  Each row flips the sites below
-``tlo`` directly, keeps the sites in ``[tlo, thi)`` as a band, and
-quickselects the boundary among them.  It returns 0 and advances ``pcg`` on success;
-it returns 1 with ``pcg`` untouched when a row's boundary lies outside
-the band or is tied, and the caller redraws in NumPy.  The tape scan
-reads the four registers of cell ``cells[j]`` at ``pcg + 4 * cells[j]``,
-draws until one uniform falls below ``rate`` or ``limits[j]`` draws are
-spent, stores the hit's offset (``-1`` for none) in ``hits[j]`` and
-writes the registers back after exactly the draws consumed.  The
-``__int128`` functions build at ``-O1`` because every process that
-finds the cache empty pays for the build: with gcc 12 on x86-64 that
-compiles the mask draw in about 0.05 s against 0.08 s at ``-O2``, and
-it draws no slower.
+advances the one generator in ``pcg``.  Every row consumes a fixed block
+of ``n_sites`` uniforms plus one for rounding when ``remainder > 0``,
+so the kernel computes the LCG jump over one block once per call (square
+and multiply) and draws rows two at a time: row ``d + 1`` starts one
+jump past row ``d``, and one fused loop steps both independent states,
+each with its own band buffers; an odd last row runs alone.  Each row
+flips the sites below ``tlo`` directly and keeps the sites in ``[tlo,
+thi)`` as a band.  One counting pass over 256 equal buckets of the band
+finds the bucket that holds the boundary, and a quickselect over that
+bucket's values finds the boundary itself.  ``band_val`` holds
+``3 * n_sites`` values (two rows' bands and the bucket scratch) and
+``band_idx`` ``2 * n_sites`` site indices.  It returns 0 and advances
+``pcg`` on success; it returns 1 with ``pcg`` untouched when a row's
+boundary lies outside the band or is tied, and the caller redraws in
+NumPy.
+
+The tape scan reads the four registers of cell ``cells[j]`` at ``pcg +
+4 * cells[j]``, draws until one uniform falls below ``rate`` or
+``limits[j]`` draws are spent, stores the hit's offset (``-1`` for
+none) in ``hits[j]`` and writes the registers back after exactly the
+draws consumed.
+
+The ``__int128`` functions build at ``-O1`` because every process that
+finds the cache empty pays for the build: with gcc 12 on x86-64 the
+whole source compiles in about 0.17 s against 0.21 s with them at
+``-O2``, and the mask draw runs no slower.
 
 All layout constants are injected from :mod:`repro.kernels.plan` at
 format time, so the two executors can never drift on the encoding.
@@ -301,10 +314,54 @@ pcg_draw53(__uint128_t *state, __uint128_t inc) {{
     return ((x >> rot) | (x << ((-rot) & 63))) >> 11;
 }}
 
-/* Partially sorts (val, idx)[0, n) so that val[k] is the k-th smallest
-   (0-based), and returns it. */
-static MASK_FN __attribute__((noinline)) uint64_t
-band_select(uint64_t *val, int64_t *idx, int64_t n, int64_t k) {{
+/* The LCG jump of k steps: after k draws a state s has become
+   s * mult + add (square-and-multiply, as in PCG's advance). */
+static MASK_FN void
+pcg_jump(__uint128_t inc, uint64_t k, __uint128_t *mult, __uint128_t *add) {{
+    __uint128_t cur_mult = PCG_MULT, cur_add = inc;
+    __uint128_t acc_mult = 1, acc_add = 0;
+    for (; k > 0; k >>= 1) {{
+        if (k & 1) {{
+            acc_mult *= cur_mult;
+            acc_add = acc_add * cur_mult + cur_add;
+        }}
+        cur_add = (cur_mult + 1) * cur_add;
+        cur_mult *= cur_mult;
+    }}
+    *mult = acc_mult;
+    *add = acc_add;
+}}
+
+/* One row being drawn: its generator state, its packed words and its
+   band of (value, site) pairs. */
+struct lane {{
+    __uint128_t state;
+    uint64_t *row;
+    uint64_t *val;
+    int64_t *idx;
+    int64_t n_band;
+}};
+
+/* Draws the uniform m of one site for one lane and returns m - lo, whose
+   top bit is set exactly when m < lo (both are below 2^53).  Branch-free:
+   at mid-range fractions the tests are coin flips.  The band slot is
+   written unconditionally and kept only when lo <= m < hi (one unsigned
+   compare); n_band never exceeds the sites seen so far, so it stays in
+   bounds. */
+static MASK_FN inline __attribute__((always_inline)) uint64_t
+lane_site(struct lane *l, __uint128_t inc, uint64_t lo, uint64_t width,
+          int64_t site) {{
+    uint64_t m = pcg_draw53(&l->state, inc);
+    uint64_t off = m - lo;
+    l->val[l->n_band] = m;
+    l->idx[l->n_band] = site;
+    l->n_band += (int64_t)(off < width);
+    return off;
+}}
+
+/* The k-th smallest (0-based) of val[0, n), partially sorting val. */
+static MASK_FN uint64_t
+value_select(uint64_t *val, int64_t n, int64_t k) {{
     int64_t lo = 0, hi = n - 1;
     while (lo < hi) {{
         uint64_t pivot = val[lo + (hi - lo) / 2];
@@ -314,7 +371,6 @@ band_select(uint64_t *val, int64_t *idx, int64_t n, int64_t k) {{
             while (val[j] > pivot) j--;
             if (i <= j) {{
                 uint64_t v = val[i]; val[i] = val[j]; val[j] = v;
-                int64_t x = idx[i]; idx[i] = idx[j]; idx[j] = x;
                 i++;
                 j--;
             }}
@@ -326,6 +382,52 @@ band_select(uint64_t *val, int64_t *idx, int64_t n, int64_t k) {{
     return val[k];
 }}
 
+/* Completes a lane whose n_sites uniforms are drawn: draws the rounding
+   uniform, finds the boundary of the count smallest values and sets the
+   band sites at or below it.  The boundary's bucket among 256 equal
+   buckets of [lo, lo + (256 << shift)) comes from one counting pass; a
+   quickselect over that bucket's values, gathered into scratch, finds
+   the boundary.  Returns 1 when the boundary lies outside the band or
+   is tied, 0 otherwise. */
+static MASK_FN int64_t
+lane_finish(struct lane *l, __uint128_t inc, int64_t n_words, int64_t base,
+            double remainder, uint64_t lo, unsigned shift,
+            uint64_t *scratch) {{
+    int64_t count = base;
+    if (remainder > 0.0) {{
+        uint64_t m = pcg_draw53(&l->state, inc);
+        if ((double)m * (1.0 / 9007199254740992.0) < remainder) count++;
+    }}
+    if (count == 0) {{
+        for (int64_t w = 0; w < n_words; w++) l->row[w] = 0;
+        return 0;
+    }}
+    int64_t below = 0;
+    for (int64_t w = 0; w < n_words; w++)
+        below += __builtin_popcountll(l->row[w]);
+    int64_t need = count - below;
+    if (need < 1 || need > l->n_band) return 1;
+    int64_t buckets[256] = {{0}};
+    for (int64_t b = 0; b < l->n_band; b++)
+        buckets[(l->val[b] - lo) >> shift]++;
+    int64_t rank = need - 1;
+    uint64_t target = 0;
+    while (rank >= buckets[target]) rank -= buckets[target++];
+    int64_t n = 0;
+    for (int64_t b = 0; b < l->n_band; b++) {{
+        scratch[n] = l->val[b];
+        n += (int64_t)(((l->val[b] - lo) >> shift) == target);
+    }}
+    uint64_t boundary = value_select(scratch, n, rank);
+    int64_t taken = 0;
+    for (int64_t b = 0; b < l->n_band; b++) {{
+        uint64_t hit = l->val[b] <= boundary;
+        l->row[l->idx[b] >> 6] |= hit << (l->idx[b] & 63);
+        taken += (int64_t)hit;
+    }}
+    return taken != need;
+}}
+
 MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
                                      int64_t n_draws, int64_t base,
                                      double remainder, double tlo,
@@ -334,59 +436,70 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
     const __uint128_t inc = ((__uint128_t)pcg[2] << 64) | pcg[3];
     __uint128_t state = ((__uint128_t)pcg[0] << 64) | pcg[1];
     int64_t n_words = (n_sites + 63) >> 6;
+    /* Every row consumes the same block of uniforms, so row d + 1 starts
+       where a jump of one block from row d's start lands. */
+    __uint128_t mult, add;
+    pcg_jump(inc, (uint64_t)(n_sites + (remainder > 0.0)), &mult, &add);
     /* The band in units of the 53-bit draw m, where the double is
-       m * 2^-53.  Any cut works: the popcount check below is what makes
-       the selection exact. */
+       m * 2^-53.  Any cut works: lane_finish's check that it took
+       exactly the sites it needed is what makes the selection exact. */
     const double scale = 9007199254740992.0;
     uint64_t lo = tlo <= 0.0 ? 0 : (tlo >= 1.0 ? (uint64_t)1 << 53
                                                  : (uint64_t)(tlo * scale));
     uint64_t hi = thi <= 0.0 ? 0 : (thi >= 1.0 ? (uint64_t)1 << 53
                                                  : (uint64_t)(thi * scale));
     uint64_t width = hi > lo ? hi - lo : 0;
-    for (int64_t d = 0; d < n_draws; d++) {{
-        uint64_t *row = words + d * n_words;
-        int64_t below = 0;
-        int64_t n_band = 0;
+    unsigned shift = 0;
+    while (width > 0 && ((width - 1) >> shift) >= 256) shift++;
+    const uint64_t TOP = (uint64_t)1 << 63;
+    uint64_t *scratch = band_val + 2 * n_sites;
+    struct lane a = {{0, 0, band_val, band_idx, 0}};
+    struct lane b = {{0, 0, band_val + n_sites, band_idx + n_sites, 0}};
+    int64_t d = 0;
+    for (; d + 1 < n_draws; d += 2) {{
+        a.state = state;
+        b.state = state * mult + add;
+        a.row = words + d * n_words;
+        b.row = a.row + n_words;
+        a.n_band = b.n_band = 0;
+        for (int64_t w = 0; w < n_words; w++) {{
+            int64_t end = n_sites - (w << 6);
+            if (end > 64) end = 64;
+            /* Each site's below-band bit enters at the top. */
+            uint64_t reg_a = 0, reg_b = 0;
+            for (int64_t j = 0; j < end; j++) {{
+                reg_a = (reg_a >> 1)
+                    | (lane_site(&a, inc, lo, width, (w << 6) + j) & TOP);
+                reg_b = (reg_b >> 1)
+                    | (lane_site(&b, inc, lo, width, (w << 6) + j) & TOP);
+            }}
+            a.row[w] = reg_a >> (64 - end);
+            b.row[w] = reg_b >> (64 - end);
+        }}
+        if (lane_finish(&a, inc, n_words, base, remainder, lo, shift,
+                        scratch)
+            || lane_finish(&b, inc, n_words, base, remainder, lo, shift,
+                           scratch))
+            return 1;
+        state = b.state;
+    }}
+    if (d < n_draws) {{
+        a.state = state;
+        a.row = words + d * n_words;
+        a.n_band = 0;
         for (int64_t w = 0; w < n_words; w++) {{
             int64_t end = n_sites - (w << 6);
             if (end > 64) end = 64;
             uint64_t reg = 0;
-            for (int64_t j = 0; j < end; j++) {{
-                uint64_t m = pcg_draw53(&state, inc);
-                /* Branch-free: at mid-range fractions the tests are coin
-                   flips.  The band slot is written unconditionally and
-                   kept only when lo <= m < hi (one unsigned compare);
-                   n_band never exceeds the sites seen so far, so it
-                   stays in bounds. */
-                uint64_t low = m < lo;
-                reg |= low << j;
-                below += (int64_t)low;
-                band_val[n_band] = m;
-                band_idx[n_band] = (w << 6) + j;
-                n_band += (int64_t)(m - lo < width);
-            }}
-            row[w] = reg;
+            for (int64_t j = 0; j < end; j++)
+                reg = (reg >> 1)
+                    | (lane_site(&a, inc, lo, width, (w << 6) + j) & TOP);
+            a.row[w] = reg >> (64 - end);
         }}
-        int64_t count = base;
-        if (remainder > 0.0) {{
-            uint64_t m = pcg_draw53(&state, inc);
-            if ((double)m * (1.0 / 9007199254740992.0) < remainder) count++;
-        }}
-        if (count == 0) {{
-            for (int64_t w = 0; w < n_words; w++) row[w] = 0;
-            continue;
-        }}
-        int64_t need = count - below;
-        if (need < 1 || need > n_band) return 1;
-        uint64_t boundary = band_select(band_val, band_idx, n_band, need - 1);
-        int64_t taken = 0;
-        for (int64_t b = 0; b < n_band; b++) {{
-            if (band_val[b] <= boundary) {{
-                row[band_idx[b] >> 6] |= (uint64_t)1 << (band_idx[b] & 63);
-                taken++;
-            }}
-        }}
-        if (taken != need) return 1;
+        if (lane_finish(&a, inc, n_words, base, remainder, lo, shift,
+                        scratch))
+            return 1;
+        state = a.state;
     }}
     pcg[0] = (uint64_t)(state >> 64);
     pcg[1] = (uint64_t)state;
@@ -421,7 +534,7 @@ MASK_FN void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
 
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 
 def c_source() -> str:

@@ -25,15 +25,17 @@ rather than burning retries.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.campaign import CampaignResult, FaultCampaign
+from repro.faults.campaign import CampaignResult, FaultCampaign, Instruction
 from repro.obs import Observer, get_observer, observing
 from repro.perf.spec import ALUSpec, PolicySpec
 from repro.workloads.bitmap import Bitmap, gradient
@@ -95,29 +97,42 @@ class CampaignExecutionError(RuntimeError):
 _WORKER_UNITS: Dict[ALUSpec, Tuple[object, object]] = {}
 
 
+@functools.lru_cache(maxsize=1)
+def _default_workloads() -> Mapping[str, Tuple[Instruction, ...]]:
+    """The paper's workloads over the default 8x8 gradient, compiled once
+    per process and frozen: every item without a custom bitmap shares
+    them, and campaigns cache their instruction columns."""
+    from repro.workloads.imaging import paper_workloads
+
+    return MappingProxyType({
+        name: tuple(stream)
+        for name, stream in paper_workloads(gradient(8, 8)).items()
+    })
+
+
 def _execute_item(item: CampaignWorkItem) -> CampaignResult:
     """Worker entry point: rebuild the cell from its specs and run it.
 
     Module-level (not a closure) so it pickles for the process pool.
     Items arrive as pure specs (seed + recipes, no arrays) unless a
     custom bitmap rides along; the unit and its plan engine come from
-    the per-process cache.
+    the per-process cache, and so do the default workloads.
     """
     from repro.workloads.imaging import paper_workloads
 
     obs = get_observer()
     if item.bitmap is None:
-        bmp = gradient(8, 8)
+        workloads = _default_workloads()
         obs.metrics.counter("kernel.items_by_seed").inc()
     else:
-        bmp = item.bitmap
+        workloads = paper_workloads(item.bitmap)
         obs.metrics.counter("kernel.items_with_array").inc()
     unit, engine = _WORKER_UNITS.get(item.alu) or (item.alu.build(), None)
     campaign = FaultCampaign(unit, item.policy.build(), seed=item.seed)
     if engine is not None:
         campaign.use_engine(engine)
     result = campaign.run_workload_suite(
-        paper_workloads(bmp),
+        workloads,
         trials_per_workload=item.trials_per_workload,
         backend=item.backend,
     )

@@ -23,9 +23,11 @@ from repro.faults import mask as mask_mod
 from repro.faults.campaign import FaultCampaign
 from repro.faults.mask import BernoulliMask, ExactFractionMask
 from repro.faults.packing import unpack_flags, words_to_int
+from repro.kernels.providers import get_provider
 from repro.obs import Observer, observing
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
+from tests.conftest import requires_cc
 
 FRACTIONS = (0.0, 0.005, 0.3, 1.0)
 
@@ -121,8 +123,90 @@ class TestMaskStreamEquivalence:
         obs = Observer()
         with observing(obs):
             self._check(policy, 300, 8, 5)
+        declined = 0 if kernel_provider is None else 8
         assert obs.metrics.counter("kernel.mask.native").value == 0
+        assert obs.metrics.counter("kernel.mask.declined").value == declined
         assert obs.metrics.counter("kernel.mask.numpy").value == 8
+
+    @pytest.mark.parametrize(
+        "fraction, n_sites, n_draws",
+        [
+            # Odd draw counts: the last row runs without a partner.
+            (0.0517, 300, 1),
+            (0.0517, 300, 3),
+            (0.0517, 300, 63),
+            # No rounding uniform: each row is exactly n_sites uniforms.
+            (0.3, 5040, 8),
+            (0.25, 64, 9),
+            # Rows that fill their last word.
+            (0.1, 128, 6),
+            (0.0517, 640, 7),
+            # Every site flips.
+            (1.0, 100, 5),
+        ],
+    )
+    def test_row_pairs(self, kernel_provider, fraction, n_sites, n_draws):
+        """The two-row draw against the scalar draw, and the final state
+        against an independent oracle: each row consumes ``cols``
+        uniforms, so the stream must stand exactly ``n_draws * cols``
+        steps past the seed."""
+        policy = ExactFractionMask(fraction)
+        base, remainder = policy._split_count(n_sites)
+        cols = n_sites + (remainder > 0.0)
+        obs = Observer()
+        with observing(obs):
+            self._check(policy, n_sites, n_draws, 2004)
+            rng = np.random.default_rng(2004)
+            policy.generate_batch(n_sites, n_draws, rng)
+        oracle = np.random.PCG64(2004).advance(n_draws * cols)
+        assert rng.bit_generator.state == oracle.state
+        path = "numpy" if kernel_provider is None else "native"
+        assert obs.metrics.counter(f"kernel.mask.{path}").value == 2 * n_draws
+        assert obs.metrics.counter("kernel.mask.declined").value == 0
+
+    @requires_cc
+    @pytest.mark.parametrize("n_draws", [4, 5])
+    def test_band_miss_in_last_rows_leaves_generator_untouched(self, n_draws):
+        """A band that holds every row's boundary but the last one's: the
+        kernel has drawn and packed the rows before it, yet must decline
+        with the generator where it started.  With four rows the last
+        one is the second of a pair; with five it runs alone."""
+        draw = get_provider().mask_fn
+        assert draw is not None
+        policy = ExactFractionMask(0.0517)
+        n_sites = 300
+        base, remainder = policy._split_count(n_sites)
+        assert remainder > 0.0  # each row ends with a rounding uniform
+        for seed in range(100):
+            block = np.random.default_rng(seed).random((n_draws, n_sites + 1))
+            counts = base + (block[:, n_sites] < remainder)
+            ordered = np.sort(block[:, :n_sites], axis=1)
+            boundary = ordered[np.arange(n_draws), counts - 1]
+            if boundary[-1] > boundary[:-1].max():
+                break
+        else:  # pragma: no cover - a seed is found within a few tries
+            pytest.fail("no seed puts the last boundary above the others")
+        # Each uniform is m * 2^-53 for an integer m, and the kernel cuts
+        # its band at floor(t * 2^53): [tlo, thi) holds every earlier
+        # boundary and stops one step short of the last.
+        tlo = boundary[:-1].min()
+        thi = boundary[-1]
+        rng = np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        got = draw(
+            rng.bit_generator, n_sites, n_draws, base, remainder, tlo, thi
+        )
+        assert got is None
+        assert rng.bit_generator.state == before
+        # The same call with the band widened past the last boundary draws.
+        words = draw(
+            rng.bit_generator, n_sites, n_draws, base, remainder, tlo,
+            thi + 2.0**-53,
+        )
+        want = policy.numpy_batch(
+            n_sites, n_draws, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(words, want)
 
     @staticmethod
     def _check(policy, n_sites, n_draws, seed, bit_generator=np.random.PCG64):

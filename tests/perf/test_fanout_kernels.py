@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.experiments.figures import _sweep_items, run_figure
-from repro.perf import ALUSpec, CampaignWorkItem, PolicySpec
+from repro.perf import ALUSpec, CampaignWorkItem, PolicySpec, executor
 from repro.perf.executor import (
     _WORKER_UNITS,
     CampaignExecutor,
@@ -106,6 +106,50 @@ class TestWorkerEngineCache:
         counters = obs.metrics.snapshot()["counters"]
         assert counters["kernel.items_by_seed"] == 1
         assert counters["kernel.items_with_array"] == 1
+
+
+class TestWorkerWorkloadCache:
+    """Items without a custom bitmap share one compiled pair of default
+    workloads per process; a custom bitmap still compiles its own."""
+
+    def test_default_workloads_compile_once(self, monkeypatch):
+        from repro.workloads import imaging
+        from repro.workloads.bitmap import gradient
+
+        calls = []
+        real = imaging.paper_workloads
+
+        def counting(bitmap):
+            calls.append(bitmap)
+            return real(bitmap)
+
+        monkeypatch.setattr(imaging, "paper_workloads", counting)
+        executor._default_workloads.cache_clear()
+        item = CampaignWorkItem(
+            alu=ALUSpec.variant("alunn"),
+            policy=PolicySpec.exact(0.05),
+            trials_per_workload=2,
+        )
+        first = _execute_item(item)
+        second = _execute_item(item)
+        assert len(calls) == 1
+        assert first.trials == second.trials
+        # The cached pair is the paper's pair, frozen.
+        cached = executor._default_workloads()
+        fresh = real(gradient(8, 8))
+        assert {k: list(v) for k, v in cached.items()} == fresh
+        with pytest.raises(TypeError):
+            cached["extra"] = ()
+        custom = CampaignWorkItem(
+            alu=ALUSpec.variant("alunn"),
+            policy=PolicySpec.exact(0.05),
+            trials_per_workload=2,
+            bitmap=gradient(4, 4),
+        )
+        _execute_item(custom)
+        _execute_item(custom)
+        assert len(calls) == 3
+        executor._default_workloads.cache_clear()
 
 
 class TestParallelCompiledIdentity:
