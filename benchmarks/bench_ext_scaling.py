@@ -9,6 +9,7 @@ fixed 64-pixel job's cycle budget scales with grid shape.
 """
 
 import time
+from contextlib import nullcontext
 
 from benchmarks.conftest import SMOKE, scaled
 from repro.experiments.scaling import (
@@ -20,6 +21,7 @@ from repro.experiments.scaling import (
 from repro.faults.temporal import TemporalFaultProcess
 from repro.grid.engine import GridState
 from repro.grid.simulator import GridSimulator
+from tests.grid.dense_oracle import dense_engine
 
 SIZES = ((2, 2), (4, 4), (8, 8))
 
@@ -54,36 +56,37 @@ def test_bench_pipeline_scaling(benchmark):
     assert by_shape[(4, 8)].shift_in < by_shape[(4, 4)].shift_in
 
 
-# -- Engine scaling: the event-driven core versus the dense oracle ----
+# -- Engine scaling: the event-driven grid versus the dense oracle ----
 #
 # A mostly-quiescent fabric is the paper's deployment reality (per-cell
 # fault rates are tiny), and it is exactly where dense per-cell ticking
 # stops scaling: cost per cycle grows with cell count whether or not
-# anything happens.  The sparse engine does per-tick work proportional
-# to *activity*, so an idle 10^6-cell fleet advances in O(1) per tick.
-# The common-size point also re-checks bit identity under load: both
-# engines must land on the same GridState and the same fault tally.
+# anything happens.  The event-driven grid does per-tick work
+# proportional to *activity*, so an idle 10^6-cell fleet advances in O(1)
+# per tick.  The common-size point also re-checks bit identity under
+# load: the grid and the oracle must land on the same GridState and the
+# same fault tally.
 
-#: Largest size both engines run at in reasonable time.
+#: Largest size both the grid and the oracle run at in reasonable time.
 ENGINE_COMMON = scaled((64, 64), (16, 16))
 ENGINE_TICKS = scaled(300, 60)
 ENGINE_PROCESS = TemporalFaultProcess.transient(1e-5, errors_per_cycle=3)
 
-#: Sparse-only fleet points: ~10^5 and 10^6 cells.
+#: Grid-only fleet points: ~10^5 and 10^6 cells.
 FLEET_SIZES = scaled(((316, 316), (1000, 1000)), ((316, 316),))
 FLEET_TICKS = 300
 
 
 def _engine_soak(engine, rows, cols, ticks, process):
-    sim = GridSimulator(
-        rows=rows,
-        cols=cols,
-        temporal_fault_process=process,
-        heartbeat_decay=0.5,
-        error_threshold=3,
-        seed=2004,
-        grid_engine=engine,
-    )
+    with engine():
+        sim = GridSimulator(
+            rows=rows,
+            cols=cols,
+            temporal_fault_process=process,
+            heartbeat_decay=0.5,
+            error_threshold=3,
+            seed=2004,
+        )
     start = time.perf_counter()
     sim.control.tick(ticks)
     elapsed = time.perf_counter() - start
@@ -97,39 +100,39 @@ def _engine_soak(engine, rows, cols, ticks, process):
 
 def run_engine_scaling():
     rows, cols = ENGINE_COMMON
-    dense = _engine_soak("dense", rows, cols, ENGINE_TICKS, ENGINE_PROCESS)
-    sparse = _engine_soak("sparse", rows, cols, ENGINE_TICKS, ENGINE_PROCESS)
+    dense = _engine_soak(dense_engine, rows, cols, ENGINE_TICKS, ENGINE_PROCESS)
+    grid = _engine_soak(nullcontext, rows, cols, ENGINE_TICKS, ENGINE_PROCESS)
     fleet = [
-        (r, c, _engine_soak("sparse", r, c, FLEET_TICKS, None))
+        (r, c, _engine_soak(nullcontext, r, c, FLEET_TICKS, None))
         for r, c in FLEET_SIZES
     ]
-    return dense, sparse, fleet
+    return dense, grid, fleet
 
 
 def test_bench_engine_scaling(benchmark):
-    dense, sparse, fleet = benchmark.pedantic(
+    dense, grid, fleet = benchmark.pedantic(
         run_engine_scaling, rounds=1, iterations=1
     )
     rows, cols = ENGINE_COMMON
-    speedup = dense[0] / sparse[0] if sparse[0] else float("inf")
+    speedup = dense[0] / grid[0] if grid[0] else float("inf")
     print()
     print(f"  {'cells':>9}  {'engine':>7}  {'ticks':>6}  {'seconds':>8}")
     print(f"  {rows * cols:>9}  {'dense':>7}  {ENGINE_TICKS:>6}  "
           f"{dense[0]:>8.3f}")
-    print(f"  {rows * cols:>9}  {'sparse':>7}  {ENGINE_TICKS:>6}  "
-          f"{sparse[0]:>8.3f}  ({speedup:.0f}x)")
+    print(f"  {rows * cols:>9}  {'grid':>7}  {ENGINE_TICKS:>6}  "
+          f"{grid[0]:>8.3f}  ({speedup:.0f}x)")
     for r, c, (elapsed, _, _, alive) in fleet:
-        print(f"  {r * c:>9}  {'sparse':>7}  {FLEET_TICKS:>6}  "
+        print(f"  {r * c:>9}  {'grid':>7}  {FLEET_TICKS:>6}  "
               f"{elapsed:>8.3f}  (alive {alive})")
 
     # Bit identity under load at the largest common size.
-    assert dense[1] == sparse[1], "\n".join(dense[1].diff(sparse[1])[:10])
-    assert dense[2] == sparse[2]
-    # The event-driven core must beat dense by >= 10x at the largest
+    assert dense[1] == grid[1], "\n".join(dense[1].diff(grid[1])[:10])
+    assert dense[2] == grid[2]
+    # The event-driven grid must beat dense by >= 10x at the largest
     # common size (smoke sizes are too small for the ratio to be
     # meaningful, so the floor is full-run only).
     if not SMOKE:
-        assert speedup >= 10, f"sparse speedup only {speedup:.1f}x"
+        assert speedup >= 10, f"event-driven speedup only {speedup:.1f}x"
     # Idle fleets advance in activity-proportional time: the 10^5/10^6
     # points must finish far faster than the *busy* common grid, despite
     # having 25-250x the cells.

@@ -214,12 +214,12 @@ class ALUControl:
         self._pointer = 0
 
     def sync_pointer(self, value: int) -> None:
-        """Set the scan pointer directly (sparse-engine catch-up).
+        """Set the scan pointer directly (event-driven catch-up).
 
-        The sparse grid engine skips the per-tick SKIPPED scans of idle
-        cells; when such a cell acquires work mid-phase the engine fast
-        forwards the pointer to where the dense per-tick loop would have
-        left it.
+        The event-driven grid skips the per-tick SKIPPED scans of idle
+        cells; when such a cell acquires work mid-phase the grid fast
+        forwards the pointer to where a per-tick loop would have left
+        it.
         """
         if not 0 <= value < self._memory.n_words:
             raise ValueError(f"pointer {value} out of range")

@@ -230,7 +230,7 @@ class ProcessorCell:
         return None
 
     def fast_forward_shift_out(self) -> None:
-        """Mark the shift-out scan exhausted (sparse-engine catch-up).
+        """Mark the shift-out scan exhausted (event-driven catch-up).
 
         Equivalent to the ``pop_result`` calls an empty cell would have
         absorbed: the first call races the pointer to ``n_words`` and

@@ -46,7 +46,7 @@ class Heartbeat:
         self._beats = 0
         self._forced_silent = False
         #: Optional observer called after any state-changing method with
-        #: this heartbeat as argument.  Used by the sparse grid engine to
+        #: this heartbeat as argument.  Used by the event-driven grid to
         #: maintain its alive-mask and attention sets; None costs nothing.
         self.watcher = None
 
@@ -139,9 +139,9 @@ class Heartbeat:
 
         A healthy heartbeat with nothing to leak (zero decay or zero
         score) neither changes state nor can go silent on a beat, so N
-        such beats are exactly a +N on ``beats_emitted``.  The sparse
-        engine uses this predicate to decide which cells may be
-        bulk-credited via :meth:`credit_beats`.
+        such beats are exactly a +N on ``beats_emitted``.  The
+        event-driven grid uses this predicate to decide which cells may
+        be bulk-credited via :meth:`credit_beats`.
         """
         return self.healthy and (self._decay == 0.0 or self._score == 0.0)
 
@@ -150,11 +150,11 @@ class Heartbeat:
 
         Exactly equivalent to ``count`` successive :meth:`beat` calls
         made *while the heartbeat was quiescent*: each such call would
-        have leaked nothing and emitted one beat.  The caller (the sparse
-        engine) guarantees the skipped polls all happened during
-        quiescent spans; the heartbeat's *current* state may already have
-        moved on (e.g. an error landed this very cycle), which is why
-        this does not re-check :meth:`quiescent`.
+        have leaked nothing and emitted one beat.  The caller (the
+        event-driven grid) guarantees the skipped polls all happened
+        during quiescent spans; the heartbeat's *current* state may
+        already have moved on (e.g. an error landed this very cycle),
+        which is why this does not re-check :meth:`quiescent`.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")

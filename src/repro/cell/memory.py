@@ -45,7 +45,7 @@ class CellMemory:
         self._words: List[int] = [0] * n_words
         self._space, self._segments = memory_layout(n_words)
         #: Optional observer called (with no arguments) after any write.
-        #: The sparse grid engine hooks this to dirty-flag the owning
+        #: The event-driven grid hooks this to dirty-flag the owning
         #: cell's occupancy/pending counters; None costs nothing.
         self.on_mutate = None
 

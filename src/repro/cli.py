@@ -305,42 +305,6 @@ def _add_backend_arg(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
-def _grid_engine_from_env() -> str:
-    """The ``REPRO_GRID_ENGINE`` selection, validated; dense if unset."""
-    import os
-
-    from repro.grid.simulator import GRID_ENGINES
-
-    value = os.environ.get("REPRO_GRID_ENGINE")
-    if not value:
-        return "dense"
-    if value not in GRID_ENGINES:
-        raise ValueError(
-            f"REPRO_GRID_ENGINE={value!r} is not a grid engine; "
-            f"valid: {GRID_ENGINES}"
-        )
-    return value
-
-
-def _add_grid_engine_arg(parser: argparse.ArgumentParser) -> None:
-    """Attach the fabric-tier flag shared by the grid-simulation commands.
-
-    The default comes from the ``REPRO_GRID_ENGINE`` environment variable
-    (already validated by :func:`build_parser`; unset means dense); an
-    explicit flag wins.  Both engines are bit-identical -- the choice
-    only affects speed.
-    """
-    from repro.grid.simulator import GRID_ENGINES
-
-    parser.add_argument(
-        "--grid-engine", choices=GRID_ENGINES, default=_grid_engine_from_env(),
-        help="fabric tier: dense (per-cell work every cycle), sparse "
-             "(event-driven core, per-cycle cost proportional to the "
-             "active cells), or auto (sparse); default honours "
-             "$REPRO_GRID_ENGINE, else dense",
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.figures import PAPER_FAULT_PERCENTAGES, run_figure
 
@@ -493,7 +457,6 @@ def _grid_run(args: argparse.Namespace) -> int:
         adaptive_routing=args.adaptive,
         seed=args.seed,
         backend=args.backend,
-        grid_engine=args.grid_engine,
     )
     image = bitmaps.gradient(args.image_size, args.image_size)
     outcome = sim.run_image_job(image, workload, max_rounds=args.rounds)
@@ -622,7 +585,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             n_instructions=args.instructions,
             seed=args.seed,
             backend=args.backend,
-            grid_engine=args.grid_engine,
         )
     else:
         from repro.experiments.chaos_fabric import chaos_sweep_resilient
@@ -638,7 +600,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             n_instructions=args.instructions,
             seed=args.seed,
             backend=args.backend,
-            grid_engine=args.grid_engine,
         )
         _emit_resilience_note(outcome)
         points = [p for p in outcome.results if p is not None]
@@ -696,7 +657,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
             cols=args.cols,
             seed=args.seed,
             backend=args.backend,
-            grid_engine=args.grid_engine,
         )
     else:
         from repro.experiments.lifecycle import lifecycle_sweep_resilient
@@ -711,7 +671,6 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
             cols=args.cols,
             seed=args.seed,
             backend=args.backend,
-            grid_engine=args.grid_engine,
         )
         _emit_resilience_note(outcome)
         points = [p for p in outcome.results if p is not None]
@@ -945,7 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     try:
         backend_from_env()
-        _grid_engine_from_env()
     except ValueError as exc:
         parser.error(str(exc))  # a usage error (exit 2), not a traceback
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1007,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(grid)
     _add_resilience_args(grid)
     _add_backend_arg(grid, "scalar")
-    _add_grid_engine_arg(grid)
     grid.set_defaults(fn=_cmd_grid)
 
     from repro.alu.variants import variant_names
@@ -1050,7 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(chaos)
     _add_resilience_args(chaos)
     _add_backend_arg(chaos, "scalar")
-    _add_grid_engine_arg(chaos)
     chaos.set_defaults(fn=_cmd_chaos)
 
     chaos_exec = sub.add_parser(
@@ -1165,7 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(lifecycle)
     _add_resilience_args(lifecycle)
     _add_backend_arg(lifecycle, "scalar")
-    _add_grid_engine_arg(lifecycle)
     lifecycle.set_defaults(fn=_cmd_lifecycle)
 
     bench = sub.add_parser(

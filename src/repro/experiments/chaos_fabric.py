@@ -100,7 +100,6 @@ def run_chaos_point(
     adaptive_routing: bool = False,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ) -> ChaosPoint:
     """Run one job through a fabric with the given link fault rates.
 
@@ -123,7 +122,6 @@ def run_chaos_point(
         crc_enabled=protected,
         seed=seed,
         backend=backend,
-        grid_engine=grid_engine,
     )
     instructions = chaos_workload(n_instructions)
     expected = expected_results(instructions)
@@ -165,7 +163,6 @@ def chaos_sweep(
     n_instructions: int = 48,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ) -> List[ChaosPoint]:
     """Sweep link fault rates x retry budgets, protected and bare."""
     points: List[ChaosPoint] = []
@@ -184,7 +181,6 @@ def chaos_sweep(
                         n_instructions=n_instructions,
                         seed=seed,
                         backend=backend,
-                        grid_engine=grid_engine,
                     )
                 )
     return points
@@ -216,7 +212,6 @@ def chaos_sweep_resilient(
     n_instructions: int = 48,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ):
     """:func:`chaos_sweep` under the crash-safe campaign runtime.
 
@@ -259,7 +254,6 @@ def chaos_sweep_resilient(
                 n_instructions=n_instructions,
                 seed=seed,
                 backend=backend,
-                grid_engine=grid_engine,
             )
             for task in chunk
         ]

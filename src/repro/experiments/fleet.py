@@ -2,9 +2,9 @@
 
 A 10^5-10^6-cell fleet under realistic per-cell fault rates is almost
 entirely quiescent, which is exactly what the event-driven
-:class:`~repro.grid.engine.SparseGrid` core exploits -- but one python
+:class:`~repro.grid.grid.NanoBoxGrid` exploits -- but one python
 process is still one core.  This module shards a huge fleet into
-independent column-band regions, runs each region as its own sparse
+independent column-band regions, runs each region as its own
 simulation (its own seed, its own fault streams), and folds the results
 back together:
 
@@ -27,7 +27,7 @@ while a *rolling quarantine wave* sweeps the columns: every
 ``wave_period`` cycles the wave advances one column and slams every
 cell in it past its error threshold, the watchdog quarantines them, and
 periodic canary probe rounds re-admit them -- continuous lifecycle churn
-at fleet scale, the sparse engine's worst realistic case.
+at fleet scale, the event-driven grid's worst realistic case.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ def run_fleet_region(
     heartbeat_decay: float = 1.0,
     readmit_clean_probes: int = 1,
     probe_interval: int = 64,
-    grid_engine: str = "sparse",
 ) -> RegionOutcome:
     """Soak one region: idle fabric + fault process + quarantine wave.
 
@@ -183,7 +182,6 @@ def run_fleet_region(
         ),
         temporal_fault_process=process,
         seed=region.seed,
-        grid_engine=grid_engine,
     )
     grid, watchdog, control = sim.grid, sim.watchdog, sim.control
     wave_hits = [0]
@@ -302,7 +300,6 @@ def run_fleet_soak(
     heartbeat_decay: float = 1.0,
     readmit_clean_probes: int = 1,
     probe_interval: int = 64,
-    grid_engine: str = "sparse",
 ) -> FleetReport:
     """Soak a sharded fleet; aggregate region outcomes into one report.
 
@@ -325,7 +322,6 @@ def run_fleet_soak(
         heartbeat_decay=heartbeat_decay,
         readmit_clean_probes=readmit_clean_probes,
         probe_interval=probe_interval,
-        grid_engine=grid_engine,
     )
     outcomes: List[RegionOutcome]
     if jobs <= 1 or len(shards) == 1:

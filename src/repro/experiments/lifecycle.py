@@ -136,7 +136,6 @@ def run_lifecycle_point(
     max_rounds: int = 3,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ) -> LifecyclePoint:
     """Run a job series through one fabric under one policy; measure it.
 
@@ -165,7 +164,6 @@ def run_lifecycle_point(
         n_words=n_words,
         seed=seed,
         backend=backend,
-        grid_engine=grid_engine,
     )
     total_cells = rows * cols
     alive_cell_cycles = [0, 0]
@@ -256,7 +254,6 @@ def lifecycle_sweep(
     max_rounds: int = 3,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ) -> List[LifecyclePoint]:
     """Sweep fault processes x lifecycle policies."""
     if processes is None:
@@ -279,7 +276,6 @@ def lifecycle_sweep(
                     max_rounds=max_rounds,
                     seed=seed,
                     backend=backend,
-                    grid_engine=grid_engine,
                 )
             )
     return points
@@ -313,7 +309,6 @@ def lifecycle_sweep_resilient(
     max_rounds: int = 3,
     seed: int = 2004,
     backend: Optional[str] = None,
-    grid_engine: str = "dense",
 ):
     """:func:`lifecycle_sweep` under the crash-safe campaign runtime.
 
@@ -371,7 +366,6 @@ def lifecycle_sweep_resilient(
                 max_rounds=max_rounds,
                 seed=seed,
                 backend=backend,
-                grid_engine=grid_engine,
             )
             for process_index, policy_index in chunk
         ]

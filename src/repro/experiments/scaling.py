@@ -40,9 +40,7 @@ class ExternalSurveyChecker:
 
     def __init__(self, grid: NanoBoxGrid) -> None:
         self._grid = grid
-        self._order: List[Coord] = sorted(
-            cell.cell_id for cell in grid.cells()
-        )
+        self._order: List[Coord] = list(grid.all_coords())
         self._pointer = 0
         self.cycles_polled = 0
 

@@ -1,9 +1,9 @@
 """Array-held temporal fault streams for a whole region of cells.
 
-The sparse grid engine must know *when* a quiescent cell's fault stream
-will next do something without ticking the cell every cycle.  The dense
-path (:class:`repro.faults.temporal.CellFaultStream`) draws exactly one
-uniform per alive, non-burst cycle from a ``PCG64`` generator seeded by
+The event-driven grid must know *when* a quiescent cell's fault stream
+will next do something without ticking the cell every cycle.  A
+per-cell stream (:class:`repro.faults.temporal.CellFaultStream`) draws
+exactly one uniform per alive, non-burst cycle from a ``PCG64`` generator seeded by
 ``SeedSequence([seed, salt, row, col])``; the sequence of outcomes is a
 pure function of that uniform stream plus the burst/death state.
 
@@ -24,9 +24,9 @@ per cell:
   when the kernel provider carries one, else in :func:`scan_numpy`;
   both leave each cell's registers after exactly the draws consumed.
 
-Aliveness is the *caller's* contract, exactly as on the dense path: the
-simulator never samples a dead cell, so the engine must only advance a
-stream over cycles the cell was alive.  Stream-level death (a permanent
+Aliveness is the *caller's* contract, exactly as for a per-cell stream:
+the simulator never samples a dead cell, so the scheduler must only
+advance a stream over cycles the cell was alive.  Stream-level death (a permanent
 onset) is tracked here and consumes no further draws.
 """
 

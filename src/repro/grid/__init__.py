@@ -29,7 +29,7 @@ from repro.grid.watchdog import (
     SalvageReport,
     Watchdog,
 )
-from repro.grid.engine import GridState, SparseGrid, TemporalScheduler
+from repro.grid.engine import GridState, TemporalScheduler
 from repro.grid.control import ControlProcessor, DeliveryStats, JobResult
 from repro.grid.simulator import GridSimulator, SimulationStats
 
@@ -55,7 +55,6 @@ __all__ = [
     "ResultPacket",
     "SalvageReport",
     "SimulationStats",
-    "SparseGrid",
     "TemporalScheduler",
     "Watchdog",
 ]

@@ -6,14 +6,55 @@ to the control processor, via one 8-bit edge bus per column -- is row
 ``rows - 1``; column addresses *decrease* moving right, so the leftmost
 column is ``cols - 1``.  There are no cross-grid buses: every packet moves
 hop by hop over the four nearest-neighbour links of each cell.
+
+The fabric is simulated event-driven: per-tick work is done only for the
+*active frontier*, so a cycle costs what happens in it rather than the
+grid area -- at realistic fault rates almost every cell of a large fleet
+is idle and healthy almost all of the time.
+
+* cells, buses, inboxes, and outboxes materialise lazily on first touch
+  (quiescent cells never exist as objects at all);
+* only busy buses tick, only non-empty inboxes route, only non-empty
+  outboxes drain;
+* only cells that hold work (or whose heartbeat is mid-transition) take
+  compute/shift-out actions; idle cells' ALU-scan pointers are fast
+  forwarded on demand;
+* the watchdog polls only *attention* cells -- those whose heartbeat
+  could do anything other than beat -- and every skipped quiescent beat
+  is credited in bulk the moment the cell is looked at;
+* temporal fault streams run from a due-date queue
+  (:class:`~repro.grid.engine.TemporalScheduler`) instead of sampling
+  every cell every cycle.
+
+Every skipped step is unobservable (an idle cell's compute step is a
+pure pointer increment, an idle bus tick is a no-op, a quiescent beat is
+a pure counter increment) and is replayed in bulk before it could be
+observed.  Per-cell and per-link PRNG streams are keyed by coordinate /
+link index, never by construction order, and iteration over the active
+sets follows the row-major / link-index order, so same-cycle event
+interleavings match.  The observable state therefore equals, bit for
+bit, that of a fabric doing per-cell work every cycle -- the reference
+the test suite keeps in ``tests/grid/dense_oracle.py``.  Custom
+``alu_factory`` callables must be construction-order independent (the
+built-in ones hand every cell one shared, stateless unit).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from functools import lru_cache, partial
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -92,8 +133,32 @@ LinkFaultPolicy = Union[
 ]
 
 
+class _LazyDict(dict):
+    """A dict that materialises missing entries through a factory.
+
+    ``d[key]`` on a missing key calls ``factory(key)``, stores, and
+    returns the result (a factory raising ``KeyError`` rejects the key).
+    ``d.get(key)`` and ``key in d`` never materialise -- the grid uses
+    them to ask "does this exist yet?" without creating it.
+    """
+
+    __slots__ = ("_factory",)
+
+    def __init__(self, factory: Callable[[object], object]) -> None:
+        super().__init__()
+        self._factory = factory
+
+    def __missing__(self, key):
+        value = self._factory(key)
+        self[key] = value
+        return value
+
+
 class NanoBoxGrid:
     """Grid of processor cells, buses, and the control-processor edge bus.
+
+    Construction is O(1) in the grid area: the fabric materialises on
+    demand (see the module docstring for the activity tracking).
 
     Args:
         rows: grid height (cells per column).
@@ -163,8 +228,7 @@ class NanoBoxGrid:
         self.cols = cols
         self.adaptive_routing = adaptive_routing
         self._hop_budget = default_hop_budget(rows, cols)
-        # Construction parameters kept for deferred (lazy) materialisation
-        # by the sparse engine subclass.
+        # Construction parameters kept for deferred materialisation.
         self._alu_factory = alu_factory
         self._mask_source_factory = mask_source_factory
         self._n_words = n_words
@@ -176,22 +240,14 @@ class NanoBoxGrid:
         self._router_mask_sources: Dict[Coord, MaskSource] = {}
         self.misroutes = 0
         self.invalid_routes = 0
-        self._cells: Dict[Coord, ProcessorCell] = {}
-        # Directed buses between neighbours plus per-column edge buses.
-        # When link fault injection or CRC framing is configured, links
-        # are built as FaultyBus / overhead-carrying Bus instances.
+        # Links are built as FaultyBus / overhead-carrying Bus instances
+        # when link fault injection or CRC framing is configured.
         self.crc_enabled = crc_enabled
         self._link_fault_config = link_fault_config
         self._link_fault_seed = link_fault_seed
         self.corrupt_rejects = 0
         self.cp_corrupt_rejects = 0
         self.link_dropped = 0
-        self._buses: Dict[Tuple[Coord, Coord], Bus] = {}
-        # Per-cell per-direction outbound queues of in-flight envelopes;
-        # forwarded traffic is queued ahead of locally generated traffic
-        # (paper Section 3.2.3).
-        self._outboxes: Dict[Coord, Dict[Direction, Deque[Envelope]]] = {}
-        self._inboxes: Dict[Coord, Deque[Envelope]] = {}
         self.cp_inbox: Deque[ResultPacket] = deque()
         self.dropped_packets: List[Packet] = []
         self._mode = CellMode.SHIFT_IN
@@ -199,44 +255,75 @@ class NanoBoxGrid:
         self._build_fabric()
 
     def _build_fabric(self) -> None:
-        """Materialise every cell, link, and queue eagerly (dense path).
-
-        The sparse engine overrides this with lazy construction; both
-        paths produce identical components for identical coordinates
-        because per-cell and per-link PRNG streams are keyed by
-        coordinate / link index, never by construction order.
-        """
+        """Set up the lazy fabric and its activity bookkeeping."""
         rows, cols = self.rows, self.cols
+        # Liveness mask: answers alive-queries for cells that were never
+        # materialised (always alive) without creating them.
+        self._alive = np.ones((rows, cols), dtype=bool)
+        # Per-column deepest dead row (-1 = none): closed-form
+        # reachability under the deterministic top-down routing rule.
+        self._col_max_dead = np.full(cols, -1, dtype=np.int64)
+        # Attention set: materialised cells whose heartbeat is not
+        # quiescent -- dead, suspect, or carrying a decaying score.  The
+        # watchdog polls exactly these; everyone else is bulk-credited.
+        self._attention: Set[Coord] = set()
+        # Cells the watchdog has taken out of service.  Their skipped
+        # polls earn no beats (a poll skips disabled cells before
+        # beating them).
+        self._wd_disabled: Set[Coord] = set()
+        self._polls = 0
+        self._synced_at_poll: Dict[Coord, int] = {}
+        # Cells taking real per-tick actions in the current phase.
+        self._phase_active: Set[Coord] = set()
+        self._phase_entry_cycle = 0
+        self._actions_done = True
+        # Occupancy bookkeeping: cells with unflushed memory mutations,
+        # per-cell (pending, completed) counts, and alive-gated totals.
+        self._mem_dirty: Set[Coord] = set()
+        self._cell_counts: Dict[Coord, Tuple[int, int]] = {}
+        self._total_pending = 0
+        self._total_completed = 0
+        # Active fabric: busy links, non-empty inboxes/outboxes.
+        self._active_buses: Set[Tuple[object, object]] = set()
+        self._active_inboxes: Set[Coord] = set()
+        self._active_outboxes: Set[Coord] = set()
+        # Stream index of every materialised link: the tick order key.
+        self._link_index: Dict[Tuple[object, object], int] = {}
+        self._alive_listeners: List[Callable[[Coord, bool], None]] = []
+        self._cells: Dict[Coord, ProcessorCell] = _LazyDict(
+            self._materialise_cell
+        )
+        # Directed buses between neighbours plus per-column edge buses.
+        self._buses: Dict[Tuple[object, object], Bus] = _LazyDict(
+            self._materialise_link
+        )
+        # Per-cell per-direction outbound queues of in-flight envelopes;
+        # forwarded traffic is queued ahead of locally generated traffic
+        # (paper Section 3.2.3).
+        self._outboxes: Dict[Coord, Dict[Direction, Deque[Envelope]]] = (
+            _LazyDict(self._materialise_outbox)
+        )
+        self._inboxes: Dict[Coord, Deque[Envelope]] = _LazyDict(
+            self._materialise_inbox
+        )
         if self._lut_router_scheme is not None:
+            # LUT routers are capped at 16x16 grids; build them eagerly
+            # so the routing path's truthiness check stays valid.
             for r in range(rows):
                 for c in range(cols):
                     self._materialise_router((r, c))
-        for r in range(rows):
-            for c in range(cols):
-                self._cells[(r, c)] = self._make_cell((r, c))
-        for r in range(rows):
-            for c in range(cols):
-                for direction in (Direction.UP, Direction.DOWN,
-                                  Direction.LEFT, Direction.RIGHT):
-                    nr, nc = direction.step(r, c)
-                    if 0 <= nr < rows and 0 <= nc < cols:
-                        key = ((r, c), (nr, nc))
-                        if key not in self._buses:
-                            self._buses[key] = self._make_bus(*key)
-        top = rows - 1
-        for c in range(cols):
-            for key in ((CONTROL_PROCESSOR, (top, c)),
-                        ((top, c), CONTROL_PROCESSOR)):
-                self._buses[key] = self._make_bus(*key)
-        self._outboxes.update(
-            (coord, self._make_outbox()) for coord in self._cells
-        )
-        self._inboxes.update((coord, deque()) for coord in self._cells)
 
     # ----------------------------------------------------- component factories
 
+    def _in_bounds(self, coord) -> bool:
+        return (
+            coord != CONTROL_PROCESSOR
+            and 0 <= coord[0] < self.rows
+            and 0 <= coord[1] < self.cols
+        )
+
     def _make_cell(self, coord: Coord) -> ProcessorCell:
-        """Build one processor cell exactly as the eager loop would."""
+        """Build one processor cell from the construction parameters."""
         source = (
             self._mask_source_factory(coord)
             if self._mask_source_factory
@@ -252,6 +339,19 @@ class NanoBoxGrid:
             heartbeat_decay=self._heartbeat_decay,
         )
 
+    def _materialise_cell(self, coord: Coord) -> ProcessorCell:
+        if not self._in_bounds(coord):
+            raise KeyError(coord)
+        cell = self._make_cell(coord)
+        cell.set_mode(self._mode)
+        # The cell was quiescent (untouched) for every poll so far; pay
+        # those beats before hooking the watcher.
+        cell.heartbeat.credit_beats(self._polls)
+        self._synced_at_poll[coord] = self._polls
+        cell.heartbeat.watcher = partial(self._on_heartbeat, coord)
+        cell.memory.on_mutate = partial(self._on_memory, coord)
+        return cell
+
     def _materialise_router(self, coord: Coord) -> None:
         from repro.cell.lutrouter import LUTRouter
 
@@ -261,6 +361,33 @@ class NanoBoxGrid:
             if self._router_mask_source_factory
             else _no_faults
         )
+
+    def _materialise_link(self, key) -> Bus:
+        src, dst = key
+        if src == CONTROL_PROCESSOR:
+            valid = self._in_bounds(dst) and dst[0] == self.top_row
+        elif dst == CONTROL_PROCESSOR:
+            valid = self._in_bounds(src) and src[0] == self.top_row
+        else:
+            valid = (
+                self._in_bounds(src)
+                and self._in_bounds(dst)
+                and abs(src[0] - dst[0]) + abs(src[1] - dst[1]) == 1
+            )
+        if not valid:
+            raise KeyError(key)
+        self._link_index[key] = self._link_stream_index(src, dst)
+        return self._make_bus(src, dst)
+
+    def _materialise_outbox(self, coord: Coord):
+        if not self._in_bounds(coord):
+            raise KeyError(coord)
+        return self._make_outbox()
+
+    def _materialise_inbox(self, coord: Coord):
+        if not self._in_bounds(coord):
+            raise KeyError(coord)
+        return deque()
 
     @staticmethod
     def _make_outbox() -> Dict[Direction, Deque[Envelope]]:
@@ -275,12 +402,11 @@ class NanoBoxGrid:
     def _link_stream_index(self, src, dst) -> int:
         """Deterministic PRNG-stream index of a directed link.
 
-        Closed-form equivalent of the historical running counter over the
-        eager construction order (mesh links row-major by source cell in
-        UP, DOWN, LEFT, RIGHT order; then the per-column CP edge pairs),
-        so lazily built links draw from the same per-link streams as the
-        dense fabric.  Pinned against the enumeration order by
-        ``tests/grid/test_grid.py``.
+        The position of the link in the full fabric's enumeration order
+        (mesh links row-major by source cell in UP, DOWN, LEFT, RIGHT
+        order; then the per-column CP edge pairs), in closed form, so a
+        link draws from the same stream whenever it is built.  Pinned
+        against the enumeration order by ``tests/grid/test_grid.py``.
         """
         rows, cols = self.rows, self.cols
         mesh_total = 2 * (rows * (cols - 1) + cols * (rows - 1))
@@ -335,6 +461,121 @@ class NanoBoxGrid:
             flit_overhead=overhead,
         )
 
+    # ---------------------------------------------------------------- watchers
+
+    def add_alive_listener(self, listener: Callable[[Coord, bool], None]) -> None:
+        """Register ``listener(coord, healthy)`` for liveness flips."""
+        self._alive_listeners.append(listener)
+
+    def _on_heartbeat(self, coord: Coord, _heartbeat=None) -> None:
+        """Heartbeat watcher: maintain the mask and the attention set."""
+        cell = self._cells[coord]
+        heartbeat = cell.heartbeat
+        healthy = heartbeat.healthy
+        if healthy != bool(self._alive[coord]):
+            # Settle occupancy under the old gate, then flip it and move
+            # the whole cell's counts across the alive boundary.
+            if coord in self._mem_dirty:
+                self._flush_cell(coord)
+            pending, completed = self._cell_counts.get(coord, (0, 0))
+            if healthy:
+                self._alive[coord] = True
+                self._total_pending += pending
+                self._total_completed += completed
+                col = coord[1]
+                dead = np.nonzero(~self._alive[:, col])[0]
+                self._col_max_dead[col] = int(dead[-1]) if dead.size else -1
+            else:
+                self._total_pending -= pending
+                self._total_completed -= completed
+                self._alive[coord] = False
+                if coord[0] > self._col_max_dead[coord[1]]:
+                    self._col_max_dead[coord[1]] = coord[0]
+            for listener in self._alive_listeners:
+                listener(coord, healthy)
+        if heartbeat.quiescent():
+            if coord in self._attention:
+                self._attention.discard(coord)
+                # Every poll so far reached this cell live.
+                self._synced_at_poll[coord] = self._polls
+        elif coord not in self._attention:
+            self._credit_deficit(coord)
+            self._attention.add(coord)
+            self._join_phase(coord)
+
+    def _on_memory(self, coord: Coord) -> None:
+        """Memory watcher: dirty the counts, pull the cell into the phase."""
+        self._mem_dirty.add(coord)
+        self._join_phase(coord)
+
+    def _credit_deficit(self, coord: Coord) -> None:
+        """Repay the beats a quiescent cell was owed for skipped polls.
+
+        No-op for attention cells (they are polled live) and a pure
+        bookkeeping reset for watchdog-disabled cells (a poll skips them
+        before beating, so nothing is owed).
+        """
+        if coord in self._attention:
+            return
+        owed = self._polls - self._synced_at_poll[coord]
+        if owed and coord not in self._wd_disabled:
+            self._cells[coord].heartbeat.credit_beats(owed)
+        self._synced_at_poll[coord] = self._polls
+
+    def on_cell_disabled(self, coord: Coord) -> None:
+        """Watchdog hook: ``coord`` was quarantined/retired."""
+        self._credit_deficit(coord)
+        self._wd_disabled.add(coord)
+
+    def on_cell_enabled(self, coord: Coord) -> None:
+        """Watchdog hook: ``coord`` was re-admitted to service."""
+        self._wd_disabled.discard(coord)
+        self._synced_at_poll[coord] = self._polls
+
+    # ------------------------------------------------------- phase bookkeeping
+
+    def _phase_ticks(self) -> int:
+        """Per-cell actions every alive cell has taken this phase."""
+        ticks = self._cycle - self._phase_entry_cycle
+        if not self._actions_done:
+            ticks -= 1
+        return max(ticks, 0)
+
+    def _join_phase(self, coord: Coord) -> None:
+        """Make a cell a per-tick actor for the rest of the phase.
+
+        Joining cells were continuously alive and action-free since the
+        phase began (anything observable would have joined them sooner),
+        so the only trace of their skipped actions is the scan pointer
+        -- replayed here in O(1).
+        """
+        if self._mode is CellMode.SHIFT_IN or coord in self._phase_active:
+            return
+        cell = self._cells[coord]
+        ticks = self._phase_ticks()
+        if self._mode is CellMode.COMPUTE:
+            cell.aluctrl.sync_pointer(ticks % cell.memory.n_words)
+        elif ticks > 0:  # SHIFT_OUT: the first idle pop exhausts the scan
+            cell.fast_forward_shift_out()
+        self._phase_active.add(coord)
+
+    # ------------------------------------------------------ occupancy tracking
+
+    def _flush_cell(self, coord: Coord) -> None:
+        cell = self._cells[coord]
+        pending = sum(1 for _ in cell.memory.pending_words())
+        completed = sum(1 for _ in cell.memory.completed_words())
+        old_pending, old_completed = self._cell_counts.get(coord, (0, 0))
+        if self._alive[coord]:
+            self._total_pending += pending - old_pending
+            self._total_completed += completed - old_completed
+        self._cell_counts[coord] = (pending, completed)
+        self._mem_dirty.discard(coord)
+
+    def _flush_mem_dirty(self) -> None:
+        for coord in list(self._mem_dirty):
+            self._flush_cell(coord)
+
     # ------------------------------------------------------------- topology
 
     @property
@@ -343,61 +584,69 @@ class NanoBoxGrid:
         return self.rows - 1
 
     def cell(self, row: int, col: int) -> ProcessorCell:
+        """The cell at ``(row, col)``, materialised and with its beats paid."""
+        coord = (row, col)
         try:
-            return self._cells[(row, col)]
+            cell = self._cells[coord]
         except KeyError:
             raise IndexError(
                 f"no cell at ({row}, {col}) in a {self.rows}x{self.cols} grid"
             ) from None
+        self._credit_deficit(coord)
+        return cell
 
     def cells(self) -> Iterator[ProcessorCell]:
-        """All cells, row-major."""
-        return iter(self._cells.values())
+        """Materialised cells only (the working set), row-major.
+
+        A cell that was never touched is alive, idle, and has empty
+        memory; :meth:`iter_cell_states` reports it without building it.
+        """
+        coords = sorted(self._cells.keys())
+        for coord in coords:
+            self._credit_deficit(coord)
+        return iter([self._cells[c] for c in coords])
 
     def all_coords(self) -> Iterator[Coord]:
         """Every cell coordinate, row-major, without materialising cells."""
         return ((r, c) for r in range(self.rows) for c in range(self.cols))
 
     def _cell_alive(self, coord: Coord) -> bool:
-        """Liveness predicate; the sparse engine answers from its mask."""
-        return self._cells[coord].alive
+        """Liveness predicate, answered from the mask."""
+        return bool(self._alive[coord])
 
     def alive_cells(self) -> List[Coord]:
         """Coordinates of all cells whose heartbeat is healthy."""
-        return [coord for coord, cell in self._cells.items() if cell.alive]
+        rows_idx, cols_idx = np.nonzero(self._alive)
+        return [(int(r), int(c)) for r, c in zip(rows_idx, cols_idx)]
 
     def alive_indices(self) -> np.ndarray:
         """Row-major flat indices (``row * cols + col``) of alive cells."""
-        return np.array(
-            [r * self.cols + c for r, c in self.alive_cells()], dtype=np.int64
-        )
+        return np.flatnonzero(self._alive)
 
     def alive_count(self) -> int:
-        """Number of alive cells (the sparse engine answers from its mask)."""
-        return len(self.alive_cells())
-
-    def on_cell_disabled(self, coord: Coord) -> None:
-        """Watchdog hook: ``coord`` was quarantined/retired (no-op here)."""
-
-    def on_cell_enabled(self, coord: Coord) -> None:
-        """Watchdog hook: ``coord`` was re-admitted to service (no-op here)."""
+        """Number of alive cells."""
+        return int(self._alive.sum())
 
     def poll_candidates(self) -> Iterator[ProcessorCell]:
         """Cells the watchdog must actually sample this poll.
 
-        Dense: everyone.  The sparse engine narrows this to cells whose
-        heartbeat could change state or miss a beat (non-quiescent),
-        bulk-crediting the skipped quiescent beats instead.
+        The attention cells, row-major: those whose heartbeat could
+        change state or miss a beat.  Counts the poll, so every other
+        cell is owed one beat, credited in bulk when it is next looked
+        at.
         """
-        return self.cells()
+        self._polls += 1
+        return iter([self._cells[c] for c in sorted(self._attention)])
 
     def free_capacity(self, coord: Coord) -> int:
-        """Free memory words at one cell (lazy-friendly accessor)."""
-        cell = self._cells.get(coord)
-        if cell is None:
+        """Free memory words at one cell (never materialises it)."""
+        if not self._in_bounds(coord):
             raise IndexError(
                 f"no cell at {coord} in a {self.rows}x{self.cols} grid"
             )
+        cell = self._cells.get(coord)
+        if cell is None:
+            return self._n_words
         return cell.memory.n_words - cell.memory.occupancy()
 
     def neighbours(self, row: int, col: int) -> Dict[Direction, Coord]:
@@ -424,12 +673,11 @@ class NanoBoxGrid:
             raise IndexError(
                 f"no cell at ({row}, {col}) in a {self.rows}x{self.cols} grid"
             )
-        if not self._cell_alive((row, col)):
+        if not self._alive[row, col]:
             return False
         if not self.adaptive_routing:
-            return all(
-                self._cell_alive((r, col)) for r in range(row + 1, self.rows)
-            )
+            # Reachable iff nothing above it in the column is dead.
+            return row >= self._col_max_dead[col]
         # BFS over alive cells from every alive top-row entry point.
         frontier = [
             (self.top_row, c)
@@ -461,8 +709,21 @@ class NanoBoxGrid:
     def set_mode(self, mode: CellMode) -> None:
         """Broadcast a mode switch to every cell (control-processor lines)."""
         self._mode = mode
+        self._phase_entry_cycle = self._cycle
+        self._actions_done = True
         for cell in self._cells.values():
             cell.set_mode(mode)
+        if mode is CellMode.SHIFT_IN:
+            self._phase_active = set()
+            return
+        self._flush_mem_dirty()
+        field = 0 if mode is CellMode.COMPUTE else 1
+        self._phase_active = {
+            coord
+            for coord, counts in self._cell_counts.items()
+            if counts[field] > 0
+        }
+        self._phase_active.update(self._attention)
 
     # ----------------------------------------------------------- CP traffic
 
@@ -498,10 +759,11 @@ class NanoBoxGrid:
         column = self.injection_column(packet.dest_col)
         if column is None:
             raise RuntimeError("no alive top-row cell to inject through")
-        top_cell = (self.top_row, column)
-        return self._buses[(CONTROL_PROCESSOR, top_cell)].try_send(
-            Envelope(packet)
-        )
+        key = (CONTROL_PROCESSOR, (self.top_row, column))
+        sent = self._buses[key].try_send(Envelope(packet))
+        if sent:
+            self._active_buses.add(key)
+        return sent
 
     def cp_bus_busy(self, col: int) -> bool:
         """True while column ``col``'s downstream edge bus is occupied."""
@@ -518,16 +780,21 @@ class NanoBoxGrid:
     def step(self) -> None:
         """Advance the whole fabric one clock cycle."""
         self._cycle += 1
+        self._actions_done = False
         self._tick_buses()
         self._route_inboxes()
         self._cell_actions()
+        self._actions_done = True
         self._drain_outboxes()
 
     def _tick_buses(self) -> None:
-        for (_, dst), bus in self._buses.items():
+        for key in sorted(self._active_buses, key=self._link_index.__getitem__):
+            bus = self._buses[key]
             delivered = bus.tick()
             if delivered is not None:
-                self._handle_bus_delivery(dst, delivered)
+                self._handle_bus_delivery(key[1], delivered)
+            if not bus.busy:
+                self._active_buses.discard(key)
 
     def _handle_bus_delivery(self, dst, delivered) -> None:
         """Resolve one bus delivery (or fault event) at its receiver."""
@@ -555,6 +822,7 @@ class NanoBoxGrid:
                 self.dropped_packets.append(delivered.packet)
         elif self._cell_alive(dst):
             self._inboxes[dst].append(delivered)
+            self._active_inboxes.add(dst)
         else:
             # The fabric around a disabled cell ceases delivering to it.
             self.dropped_packets.append(delivered.packet)
@@ -673,7 +941,8 @@ class NanoBoxGrid:
             self._outboxes[coord][direction].append(envelope.forwarded(coord))
 
     def _route_inboxes(self) -> None:
-        for coord, inbox in self._inboxes.items():
+        for coord in sorted(self._active_inboxes):
+            inbox = self._inboxes[coord]
             cell = self._cells[coord]
             while inbox:
                 envelope = inbox.popleft()
@@ -681,6 +950,9 @@ class NanoBoxGrid:
                     self.dropped_packets.append(envelope.packet)
                     continue
                 self._route_one(coord, envelope)
+            self._active_inboxes.discard(coord)
+            if any(self._outboxes[coord].values()):
+                self._active_outboxes.add(coord)
 
     def _result_exit(self, coord: Coord) -> Optional[Direction]:
         """Direction a freshly popped result should leave through."""
@@ -695,12 +967,16 @@ class NanoBoxGrid:
         )
 
     def _cell_actions(self) -> None:
-        for coord, cell in self._cells.items():
-            if not cell.alive:
-                continue
-            if self._mode is CellMode.COMPUTE:
-                cell.compute_step()
-            elif self._mode is CellMode.SHIFT_OUT:
+        if self._mode is CellMode.COMPUTE:
+            for coord in sorted(self._phase_active):
+                cell = self._cells[coord]
+                if cell.alive:
+                    cell.compute_step()
+        elif self._mode is CellMode.SHIFT_OUT:
+            for coord in sorted(self._phase_active):
+                cell = self._cells[coord]
+                if not cell.alive:
+                    continue
                 exit_direction = self._result_exit(coord)
                 if exit_direction is None:
                     continue  # isolated cell: keep results until retry
@@ -712,13 +988,16 @@ class NanoBoxGrid:
                         exit_queue.append(
                             Envelope(ResultPacket(iid, result), prev=coord)
                         )
+                        self._active_outboxes.add(coord)
 
     def _drain_outboxes(self) -> None:
-        for coord, queues in self._outboxes.items():
-            if not self._cells[coord].alive:
+        for coord in sorted(self._active_outboxes):
+            queues = self._outboxes[coord]
+            if not self._cell_alive(coord):
                 for queue in queues.values():
                     while queue:
                         self.dropped_packets.append(queue.popleft().packet)
+                self._active_outboxes.discard(coord)
                 continue
             for direction, queue in queues.items():
                 if not queue:
@@ -729,9 +1008,12 @@ class NanoBoxGrid:
                     # except the top row's link to the control processor.
                     self.dropped_packets.append(queue.popleft().packet)
                     continue
-                bus = self._buses[(coord, target)]
-                if bus.try_send(queue[0]):
+                key = (coord, target)
+                if self._buses[key].try_send(queue[0]):
                     queue.popleft()
+                    self._active_buses.add(key)
+            if not any(queues.values()):
+                self._active_outboxes.discard(coord)
 
     def _bus_target(self, coord: Coord, direction: Direction):
         row, col = coord
@@ -746,30 +1028,29 @@ class NanoBoxGrid:
 
     def idle(self) -> bool:
         """True when no packet is in flight, queued, or undelivered."""
-        if any(bus.busy for bus in self._buses.values()):
-            return False
-        if any(self._inboxes[c] for c in self._cells):
-            return False
-        for queues in self._outboxes.values():
-            if any(queues[d] for d in queues):
+        for key in list(self._active_buses):
+            if self._buses[key].busy:
                 return False
+            self._active_buses.discard(key)
+        for coord in list(self._active_inboxes):
+            if self._inboxes[coord]:
+                return False
+            self._active_inboxes.discard(coord)
+        for coord in list(self._active_outboxes):
+            if any(self._outboxes[coord].values()):
+                return False
+            self._active_outboxes.discard(coord)
         return True
 
     def total_pending_instructions(self) -> int:
         """Valid, not-yet-computed words across all alive cells."""
-        return sum(
-            sum(1 for _ in cell.memory.pending_words())
-            for cell in self._cells.values()
-            if cell.alive
-        )
+        self._flush_mem_dirty()
+        return self._total_pending
 
     def total_completed_instructions(self) -> int:
         """Computed words awaiting shift-out across all alive cells."""
-        return sum(
-            sum(1 for _ in cell.memory.completed_words())
-            for cell in self._cells.values()
-            if cell.alive
-        )
+        self._flush_mem_dirty()
+        return self._total_completed
 
     def _cell_state_record(self, cell: ProcessorCell) -> Dict[str, object]:
         """Canonical observable state of one cell (plain python values)."""
@@ -790,11 +1071,37 @@ class NanoBoxGrid:
         """Yield ``(coord, record)`` for every cell, row-major.
 
         The record covers every field observable through the public cell
-        API; the sparse engine overrides this to synthesise records for
-        never-materialised cells, so snapshots compare across engines.
+        API.  Never-materialised cells get the record of a fresh cell
+        that has beaten every poll, without being built.
         """
+        virtual = None
         for coord in self.all_coords():
-            yield coord, self._cell_state_record(self._cells[coord])
+            cell = self._cells.get(coord)
+            if cell is None:
+                if virtual is None:
+                    virtual = {
+                        "alive": True,
+                        "forced_silent": False,
+                        "errors": 0,
+                        "score": 0.0,
+                        "beats": self._polls,
+                        "computed": 0,
+                        "disagreements": 0,
+                        "rejected": 0,
+                        "words": (0,) * self._n_words,
+                    }
+                yield coord, virtual
+            else:
+                self._credit_deficit(coord)
+                yield coord, self._cell_state_record(cell)
+
+    def _first_link_key(self):
+        """Key of the link with stream index 0."""
+        if self.rows > 1:
+            return ((0, 0), (1, 0))
+        if self.cols > 1:
+            return ((0, 0), (0, 1))
+        return (CONTROL_PROCESSOR, (self.top_row, 0))
 
     def bus_statistics(self) -> "BusStatistics":
         """Aggregate link-utilisation counters since construction.
@@ -806,23 +1113,38 @@ class NanoBoxGrid:
         """
         if self._cycle == 0:
             return BusStatistics(0, 0.0, 0.0, 0.0, "")
-        mesh_util: List[float] = []
-        edge_util: List[float] = []
+        mesh_links = 2 * (
+            self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
+        )
+        edge_links = 2 * self.cols
+        # Sum per-link utilisations individually, in link-index order:
+        # the never-materialised links contribute exactly 0.0, which is
+        # the identity of float addition, so the partial sums -- and
+        # hence the averages -- equal a loop over the full fabric.
+        mesh_sum = 0.0
+        edge_sum = 0.0
+        delivered = 0
         busiest_name = ""
         busiest_util = -1.0
-        for (src, dst), bus in self._buses.items():
+        for (src, dst), bus in sorted(
+            self._buses.items(), key=lambda item: self._link_index[item[0]]
+        ):
             utilisation = bus.busy_cycles / self._cycle
+            delivered += bus.delivered_count
             if CONTROL_PROCESSOR in (src, dst):
-                edge_util.append(utilisation)
+                edge_sum += utilisation
             else:
-                mesh_util.append(utilisation)
+                mesh_sum += utilisation
             if utilisation > busiest_util:
                 busiest_util = utilisation
                 busiest_name = bus.name
+        if busiest_util <= 0.0:
+            # All-zero utilisation: name the first link of the fabric.
+            busiest_name = self._buses[self._first_link_key()].name
         return BusStatistics(
-            delivered=sum(b.delivered_count for b in self._buses.values()),
-            mesh_utilisation=sum(mesh_util) / len(mesh_util) if mesh_util else 0.0,
-            edge_utilisation=sum(edge_util) / len(edge_util) if edge_util else 0.0,
+            delivered=delivered,
+            mesh_utilisation=mesh_sum / mesh_links if mesh_links else 0.0,
+            edge_utilisation=edge_sum / edge_links,
             peak_utilisation=max(busiest_util, 0.0),
             busiest_link=busiest_name,
         )

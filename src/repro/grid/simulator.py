@@ -20,15 +20,12 @@ from repro.cell.memory import memory_layout
 from repro.faults.mask import MaskPolicy
 from repro.faults.temporal import TemporalFaultProcess
 from repro.grid.control import ControlProcessor, JobInstruction, JobResult
-from repro.grid.engine import SparseGrid, TemporalScheduler
+from repro.grid.engine import TemporalScheduler
 from repro.grid.grid import Coord, LinkFaultPolicy, NanoBoxGrid
 from repro.grid.watchdog import CellState, LifecyclePolicy, Watchdog
 
 from repro.workloads.bitmap import Bitmap
 from repro.workloads.imaging import ImageWorkload
-
-#: Valid ``grid_engine`` selections (mirrors the ALU ``backend`` tiers).
-GRID_ENGINES = ("dense", "sparse", "auto")
 
 
 def draw_memory_upsets(
@@ -153,16 +150,10 @@ class GridSimulator:
             always batch every quarantined cell on the fastest tier
             that lowers the unit, whatever this says.  Results are
             bit-identical on every tier.
-        grid_engine: fabric evaluation tier.  ``dense`` (default) does
-            per-cell work every cycle; ``sparse`` is the event-driven
-            :class:`~repro.grid.engine.SparseGrid` core, bit-identical
-            to dense but with per-cycle cost proportional to the active
-            frontier rather than the grid area; ``auto`` resolves to
-            sparse.  Every configuration runs on both engines:
-            persistent memory upsets draw one tick's counts for all
-            alive cells in one vectorised call that consumes the shared
-            upset RNG exactly as a per-cell loop would, and materialise
-            only the cells they hit.
+        grid_engine: accepted for compatibility and must be ``"auto"``:
+            there is one fabric engine.  The every-cell, every-cycle
+            reference fabric lives with the tests
+            (``tests/grid/dense_oracle.py``).
     """
 
     def __init__(
@@ -187,7 +178,7 @@ class GridSimulator:
         crc_enabled: bool = False,
         seed: int = 0,
         backend: Optional[str] = None,
-        grid_engine: str = "dense",
+        grid_engine: str = "auto",
     ) -> None:
         if memory_upset_rate < 0 or memory_upset_rate >= 1:
             raise ValueError(
@@ -197,13 +188,12 @@ class GridSimulator:
             raise ValueError(
                 f"scrub_interval must be non-negative, got {scrub_interval}"
             )
-        if grid_engine not in GRID_ENGINES:
+        if grid_engine != "auto":
             raise ValueError(
-                f"unknown grid_engine {grid_engine!r}; valid: {GRID_ENGINES}"
+                f"grid_engine must be 'auto', got {grid_engine!r}: the "
+                "simulator has one fabric engine (the dense reference "
+                "grid is the test oracle in tests/grid/dense_oracle.py)"
             )
-        resolved_engine = "sparse" if grid_engine == "auto" else grid_engine
-        #: Fabric tier actually in use ("dense" or "sparse").
-        self.grid_engine = resolved_engine
         self._rng = np.random.default_rng(seed)
         self._alu_policy = alu_fault_policy
         self._memory_upset_rate = memory_upset_rate
@@ -260,8 +250,7 @@ class GridSimulator:
 
                 return source
 
-        grid_cls = SparseGrid if resolved_engine == "sparse" else NanoBoxGrid
-        self.grid = grid_cls(
+        self.grid = NanoBoxGrid(
             rows,
             cols,
             alu_factory=alu_factory,
@@ -281,25 +270,12 @@ class GridSimulator:
             memory_salvageable=memory_salvageable,
             policy=lifecycle_policy or LifecyclePolicy(),
         )
-        self._temporal_process = temporal_fault_process
-        self._temporal_streams = {}
         self._temporal_scheduler = None
         self._temporal_events = 0
         if temporal_fault_process is not None:
-            if resolved_engine == "sparse":
-                # Event-driven twin of the per-cell streams: same
-                # per-cell seeds, applied from a due-date queue instead
-                # of sampling every cell every cycle.
-                self._temporal_scheduler = TemporalScheduler(
-                    self.grid, temporal_fault_process, seed
-                )
-            else:
-                self._temporal_streams = {
-                    cell.cell_id: temporal_fault_process.attach(
-                        cell.cell_id, seed
-                    )
-                    for cell in self.grid.cells()
-                }
+            self._temporal_scheduler = TemporalScheduler(
+                self.grid, temporal_fault_process, seed
+            )
         self.control = ControlProcessor(
             self.grid,
             watchdog=self.watchdog,
@@ -322,20 +298,6 @@ class GridSimulator:
     def _apply_temporal_faults(self) -> None:
         if self._temporal_scheduler is not None:
             self._temporal_events += self._temporal_scheduler.tick()
-            return
-        if not self._temporal_streams:
-            return
-        for cell in self.grid.cells():
-            if not cell.alive:
-                continue
-            event = self._temporal_streams[cell.cell_id].sample()
-            if event.quiet:
-                continue
-            self._temporal_events += 1
-            if event.kill:
-                self.grid.kill_cell(*cell.cell_id)
-            elif event.errors:
-                cell.heartbeat.record_error(event.errors)
 
     def _apply_memory_upsets(self) -> None:
         if self._memory_upset_rate <= 0:

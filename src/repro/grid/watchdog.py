@@ -248,9 +248,9 @@ class Watchdog:
         Returns the salvage reports generated this poll (usually empty).
         """
         new_reports: List[SalvageReport] = []
-        # Dense grids yield every cell; the sparse engine yields only
-        # cells whose heartbeat could do anything but beat (and credits
-        # the skipped quiescent beats in bulk afterwards).
+        # The grid yields only cells whose heartbeat could do anything
+        # but beat, and credits the skipped quiescent beats in bulk
+        # afterwards.
         for cell in self._grid.poll_candidates():
             coord = cell.cell_id
             if coord in self._disabled:
@@ -433,8 +433,8 @@ class Watchdog:
 
         words = cell.extract_pending()
         if not words:
-            # Nothing to place: skip building (and, on the sparse
-            # engine, materialising) the candidate neighbours.
+            # Nothing to place: skip building (and materialising) the
+            # candidate neighbours.
             return SalvageReport(
                 failed_cell=coord,
                 cycle=self._grid.cycle,

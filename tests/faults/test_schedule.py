@@ -2,7 +2,7 @@
 
 ``StreamBank`` must replay every cell's ``CellFaultStream`` draw for
 draw -- one cycle at a time and via bulk ``advance`` jumps -- because
-the sparse engine's bit-identity contract rests on this equivalence.
+the event-driven grid's bit-identity contract rests on this equivalence.
 Its vectorised seeding must equal ``PCG64(SeedSequence([seed, salt,
 row, col]))`` register for register, and the native tape scan must
 equal the NumPy body hit for hit and register for register.

@@ -1,20 +1,21 @@
-"""Differential suite pinning the sparse engine to the dense simulator.
+"""Differential suite pinning the event-driven grid to the dense oracle.
 
-The event-driven :class:`~repro.grid.engine.SparseGrid` claims *bit
-identity* with :class:`~repro.grid.grid.NanoBoxGrid`: for equal
-construction parameters and seeds, every observable -- watchdog
-transitions, heartbeat scores and beat counts, delivery statistics,
-memory images, bus statistics, dropped-packet sequences -- must match
-tick for tick.  These tests drive both engines through identical
-scenarios and compare full :class:`~repro.grid.engine.GridState`
-snapshots, across all three temporal fault kinds, persistent memory
-upsets, link faults, load shedding, and a matrix of seeds and grid
-sizes.
+The event-driven :class:`~repro.grid.grid.NanoBoxGrid` claims *bit
+identity* with :class:`~tests.grid.dense_oracle.DenseGrid`, which does
+per-cell work every cycle: for equal construction parameters and seeds,
+every observable -- watchdog transitions, heartbeat scores and beat
+counts, delivery statistics, memory images, bus statistics,
+dropped-packet sequences -- must match tick for tick.  These tests drive
+both through identical scenarios and compare full
+:class:`~repro.grid.engine.GridState` snapshots, across all three
+temporal fault kinds, persistent memory upsets, link faults, load
+shedding, and a matrix of seeds and grid sizes.
 """
 
 import random
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -28,9 +29,10 @@ from repro.grid import (
     LifecyclePolicy,
     LinkFaultConfig,
     NanoBoxGrid,
-    SparseGrid,
+    TemporalScheduler,
     Watchdog,
 )
+from tests.grid.dense_oracle import ENGINES, DenseGrid, dense_engine
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import hue_shift, reverse_video
 
@@ -51,10 +53,11 @@ def workload(n, seed=0):
 
 
 def snapshots(sim_kwargs, run):
-    """Run the same scenario on both engines; return their states."""
+    """Run the same scenario on the oracle, then the grid; return states."""
     states = []
-    for engine in ("dense", "sparse"):
-        sim = GridSimulator(grid_engine=engine, **sim_kwargs)
+    for engine in (dense_engine, nullcontext):
+        with engine():
+            sim = GridSimulator(**sim_kwargs)
         observed = run(sim)
         states.append(
             (GridState.from_grid(sim.grid, sim.watchdog), observed)
@@ -63,17 +66,13 @@ def snapshots(sim_kwargs, run):
 
 
 def assert_identical(sim_kwargs, run):
-    (dense_state, dense_obs), (sparse_state, sparse_obs) = snapshots(
-        sim_kwargs, run
-    )
-    assert dense_state == sparse_state, "\n".join(
-        dense_state.diff(sparse_state)[:20]
-    )
-    assert dense_obs == sparse_obs
+    (oracle_state, oracle_obs), (state, obs) = snapshots(sim_kwargs, run)
+    assert oracle_state == state, "\n".join(oracle_state.diff(state)[:20])
+    assert oracle_obs == obs
 
 
 def first_onset(process, seed, coord, horizon=200):
-    """Cycle of a cell's first fault event, by the dense stream oracle."""
+    """Cycle of a cell's first fault event, by the per-cell stream."""
     stream = process.attach(coord, seed)
     for cycle in range(1, horizon + 1):
         if not stream.sample().quiet:
@@ -105,7 +104,7 @@ RESCAN_TICK = 64
 
 @pytest.mark.usefixtures("kernel_provider")
 class TestTemporalFaultKinds:
-    """Sparse == dense under each temporal fault taxonomy class, with the
+    """Grid == oracle under each temporal fault taxonomy class, with the
     native tape scan live and dead."""
 
     @pytest.mark.parametrize(
@@ -210,7 +209,7 @@ class TestTemporalFaultKinds:
     def test_quarantine_wave_suspends_pending_entries(self):
         """A rolling wave quarantines cells with events and rescans still
         pending; probes re-admit them and the entries resume on the same
-        alive-cycle the dense sampler reaches."""
+        alive-cycle the per-cell sampler reaches."""
         process = TemporalFaultProcess.transient(0.03)
 
         def run(sim):
@@ -246,7 +245,7 @@ class TestTemporalFaultKinds:
         kwargs = dict(
             IDLE, temporal_fault_process=TemporalFaultProcess.transient(0.0)
         )
-        sim = GridSimulator(grid_engine="sparse", **kwargs)
+        sim = GridSimulator(**kwargs)
         assert batches == [36]
         sim.control.tick(RESCAN_TICK - 1)
         assert batches == [36]
@@ -383,7 +382,7 @@ class TestSizeSeedMatrix:
 
 @pytest.mark.usefixtures("kernel_provider")
 class TestMemoryUpsets:
-    """Sparse == dense with persistent memory upsets, which draw from one
+    """Grid == oracle with persistent memory upsets, which draw from one
     RNG shared by every alive cell in row-major order."""
 
     @pytest.mark.parametrize("job", [reverse_video, hue_shift])
@@ -427,18 +426,29 @@ class TestMemoryUpsets:
 
         assert_identical(kwargs, run)
 
-    def test_auto_resolves_to_sparse(self):
+    def test_auto_is_the_one_engine(self):
         sim = GridSimulator(4, 4, memory_upset_rate=1e-6, grid_engine="auto")
-        assert sim.grid_engine == "sparse"
-        assert isinstance(sim.grid, SparseGrid)
+        assert type(sim.grid) is NanoBoxGrid
+        assert not hasattr(sim, "grid_engine")
 
-    def test_explicit_sparse_is_silent(self, capfd):
-        sim = GridSimulator(
-            4, 4, memory_upset_rate=1e-6, grid_engine="sparse"
-        )
+    @pytest.mark.parametrize("engine", ["dense", "sparse", "bogus"])
+    def test_other_engines_are_rejected_naming_the_oracle(self, engine):
+        with pytest.raises(ValueError, match="tests/grid/dense_oracle.py"):
+            GridSimulator(4, 4, grid_engine=engine)
+
+    def test_upset_run_is_silent(self, capfd):
+        sim = GridSimulator(4, 4, memory_upset_rate=1e-6)
         sim.run_image_job(gradient(4, 4), reverse_video())
-        assert sim.grid_engine == "sparse"
         assert capfd.readouterr().err == ""
+
+    def test_oracle_swap_builds_the_dense_pieces(self):
+        process = TemporalFaultProcess.transient(0.01)
+        with dense_engine():
+            sim = GridSimulator(3, 3, temporal_fault_process=process)
+        assert type(sim.grid) is DenseGrid
+        assert not isinstance(sim._temporal_scheduler, TemporalScheduler)
+        after = GridSimulator(3, 3, temporal_fault_process=process)
+        assert type(after.grid) is NanoBoxGrid
 
 
 class TestWatchdogTransitionTrace:
@@ -449,7 +459,7 @@ class TestWatchdogTransitionTrace:
             0.004, burst_length=6, errors_per_cycle=2
         )
         traces = []
-        for grid_cls in (NanoBoxGrid, SparseGrid):
+        for grid_cls in (DenseGrid, NanoBoxGrid):
             grid = grid_cls(4, 4, heartbeat_decay=1.0, error_threshold=2)
             watchdog = Watchdog(
                 grid,
@@ -491,7 +501,7 @@ class TestWatchdogTransitionTrace:
         """Full GridState equality sampled mid-run, not only at the end."""
         process = TemporalFaultProcess.transient(0.01, errors_per_cycle=3)
         samples = [[], []]
-        for slot, grid_cls in enumerate((NanoBoxGrid, SparseGrid)):
+        for slot, grid_cls in enumerate((DenseGrid, NanoBoxGrid)):
             grid = grid_cls(3, 3, heartbeat_decay=0.5, error_threshold=2)
             watchdog = Watchdog(grid)
             streams = {
@@ -523,7 +533,7 @@ class TestControlProcessorPath:
 
     def test_full_job_with_decay_and_kills(self):
         results = []
-        for grid_cls in (NanoBoxGrid, SparseGrid):
+        for grid_cls in (DenseGrid, NanoBoxGrid):
             grid = grid_cls(6, 6, heartbeat_decay=0.5, error_threshold=4)
             watchdog = Watchdog(
                 grid, policy=LifecyclePolicy(suspect_polls=2, probing=True)
@@ -554,12 +564,38 @@ class TestControlProcessorPath:
         assert results[0] == results[1]
 
 
-class TestCliStdout:
-    """`--grid-engine sparse` CLI stdout is byte-identical to dense."""
+class TestOwedBeatsThroughAccessors:
+    """A quiescent cell's skipped beats are paid before it is handed out,
+    so the public accessors read the oracle's beat counts."""
 
-    def _run(self, *argv):
+    @ENGINES
+    def test_cell(self, engine):
+        with engine():
+            sim = GridSimulator(4, 4, seed=1)
+        sim.grid.cell(2, 2)
+        sim.control.tick(10)
+        assert sim.grid.cell(2, 2).heartbeat.beats_emitted == 10
+
+    @ENGINES
+    def test_cells(self, engine):
+        with engine():
+            sim = GridSimulator(4, 4, seed=1)
+        sim.grid.cell(2, 2)
+        sim.control.tick(10)
+        beats = {
+            cell.cell_id: cell.heartbeat.beats_emitted
+            for cell in sim.grid.cells()
+        }
+        assert beats[(2, 2)] == 10
+        assert set(beats.values()) == {10}
+
+
+class TestCliStdout:
+    """CLI stdout is byte-identical to the CLI run on the dense oracle."""
+
+    def _run(self, module, *argv):
         return subprocess.run(
-            [sys.executable, "-m", "repro.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
@@ -577,12 +613,13 @@ class TestCliStdout:
                 "lifecycle", "--rows", "4", "--cols", "4", "--jobs", "2",
                 "--instructions", "48",
             ),
+            ("chaos", "--rates", "0", "1e-3", "--rounds", "1", "3"),
         ],
-        ids=["grid", "lifecycle"],
+        ids=["grid", "lifecycle", "chaos"],
     )
     def test_stdout_identical(self, argv):
-        dense = self._run(*argv, "--grid-engine", "dense")
-        sparse = self._run(*argv, "--grid-engine", "sparse")
-        assert dense.returncode == 0, dense.stderr
-        assert sparse.returncode == 0, sparse.stderr
-        assert dense.stdout == sparse.stdout
+        oracle = self._run("tests.grid.dense_oracle", *argv)
+        grid = self._run("repro.cli", *argv)
+        assert oracle.returncode == 0, oracle.stderr
+        assert grid.returncode == 0, grid.stderr
+        assert oracle.stdout == grid.stdout

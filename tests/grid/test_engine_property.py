@@ -1,13 +1,13 @@
-"""Property tests for the event-driven sparse grid core.
+"""Property tests for the event-driven grid.
 
-Three algebraic contracts keep :class:`~repro.grid.engine.SparseGrid`
-honest at any scale:
+Three algebraic contracts keep the event-driven
+:class:`~repro.grid.grid.NanoBoxGrid` honest at any scale:
 
 * **Bulk advance**: skipping a quiescent cell for N ticks and crediting
-  its beats in one lump must be indistinguishable from N scalar dense
-  ticks -- the sparse engine's whole premise.  Randomised operation
+  its beats in one lump must be indistinguishable from N scalar ticks
+  -- the event-driven grid's whole premise.  Randomised operation
   schedules (steps, watchdog polls, error bursts, kills, mode switches)
-  drive a dense and a sparse grid in lockstep and compare full
+  drive the dense oracle and the grid in lockstep and compare full
   :class:`~repro.grid.engine.GridState` snapshots.
 * **Beat crediting**: ``Heartbeat.credit_beats(N)`` equals N ``beat()``
   calls on a quiescent heartbeat, for any N and any decay.
@@ -31,12 +31,13 @@ from repro.experiments.fleet import (
     shard_fleet,
 )
 from repro.faults.temporal import TemporalFaultProcess
-from repro.grid.engine import GridState, SparseGrid
+from repro.grid.engine import GridState
 from repro.grid.grid import NanoBoxGrid
 from repro.grid.watchdog import LifecyclePolicy, Watchdog
 from repro.obs.metrics import MetricsRegistry
+from tests.grid.dense_oracle import DenseGrid, dense_engine
 
-#: One fabric op applied identically to both engines.  Coordinates are
+#: One fabric op applied identically to the oracle and the grid.  Coordinates are
 #: factors in [0, 1) scaled to the grid under test.
 fabric_ops = st.lists(
     st.one_of(
@@ -87,7 +88,7 @@ def apply_ops(grid, watchdog, ops):
 
 
 class TestBulkAdvanceEquivalence:
-    """Quiescent bulk skip == scalar dense ticks, for any op schedule."""
+    """Quiescent bulk skip == scalar per-cell ticks, for any op schedule."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -97,7 +98,7 @@ class TestBulkAdvanceEquivalence:
     )
     def test_random_schedules_stay_identical(self, ops, decay, threshold):
         states = []
-        for grid_cls in (NanoBoxGrid, SparseGrid):
+        for grid_cls in (DenseGrid, NanoBoxGrid):
             grid = grid_cls(
                 4, 4, heartbeat_decay=decay, error_threshold=threshold
             )
@@ -119,9 +120,9 @@ class TestBulkAdvanceEquivalence:
         polls=st.integers(min_value=0, max_value=50),
     )
     def test_pure_idle_advance(self, quiet, polls):
-        """N idle ticks + M polls leave both engines bit-identical."""
+        """N idle ticks + M polls leave oracle and grid bit-identical."""
         states = []
-        for grid_cls in (NanoBoxGrid, SparseGrid):
+        for grid_cls in (DenseGrid, NanoBoxGrid):
             grid = grid_cls(3, 5, heartbeat_decay=0.5, error_threshold=2)
             watchdog = Watchdog(grid)
             for _ in range(quiet):
@@ -241,11 +242,12 @@ class TestShardMerge:
 
     @pytest.mark.usefixtures("kernel_provider")
     def test_region_outcome_engine_independent(self):
-        """Each region outcome is identical under sparse and dense."""
+        """Each region outcome is identical on the grid and the oracle."""
         for shard in shard_fleet(6, 9, 3, seed=2):
-            sparse = run_fleet_region(shard, grid_engine="sparse", **SOAK)
-            dense = run_fleet_region(shard, grid_engine="dense", **SOAK)
-            assert sparse == dense
+            outcome = run_fleet_region(shard, **SOAK)
+            with dense_engine():
+                oracle = run_fleet_region(shard, **SOAK)
+            assert outcome == oracle
 
     @settings(deadline=None)
     @given(

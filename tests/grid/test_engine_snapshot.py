@@ -1,16 +1,19 @@
-"""Golden pin of ``GridState.to_snapshot()`` for both grid engines.
+"""Golden pin of ``GridState.to_snapshot()`` for the grid and its oracle.
 
 The snapshot schema is the currency of the whole differential suite: a
 silent format change (renamed key, re-ordered tuple, dropped counter)
-would let the sparse and dense engines drift apart while their snapshots
-kept comparing "equal".  This pin freezes the *exact* literal snapshot
-of one small deterministic scenario -- a 2x2 grid, a mid-run kill, a
-salvage, a dropped-and-resubmitted instruction wave -- and requires both
-engines to reproduce it verbatim.  If a legitimate schema change lands,
+would let the event-driven grid and the dense oracle drift apart while
+their snapshots kept comparing "equal".  This pin freezes the *exact*
+literal snapshot of one small deterministic scenario -- a 2x2 grid, a
+mid-run kill, a salvage, a dropped-and-resubmitted instruction wave --
+and requires both to reproduce it verbatim.  If a legitimate schema change lands,
 update the literal here deliberately, in the same commit.
 """
 
+from contextlib import nullcontext
+
 from repro.grid import GridState, GridSimulator
+from tests.grid.dense_oracle import dense_engine
 
 #: The scenario under pin: addition job with a mid-run kill of (1, 1).
 SCENARIO = dict(
@@ -79,25 +82,26 @@ GOLDEN_SNAPSHOT = {
 }
 
 
-def run_scenario(engine):
-    sim = GridSimulator(grid_engine=engine, **SCENARIO)
+def run_scenario(engine=nullcontext):
+    with engine():
+        sim = GridSimulator(**SCENARIO)
     job = sim.run_instructions(INSTRUCTIONS, max_rounds=2)
     return GridState.from_grid(sim.grid, sim.watchdog), job
 
 
 class TestGoldenSnapshot:
-    def test_dense_engine_matches_golden(self):
-        state, job = run_scenario("dense")
+    def test_dense_oracle_matches_golden(self):
+        state, job = run_scenario(dense_engine)
         assert state.to_snapshot() == GOLDEN_SNAPSHOT
         assert job.results == EXPECTED_RESULTS
 
-    def test_sparse_engine_matches_golden(self):
-        state, job = run_scenario("sparse")
+    def test_grid_matches_golden(self):
+        state, job = run_scenario()
         assert state.to_snapshot() == GOLDEN_SNAPSHOT
         assert job.results == EXPECTED_RESULTS
 
     def test_snapshot_round_trips_through_gridstate(self):
-        state, _ = run_scenario("dense")
+        state, _ = run_scenario()
         clone = GridState(state.to_snapshot())
         assert clone == state
         assert clone.to_snapshot() == GOLDEN_SNAPSHOT
@@ -105,11 +109,11 @@ class TestGoldenSnapshot:
 
     def test_repr_embeds_snapshot(self):
         """repr() is the debugging surface -- it must show the snapshot."""
-        state, _ = run_scenario("dense")
+        state, _ = run_scenario()
         assert repr(state) == f"GridState({state.to_snapshot()!r})"
 
     def test_diff_pinpoints_divergence(self):
-        state, _ = run_scenario("dense")
+        state, _ = run_scenario()
         mutated = state.to_snapshot()
         mutated["cells"][(0, 0)] = {
             **mutated["cells"][(0, 0)],

@@ -6,6 +6,7 @@ from repro.cell.cell import CellMode
 from repro.cell.router import Direction
 from repro.grid.grid import NanoBoxGrid
 from repro.grid.packet import InstructionPacket
+from tests.grid.dense_oracle import DenseGrid
 
 
 def packet_to(row, col, iid=1):
@@ -20,6 +21,13 @@ class TestTopology:
         grid = NanoBoxGrid(3, 4)
         assert grid.rows == 3 and grid.cols == 4
         assert grid.top_row == 2
+        assert list(grid.all_coords()) == [
+            (r, c) for r in range(3) for c in range(4)
+        ]
+        # Cells are built on first touch; cells() lists the built ones.
+        assert list(grid.cells()) == []
+        for coord in grid.all_coords():
+            assert grid.cell(*coord).cell_id == coord
         assert len(list(grid.cells())) == 12
 
     def test_cell_lookup(self):
@@ -73,8 +81,14 @@ class TestReachability:
 class TestModeBroadcast:
     def test_mode_reaches_all_cells(self):
         grid = NanoBoxGrid(2, 2)
+        built = grid.cell(1, 0)
         grid.set_mode(CellMode.COMPUTE)
-        assert all(cell.mode is CellMode.COMPUTE for cell in grid.cells())
+        assert built.mode is CellMode.COMPUTE
+        # Cells built after the broadcast join in the fabric's mode.
+        assert all(
+            grid.cell(*coord).mode is CellMode.COMPUTE
+            for coord in grid.all_coords()
+        )
         assert grid.mode is CellMode.COMPUTE
 
 
@@ -121,14 +135,13 @@ class TestPacketDelivery:
     def test_column_mismatch_routes_laterally(self):
         """A packet injected on the wrong column still arrives (the
         router walks it across the top row first)."""
-        from repro.grid.routing import Envelope
-
         grid = NanoBoxGrid(3, 3)
         grid.set_mode(CellMode.SHIFT_IN)
         packet = packet_to(1, 0, iid=5)
         # Force injection via column 2's edge bus.
-        top = (grid.top_row, 2)
-        assert grid._buses[(("CP", "CP"), top)].try_send(Envelope(packet))
+        grid.injection_column = lambda dest_col: 2
+        assert grid.cp_send(packet)
+        assert grid.cp_bus_busy(2) and not grid.cp_bus_busy(0)
         for _ in range(120):
             grid.step()
         assert grid.cell(1, 0).memory.read(0).instruction_id == 5
@@ -162,10 +175,10 @@ class TestShiftOut:
 
 
 class TestLinkStreamIndex:
-    """The closed-form per-link PRNG index must equal the historical
-    running counter over the eager construction order, because per-link
-    fault streams are keyed by it (lazily built links must draw the same
-    streams as the dense fabric)."""
+    """The closed-form per-link PRNG index must equal the running counter
+    over the eager construction order, because per-link fault streams
+    are keyed by it (lazily built links must draw the same streams as
+    the dense oracle's eagerly built fabric)."""
 
     @pytest.mark.parametrize(
         "rows,cols", [(1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (5, 3), (4, 4)]
@@ -190,6 +203,6 @@ class TestLinkStreamIndex:
                         ((top, c), CONTROL_PROCESSOR)):
                 expected[key] = counter
                 counter += 1
-        assert set(expected) == set(grid._buses)
+        assert set(expected) == set(DenseGrid(rows, cols)._buses)
         for (src, dst), index in expected.items():
             assert grid._link_stream_index(src, dst) == index, (src, dst)

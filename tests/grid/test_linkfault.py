@@ -247,7 +247,9 @@ class TestGridIntegration:
 
     def test_per_link_policy_callable(self):
         """A callable policy can make just one link faulty."""
+        from repro.cell.cell import CellMode
         from repro.grid.grid import CONTROL_PROCESSOR, NanoBoxGrid
+        from tests.grid.dense_oracle import DenseGrid
 
         def only_cp_downlink(src, dst):
             if src == CONTROL_PROCESSOR:
@@ -255,10 +257,12 @@ class TestGridIntegration:
             return None
 
         grid = NanoBoxGrid(2, 2, link_fault_config=only_cp_downlink)
-        faulty = [
-            b for b in grid._buses.values() if isinstance(b, FaultyBus)
-        ]
-        assert len(faulty) == 2  # one CP downlink per column
+        # Indexing the lazy link table builds each link of the fabric.
+        faulty = {
+            key for key in DenseGrid(2, 2)._buses
+            if isinstance(grid._buses[key], FaultyBus)
+        }
+        assert faulty == {(CONTROL_PROCESSOR, (1, c)) for c in range(2)}
         packet = InstructionPacket(dest_row=0, dest_col=0,
                                    instruction_id=1, opcode=0b000,
                                    operand1=1, operand2=2)
@@ -266,4 +270,16 @@ class TestGridIntegration:
         for _ in range(packet.flit_count + 2):
             grid.step()
         assert grid.link_dropped == 1
+        assert grid.link_fault_statistics().dropped == 1
+        # Results climb the mesh and the CP uplink, which stay perfect.
+        grid.cell(0, 0).store_instruction(2, 0b111, 7, 0)
+        grid.set_mode(CellMode.COMPUTE)
+        for _ in range(4):
+            grid.step()
+        grid.set_mode(CellMode.SHIFT_OUT)
+        for _ in range(40):
+            grid.step()
+        assert [(p.instruction_id, p.result) for p in grid.cp_inbox] == [
+            (2, 7)
+        ]
         assert grid.link_fault_statistics().dropped == 1

@@ -31,6 +31,7 @@ from repro.grid.watchdog import (
     Watchdog,
 )
 from repro.obs import Observer, observing
+from tests.grid.dense_oracle import ENGINES
 
 ROWS, COLS = 6, 6
 SEED = 7
@@ -165,17 +166,17 @@ def assert_matches_oracle(watchdog, counters) -> None:
 
 
 @pytest.mark.parametrize("backend", [None, "auto"])
-@pytest.mark.parametrize("grid_engine", ["dense", "sparse"])
-def test_probe_round_matches_scalar_oracle(kernel_provider, grid_engine, backend):
-    sim = GridSimulator(
-        rows=ROWS,
-        cols=COLS,
-        alu_fault_policy=ExactFractionMask(FAULT_RATE),
-        lifecycle_policy=POLICY,
-        seed=SEED,
-        grid_engine=grid_engine,
-        backend=backend,
-    )
+@ENGINES
+def test_probe_round_matches_scalar_oracle(kernel_provider, engine, backend):
+    with engine():
+        sim = GridSimulator(
+            rows=ROWS,
+            cols=COLS,
+            alu_fault_policy=ExactFractionMask(FAULT_RATE),
+            lifecycle_policy=POLICY,
+            seed=SEED,
+            backend=backend,
+        )
     counters = count_draws(sim.grid)
     quarantine(sim.grid, sim.watchdog)
     assert_matches_oracle(sim.watchdog, counters)
@@ -204,7 +205,8 @@ def test_per_cell_units_probe_on_the_scalar_path(kernel_provider):
     watchdog = Watchdog(grid, policy=POLICY)
     quarantine(grid, watchdog)
     assert_matches_oracle(watchdog, counters)
-    assert len({id(unit) for unit in units}) == ROWS * COLS
+    cells = [grid.cell(*coord) for coord in grid.all_coords()]
+    assert len({id(cell.aluctrl.alu) for cell in cells}) == ROWS * COLS
     # No engine was built for a unit held by a single cell.
     assert not any(unit in aluctrl._PROBE_EVALUATORS for unit in units)
 
@@ -222,9 +224,10 @@ def test_single_cell_probe_is_the_batch_of_one():
 # ------------------------------------------------------------ shared layout
 
 
-@pytest.mark.parametrize("grid_engine", ["dense", "sparse"])
-def test_cells_share_one_unit_and_one_memory_layout(grid_engine):
-    sim = GridSimulator(rows=4, cols=5, grid_engine=grid_engine, n_words=8)
+@ENGINES
+def test_cells_share_one_unit_and_one_memory_layout(engine):
+    with engine():
+        sim = GridSimulator(rows=4, cols=5, n_words=8)
     cells = [sim.grid.cell(r, c) for r in range(4) for c in range(5)]
     assert len({id(cell.aluctrl.alu) for cell in cells}) == 1
     assert len({id(cell.memory.site_space) for cell in cells}) == 1
@@ -233,9 +236,9 @@ def test_cells_share_one_unit_and_one_memory_layout(grid_engine):
 
 def test_default_grid_cells_share_one_unit():
     grid = NanoBoxGrid(3, 3)
-    assert {id(cell.aluctrl.alu) for cell in grid.cells()} == {
-        id(_default_alu_factory())
-    }
+    assert {
+        id(grid.cell(*coord).aluctrl.alu) for coord in grid.all_coords()
+    } == {id(_default_alu_factory())}
 
 
 def test_memory_writes_stay_in_their_own_cell():
@@ -277,7 +280,7 @@ def test_shared_site_spaces_cannot_grow():
 
 def _engines_built_for(quarantined: int) -> int:
     sim = GridSimulator(
-        rows=8, cols=8, lifecycle_policy=POLICY, grid_engine="sparse", seed=3
+        rows=8, cols=8, lifecycle_policy=POLICY, seed=3
     )
     obs = Observer()
     with observing(obs):

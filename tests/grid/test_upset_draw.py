@@ -13,17 +13,18 @@ import numpy as np
 import pytest
 
 from repro.cell.memory import memory_layout
-from repro.grid import GridSimulator, NanoBoxGrid, SparseGrid
+from repro.grid import GridSimulator, NanoBoxGrid
 from repro.grid.simulator import draw_memory_upsets
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import reverse_video
+from tests.grid.dense_oracle import ENGINES, DenseGrid, dense_engine
 
 N_WORDS = 8
 BITS = memory_layout(N_WORDS)[0].total_sites
 
 
 def scalar_upsets(rng, grid, rate):
-    """The per-cell scalar upset loop (dense grid): apply and return hits."""
+    """The per-cell scalar upset loop (dense oracle): apply and return hits."""
     hits = []
     bits_per_cell = None
     for cell in grid.cells():
@@ -57,7 +58,7 @@ def memory_images(grid):
 
 
 def run_both(grid_cls, rate, seed, ticks, dead=()):
-    oracle_grid = NanoBoxGrid(6, 5, n_words=N_WORDS)
+    oracle_grid = DenseGrid(6, 5, n_words=N_WORDS)
     grid = grid_cls(6, 5, n_words=N_WORDS)
     for g in (oracle_grid, grid):
         for coord in dead:
@@ -74,7 +75,7 @@ def run_both(grid_cls, rate, seed, ticks, dead=()):
 DEAD = ((0, 0), (2, 3), (5, 4), (3, 0))
 
 
-@pytest.mark.parametrize("grid_cls", [NanoBoxGrid, SparseGrid])
+@pytest.mark.parametrize("grid_cls", [DenseGrid, NanoBoxGrid])
 @pytest.mark.parametrize("rate", [1e-6, 1e-5, 1e-4, 1e-3])
 @pytest.mark.parametrize("dead", [(), DEAD], ids=["all-alive", "dead-cells"])
 @pytest.mark.parametrize("seed", [0, 17])
@@ -93,12 +94,12 @@ def test_draw_matches_scalar_loop(grid_cls, rate, dead, seed):
 
 
 def test_high_rate_exercises_several_hits_per_tick():
-    oracle, vectorised, *_ = run_both(SparseGrid, 1e-3, 3, 20)
+    oracle, vectorised, *_ = run_both(NanoBoxGrid, 1e-3, 3, 20)
     assert vectorised == oracle
     assert max(len(t) for t in oracle) > 1
 
 
-@pytest.mark.parametrize("grid_cls", [NanoBoxGrid, SparseGrid])
+@pytest.mark.parametrize("grid_cls", [DenseGrid, NanoBoxGrid])
 def test_no_alive_cells_draws_nothing(grid_cls):
     every = [(r, c) for r in range(6) for c in range(5)]
     oracle, vectorised, oracle_rng, rng, *_ = run_both(
@@ -109,7 +110,7 @@ def test_no_alive_cells_draws_nothing(grid_cls):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("engine", ["dense", "sparse"])
+@ENGINES
 def test_simulator_matches_scalar_hook(monkeypatch, engine):
     """A whole image job: the simulator's hook against the scalar loop."""
     kwargs = dict(
@@ -121,7 +122,8 @@ def test_simulator_matches_scalar_hook(monkeypatch, engine):
         kill_schedule={30: [(1, 2)]},
         seed=11,
     )
-    sim = GridSimulator(grid_engine=engine, **kwargs)
+    with engine():
+        sim = GridSimulator(**kwargs)
     outcome = sim.run_image_job(gradient(6, 6), reverse_video())
 
     def scalar_hook(self):
@@ -133,7 +135,8 @@ def test_simulator_matches_scalar_hook(monkeypatch, engine):
             self._memory_upsets += count
 
     monkeypatch.setattr(GridSimulator, "_apply_memory_upsets", scalar_hook)
-    oracle = GridSimulator(grid_engine="dense", **kwargs)
+    with dense_engine():
+        oracle = GridSimulator(**kwargs)
     expected = oracle.run_image_job(gradient(6, 6), reverse_video())
     assert outcome.stats.memory_upsets > 0
     assert outcome == expected

@@ -1,7 +1,8 @@
 """Edge-case pins for the watchdog lifecycle, captured against the dense grid.
 
-These tests freeze two under-specified interleavings before the sparse
-engine refactor so both engines inherit the same semantics:
+These tests froze two under-specified interleavings on the dense grid,
+before the event-driven grid existed; the event-driven grid, which they
+now build, must keep the same semantics:
 
 * a cell that crosses the silence threshold on the very tick a canary
   probe round is in flight (probe rounds only ever touch cells already

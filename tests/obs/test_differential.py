@@ -21,6 +21,7 @@ from repro.faults.temporal import TemporalFaultProcess
 from repro.obs import Observer, observing
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
+from tests.grid.dense_oracle import dense_engine
 
 
 def _observed(fn):
@@ -139,22 +140,23 @@ class TestLifecycleUnperturbed:
         assert obs.trace.events_of("job_start")
 
     def test_sparse_temporal_point_identical(self, kernel_provider):
-        """The sparse engine's batched fault-stream scans are pure too:
-        an observed sparse run equals a bare one and the dense oracle."""
+        """The scheduler's batched fault-stream scans are pure too: an
+        observed run equals a bare one and the dense oracle."""
 
-        def point(grid_engine):
+        def point():
             return run_lifecycle_point(
                 TemporalFaultProcess.transient(0.004, errors_per_cycle=3),
                 self_healing_policy(),
                 jobs=2,
                 n_instructions=24,
                 seed=2004,
-                grid_engine=grid_engine,
             )
 
-        bare = point("sparse")
-        observed, obs = _observed(lambda: point("sparse"))
-        assert observed == bare == point("dense")
+        bare = point()
+        observed, obs = _observed(point)
+        with dense_engine():
+            oracle = point()
+        assert observed == bare == oracle
         # The tape counters name the path that scanned every stream.
         scanned, idle = "native", "numpy"
         if kernel_provider is None:

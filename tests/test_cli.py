@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, main, _parse_kill
-from repro.grid.simulator import GRID_ENGINES
 from repro.kernels import BACKENDS
 
 
@@ -141,9 +140,9 @@ class TestObservabilityFlags:
         assert all("kind" in r and "seq" in r for r in records)
 
     def test_report_shows_tape_scan_counters(self, capsys):
-        """Sparse temporal runs report how their fault streams were
+        """Temporal fault runs report how their fault streams were
         scanned, beside the mask draw counters."""
-        assert main(self.ARGV + ["--grid-engine", "sparse", "--obs-report"]) == 0
+        assert main(self.ARGV + ["--obs-report"]) == 0
         out = capsys.readouterr().out
         assert "kernel.tape.native" in out or "kernel.tape.numpy" in out
 
@@ -222,21 +221,16 @@ class TestParser:
         assert "REPRO_BACKEND='bogus' is not a backend" in err
         assert all(repr(backend) in err for backend in BACKENDS)
 
-    @pytest.mark.parametrize("argv", [["grid", "--help"], ["table1"]])
-    def test_bad_grid_engine_env_is_a_usage_error(self, monkeypatch, capsys, argv):
-        monkeypatch.setenv("REPRO_GRID_ENGINE", "bogus")
+    @pytest.mark.parametrize("command", ["grid", "chaos", "lifecycle"])
+    def test_grid_engine_flag_is_gone(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            build_parser().parse_args([command, "--grid-engine", "dense"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "REPRO_GRID_ENGINE='bogus' is not a grid engine" in err
-        assert all(repr(engine) in err for engine in GRID_ENGINES)
+        assert "--grid-engine" in capsys.readouterr().err
 
-    def test_grid_engine_env_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRID_ENGINE", "sparse")
-        assert build_parser().parse_args(["grid"]).grid_engine == "sparse"
-        monkeypatch.delenv("REPRO_GRID_ENGINE")
-        assert build_parser().parse_args(["grid"]).grid_engine == "dense"
+    def test_grid_engine_env_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_GRID_ENGINE", "bogus")
+        assert not hasattr(build_parser().parse_args(["grid"]), "grid_engine")
 
     def test_backend_env_sets_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "batched")
