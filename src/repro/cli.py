@@ -47,9 +47,9 @@ status 3) that a later ``--resume`` finishes::
 
     nanobox-repro sweep --checkpoint-dir ck            # interruptible
     nanobox-repro sweep --checkpoint-dir ck --resume   # finish the rest
-    nanobox-repro chaos-exec                           # prove it: kill/hang/
-                                                       # corrupt/disk-full/
-                                                       # deadline child runs
+    nanobox-repro chaos-exec                           # prove it: ten real
+                                                       # faults against runs
+                                                       # and the service
 
 Also available as ``python -m repro.cli``.
 """
@@ -698,7 +698,6 @@ def _cmd_chaos_exec(args: argparse.Namespace) -> int:
         modes=tuple(args.modes),
         workdir=Path(args.workdir) if args.workdir else None,
         seed=args.seed,
-        chunk_size=args.chunk_size,
         timeout=args.timeout,
         echo=lambda line: print(line, file=sys.stderr),
     )
@@ -735,32 +734,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         verbose=args.verbose,
     )
     return CampaignService(config).serve()
-
-
-def _cmd_service_chaos(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.service.chaos import (
-        run_service_chaos_suite,
-        service_chaos_report,
-    )
-
-    outcomes = run_service_chaos_suite(
-        modes=tuple(args.modes),
-        workdir=Path(args.workdir) if args.workdir else None,
-        seed=args.seed,
-        timeout=args.timeout,
-        echo=lambda line: print(line, file=sys.stderr),
-    )
-    print(service_chaos_report(outcomes))
-    failed = [o.mode for o in outcomes if not o.survived]
-    print(
-        f"{len(outcomes)} fault mode(s) injected, {len(failed)} violated "
-        f"the service invariants"
-    )
-    if failed:
-        print(f"violated: {', '.join(failed)}", file=sys.stderr)
-    return 1 if failed else 0
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
@@ -1011,24 +984,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_exec = sub.add_parser(
         "chaos-exec",
-        help="process-level chaos harness: inject crashes, hangs, and "
-             "corruption into real child runs; assert recovery invariants",
+        help="process-level chaos harness: inject crashes, hangs, "
+             "corruption, overload and restarts into real child runs and "
+             "a real server; assert the recovery invariants",
     )
-    chaos_exec.add_argument(
-        "--modes", nargs="+",
-        # mirrors repro.perf.chaos_exec.CHAOS_MODES (kept literal so the
-        # parser builds without importing the perf package)
-        choices=("kill", "hang", "corrupt", "disk-full", "deadline"),
-        default=["kill", "hang", "corrupt", "disk-full", "deadline"],
-        help="fault modes to inject (default: all)",
-    )
+    # mirrors repro.perf.chaos_exec.CHAOS_MODES (kept literal so the
+    # parser builds without importing the harness)
+    chaos_modes = ("kill", "hang", "corrupt", "disk-full", "deadline",
+                   "overload", "dup-storm", "sigterm", "kill9", "tamper")
+    chaos_exec.add_argument("--modes", nargs="+", choices=chaos_modes,
+                            default=list(chaos_modes),
+                            help="fault modes to inject (default: all)")
     chaos_exec.add_argument("--workdir", default=None, metavar="DIR",
-                            help="working directory for child runs "
-                                 "(default: a fresh temp directory)")
+                            help="working directory for child runs and "
+                                 "server state (default: a fresh temp "
+                                 "directory)")
     chaos_exec.add_argument("--seed", type=int, default=2004,
-                            help="seed for the target sweep")
-    chaos_exec.add_argument("--chunk-size", type=int, default=4,
-                            help="checkpoint chunk size for the target")
+                            help="seed for the target sweep and jobs")
     chaos_exec.add_argument("--timeout", type=float, default=300.0,
                             help="per-child wall-clock ceiling in seconds")
     chaos_exec.set_defaults(fn=_cmd_chaos_exec)
@@ -1072,29 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")
     serve.set_defaults(fn=_cmd_serve)
-
-    service_chaos = sub.add_parser(
-        "service-chaos",
-        help="service-level chaos harness: overload, duplicate storms, "
-             "SIGTERM and kill -9 against a real server; assert the "
-             "service invariants",
-    )
-    service_chaos.add_argument(
-        "--modes", nargs="+",
-        # mirrors repro.service.chaos.SERVICE_CHAOS_MODES (kept literal so
-        # the parser builds without importing the service package)
-        choices=("overload", "dup-storm", "sigterm", "kill9", "tamper"),
-        default=["overload", "dup-storm", "sigterm", "kill9", "tamper"],
-        help="fault modes to inject (default: all)",
-    )
-    service_chaos.add_argument("--workdir", default=None, metavar="DIR",
-                               help="working directory for server state "
-                                    "(default: a fresh temp directory)")
-    service_chaos.add_argument("--seed", type=int, default=2004,
-                               help="seed for the target jobs")
-    service_chaos.add_argument("--timeout", type=float, default=300.0,
-                               help="per-child wall-clock ceiling in seconds")
-    service_chaos.set_defaults(fn=_cmd_service_chaos)
 
     lifecycle = sub.add_parser(
         "lifecycle",

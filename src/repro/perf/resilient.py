@@ -67,6 +67,7 @@ from repro.perf.executor import CampaignExecutor, CampaignWorkItem
 __all__ = [
     "CHAOS_KILL_ENV",
     "BackoffPolicy",
+    "CircuitBreaker",
     "DeadLetter",
     "ResilientOutcome",
     "ResilientRunner",
@@ -111,6 +112,37 @@ class BackoffPolicy:
         return raw * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
 
 
+@dataclass
+class CircuitBreaker:
+    """Consecutive-failure circuit breaker with a half-open fast fail.
+
+    ``threshold`` consecutive failures open it; while open, each unit of
+    work gets one fast-fail attempt instead of its retry budget, and the
+    first success closes it.  The resilient runner keeps one per run,
+    the service's job manager one per job kind.
+    """
+
+    threshold: int
+    failures: int = 0
+    is_open: bool = False
+
+    def attempts(self, budget: int) -> int:
+        """Attempts the next unit of work gets: ``budget``, or 1 if open."""
+        return 1 if self.is_open else budget
+
+    def record_success(self) -> None:
+        self.failures = 0
+        self.is_open = False
+
+    def record_failure(self) -> bool:
+        """Count one failure; True when this failure tripped the breaker."""
+        self.failures += 1
+        if self.is_open or self.failures < self.threshold:
+            return False
+        self.is_open = True
+        return True
+
+
 @dataclass(frozen=True)
 class ResilientRuntime:
     """Operator-facing knobs for one resilient run (all optional).
@@ -127,8 +159,7 @@ class ResilientRuntime:
             executor's hung-worker recovery (parallel runs only).
         max_attempts: tries per chunk before it is dead-lettered.
         breaker_threshold: consecutive dead-lettered chunks that trip
-            the circuit breaker (subsequent failing chunks get a single
-            fast-fail attempt until one succeeds again).
+            the run's :class:`CircuitBreaker`.
     """
 
     checkpoint_dir: Optional[Path] = None
@@ -278,8 +309,7 @@ class ResilientRunner:
                 }
             )
         dead: List[DeadLetter] = []
-        consecutive_failures = 0
-        breaker_open = False
+        breaker = CircuitBreaker(self._runtime.breaker_threshold)
         try:
             for index, chunk in enumerate(chunks):
                 if self._deadline_expired(start):
@@ -295,19 +325,15 @@ class ResilientRunner:
                             total=len(chunks),
                         )
                     break
-                if self._try_reuse(index, chunk, tasks, outcome, size):
-                    consecutive_failures = 0
-                    breaker_open = False
-                    continue
-                error = self._compute_chunk(
-                    index, chunk, outcome, size, breaker_open, start, obs
+                attempts = breaker.attempts(self._runtime.max_attempts)
+                reused = self._try_reuse(index, chunk, outcome, size)
+                error = None if reused else self._compute_chunk(
+                    index, chunk, outcome, size, attempts, start, obs
                 )
                 if error is None:
-                    consecutive_failures = 0
-                    breaker_open = False
+                    breaker.record_success()
                     continue
                 dead.append(error)
-                consecutive_failures += 1
                 obs.metrics.counter("resilient.dead_letters").inc()
                 if obs.enabled:
                     obs.trace.emit(
@@ -317,11 +343,7 @@ class ResilientRunner:
                         attempts=error.attempts,
                         error=error.error,
                     )
-                if (
-                    not breaker_open
-                    and consecutive_failures >= self._runtime.breaker_threshold
-                ):
-                    breaker_open = True
+                if breaker.record_failure():
                     outcome.breaker_trips += 1
                     obs.metrics.counter("resilient.breaker_trips").inc()
                     if obs.enabled:
@@ -329,7 +351,7 @@ class ResilientRunner:
                             "breaker_open",
                             source="resilient",
                             chunk=index,
-                            consecutive_failures=consecutive_failures,
+                            consecutive_failures=breaker.failures,
                         )
         except KeyboardInterrupt:
             self._flush_state(outcome, "interrupted")
@@ -367,7 +389,6 @@ class ResilientRunner:
         self,
         index: int,
         chunk: Sequence[Any],
-        tasks: Sequence[Any],
         outcome: ResilientOutcome,
         size: int,
     ) -> bool:
@@ -396,19 +417,16 @@ class ResilientRunner:
         chunk: Sequence[Any],
         outcome: ResilientOutcome,
         size: int,
-        breaker_open: bool,
+        attempts_allowed: int,
         start: float,
         obs,
     ) -> Optional[DeadLetter]:
         """Run one chunk with retries; a DeadLetter when it never ran."""
-        attempts_allowed = 1 if breaker_open else self._runtime.max_attempts
         last_error = "unknown"
         attempt = 0
         while attempt < attempts_allowed:
             try:
                 results = self._run_chunk(index, chunk)
-            except KeyboardInterrupt:
-                raise
             except Exception as exc:  # noqa: BLE001 - fault boundary
                 last_error = repr(exc)
                 attempt += 1
@@ -421,9 +439,7 @@ class ResilientRunner:
                         attempt=attempt,
                         error=last_error,
                     )
-                if attempt >= attempts_allowed:
-                    break
-                if self._deadline_expired(start):
+                if attempt >= attempts_allowed or self._deadline_expired(start):
                     break
                 self._sleep(
                     self._runtime.backoff.delay(

@@ -24,9 +24,10 @@ gracefully the way a NanoBox cell does:
   in-flight jobs, and exits clean; a restarted server resumes them from
   its journal and checkpoint store.
 
-``nanobox-repro service-chaos`` (:mod:`repro.service.chaos`) hammers a
-real child server with overload bursts, duplicate storms, SIGTERM and
-``kill -9`` and asserts the invariants above end to end.
+``nanobox-repro chaos-exec`` (:mod:`repro.perf.chaos_exec`) hammers a
+real child server with overload bursts, duplicate storms, SIGTERM,
+``kill -9`` and cache tampering and asserts the invariants above end to
+end, alongside its crash/hang/corruption modes for campaign runs.
 """
 
 from repro.service.admission import AdmissionDecision, AdmissionQueue

@@ -14,10 +14,10 @@ any HTTP so the concurrency invariants are testable in-process:
   child under the PR 6 crash-safe runtime).  A worker that dies by
   signal or wedges past its timeout is counted, and the job retried --
   its checkpoints make the retry a cheap resume.  A job class failing
-  ``breaker_threshold`` consecutive times trips a circuit breaker:
-  further jobs of that class get a single fast-fail attempt until one
-  succeeds (the same half-open policy as
-  :class:`repro.perf.resilient.ResilientRunner`).
+  ``breaker_threshold`` consecutive times trips its
+  :class:`~repro.perf.resilient.CircuitBreaker` (the resilient
+  runner's): further jobs of that class get a single fast-fail attempt
+  until one succeeds.
 * **Deadlines and cancellation.**  A per-job deadline rides into the
   child as ``--deadline`` and reuses the resilient runner's machinery
   wholesale: expiry yields the explicit partial report (exit 3), which
@@ -44,29 +44,44 @@ import subprocess
 import sys
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.cli import EXIT_INCOMPLETE
 from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.checkpoint import scan_run_states
+from repro.perf.resilient import CircuitBreaker
 from repro.service.admission import AdmissionQueue
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobRecord, JobSpec, JobState
 
 __all__ = [
-    "EXIT_INCOMPLETE",
     "ChildCliExecutor",
     "JobManager",
     "JobOutput",
     "SubmitResult",
+    "child_env",
 ]
 
-#: The CLI's well-formed-partial exit status (deadline / dead letters).
-EXIT_INCOMPLETE = 3
-
 _STDERR_TAIL = 2000
+
+
+def child_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
+    """A clean child environment: no inherited chaos knobs, repro on path."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("REPRO_CHAOS_")
+    }
+    src = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
+    if extra:
+        env.update(extra)
+    return env
 
 
 @dataclass(frozen=True)
@@ -138,20 +153,6 @@ class ChildCliExecutor:
             argv.extend(("--deadline", str(record.deadline)))
         return argv
 
-    @staticmethod
-    def _child_env() -> Dict[str, str]:
-        env = {
-            key: value
-            for key, value in os.environ.items()
-            if not key.startswith("REPRO_CHAOS_")
-        }
-        src = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            f"{src}{os.pathsep}{existing}" if existing else src
-        )
-        return env
-
     def run(
         self, record: JobRecord, job_dir: Path, checkpoint_dir: Path
     ) -> JobOutput:
@@ -160,7 +161,7 @@ class ChildCliExecutor:
             self._argv(record, checkpoint_dir),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=self._child_env(),
+            env=child_env(),
         )
         with self._lock:
             self._children[record.id] = proc
@@ -256,7 +257,6 @@ class JobManager:
         )
         self._workers_n = workers
         self._max_attempts = max_attempts
-        self._breaker_threshold = breaker_threshold
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._clock = clock
         self._wall_clock = wall_clock
@@ -271,8 +271,7 @@ class JobManager:
         self._job_metrics: Dict[str, MetricsRegistry] = {}
         self._running: Dict[str, float] = {}  # job id -> start (monotonic)
         self._cancel_requested: set = set()
-        self._breaker_failures: Dict[str, int] = {}
-        self._breaker_open: Dict[str, bool] = {}
+        self._breakers = defaultdict(lambda: CircuitBreaker(breaker_threshold))
         self._seq = 0
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
@@ -596,12 +595,11 @@ class JobManager:
             record.started_at = self._wall_clock()
             self._running[record.id] = self._clock()
             self._journal(record)
-        breaker_open = self._breaker_open.get(record.spec.kind, False)
-        attempts_allowed = 1 if breaker_open else self._max_attempts
-        if breaker_open:
-            self.metrics.counter("service.breaker_fast_fails").inc()
+            breaker = self._breakers[record.spec.kind]
+            if breaker.is_open:
+                self.metrics.counter("service.breaker_fast_fails").inc()
         try:
-            self._attempt_loop(record, attempts_allowed)
+            self._attempt_loop(record, breaker.attempts(self._max_attempts))
         finally:
             with self._lock:
                 self._running.pop(record.id, None)
@@ -632,7 +630,8 @@ class JobManager:
                 f"{last_output.exit_status if last_output else '?'}"
             )
             self._finish(record, JobState.FAILED)
-        self._note_class_failure(record.spec.kind)
+            if self._breakers[record.spec.kind].record_failure():
+                self.metrics.counter("service.breaker_trips").inc()
 
     def _settle_attempt(self, record: JobRecord, output: JobOutput) -> bool:
         """Interpret one attempt; True when the job reached a final state."""
@@ -648,7 +647,7 @@ class JobManager:
                 record.result_bytes = len(output.stdout)
                 record.result_sha256 = sha
                 self._finish(record, JobState.DONE)
-            self._reset_class(record.spec.kind)
+                self._breakers[record.spec.kind].record_success()
             self._sync_cache_counters()
             return True
         if output.exit_status == EXIT_INCOMPLETE:
@@ -664,7 +663,7 @@ class JobManager:
                 record.result_sha256 = sha
                 record.incomplete = True
                 self._finish(record, JobState.PARTIAL)
-            self._reset_class(record.spec.kind)
+                self._breakers[record.spec.kind].record_success()
             self.metrics.counter("service.jobs_partial").inc()
             return True
         if cancelled:
@@ -705,22 +704,6 @@ class JobManager:
                 JobState.CANCELLED: "service.jobs_cancelled",
             }.get(state, "service.jobs_finished_other")
         ).inc()
-
-    def _note_class_failure(self, kind: str) -> None:
-        with self._lock:
-            failures = self._breaker_failures.get(kind, 0) + 1
-            self._breaker_failures[kind] = failures
-            if (
-                failures >= self._breaker_threshold
-                and not self._breaker_open.get(kind, False)
-            ):
-                self._breaker_open[kind] = True
-                self.metrics.counter("service.breaker_trips").inc()
-
-    def _reset_class(self, kind: str) -> None:
-        with self._lock:
-            self._breaker_failures[kind] = 0
-            self._breaker_open[kind] = False
 
     def _journal(self, record: JobRecord) -> None:
         try:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.perf.resilient import (
     BackoffPolicy,
+    CircuitBreaker,
     ResilientRunner,
     ResilientRuntime,
     decode_campaign_result,
@@ -306,6 +307,18 @@ class TestCircuitBreaker:
         # succeeds (closing it); chunk 3 gets its full budget again.
         assert attempts == {0: 2, 1: 2, 2: 1, 3: 2, 4: 1}
         assert outcome.breaker_trips == 1
+
+    def test_breaker_reopens_after_closing(self):
+        """The shared type: trips once per open spell, and a success
+        resets the count, so the next spell needs ``threshold`` more."""
+        breaker = CircuitBreaker(threshold=2)
+        assert [breaker.record_failure() for _ in range(3)] == [
+            False, True, False,
+        ]
+        assert breaker.attempts(5) == 1
+        breaker.record_success()
+        assert breaker.attempts(5) == 5
+        assert [breaker.record_failure() for _ in range(2)] == [False, True]
 
 
 @settings(max_examples=40, deadline=None)

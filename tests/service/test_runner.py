@@ -3,17 +3,19 @@
 Everything here runs against injected fake executors, so the
 concurrency invariants are exercised in-process and fast; the real
 child-process path is covered by ``test_service_e2e`` and the
-``service-chaos`` harness.
+``chaos-exec`` harness.
 """
 
+import os
 import threading
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.jobs import JobSpec, JobState
-from repro.service.runner import JobManager, JobOutput
+from repro.service.runner import JobManager, JobOutput, child_env
 
 
 def _spec(seed: int) -> JobSpec:
@@ -429,3 +431,18 @@ class TestDrainAndRecovery:
             )
         finally:
             manager.drain(grace=0.0)
+
+
+class TestChildEnv:
+    def test_strips_inherited_chaos_knobs_and_puts_src_first(
+        self, monkeypatch
+    ):
+        import repro
+
+        monkeypatch.setenv("REPRO_CHAOS_KILL_AFTER_CHUNK", "1")
+        monkeypatch.setenv("PYTHONPATH", "elsewhere")
+        env = child_env({"REPRO_CHAOS_HANG_SECS": "600"})
+        assert "REPRO_CHAOS_KILL_AFTER_CHUNK" not in env
+        assert env["REPRO_CHAOS_HANG_SECS"] == "600"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        assert env["PYTHONPATH"] == f"{src}{os.pathsep}elsewhere"

@@ -1,94 +1,36 @@
-"""End-to-end: real server child, real CLI children, fast chaos modes.
+"""End-to-end: a real server child serves what a direct CLI run prints.
 
-The slow fault modes (overload/sigterm/kill9 interrupt ~8s jobs) run in
-CI's ``service-chaos`` job; here we keep the sub-second modes so the
-tier-1 suite still proves the single-flight and quarantine invariants
-against real processes.
+The service's fault modes (overload, duplicate storms, SIGTERM,
+``kill -9``, cache tampering) live in the one chaos harness,
+:mod:`repro.perf.chaos_exec`, and its tests.
 """
 
 import json
 import subprocess
 import sys
-from pathlib import Path
 
-import pytest
-
-from repro.service.chaos import (
-    SERVICE_CHAOS_MODES,
-    ServiceChaosOutcome,
-    _child_env,
-    run_service_chaos_suite,
-    service_chaos_report,
-)
+from repro.service.runner import child_env
 
 
-@pytest.fixture(scope="module")
-def fast_outcomes(tmp_path_factory):
-    """dup-storm + tamper against a real served child, run once."""
-    workdir = tmp_path_factory.mktemp("service-chaos-fast")
-    return run_service_chaos_suite(
-        modes=("dup-storm", "tamper"), workdir=workdir, seed=11,
-        timeout=120.0,
-    )
-
-
-class TestFastChaosModes:
-    @pytest.mark.parametrize("mode", ["dup-storm", "tamper"])
-    def test_mode_survived_byte_identically(self, fast_outcomes, mode):
-        outcome = next(o for o in fast_outcomes if o.mode == mode)
-        assert outcome.survived, outcome
-        assert outcome.byte_identical, outcome
-
-    def test_dup_storm_computed_exactly_once(self, fast_outcomes):
-        dup = next(o for o in fast_outcomes if o.mode == "dup-storm")
-        assert dup.detail.startswith("1 computation(s) for 12 submissions")
-
-    def test_tamper_quarantined_both_cache_files(self, fast_outcomes):
-        tamper = next(o for o in fast_outcomes if o.mode == "tamper")
-        assert "2 corrupt file(s) quarantined" in tamper.detail
-
-    def test_report_is_deterministic_text(self, fast_outcomes):
-        report = service_chaos_report(fast_outcomes)
-        assert report == service_chaos_report(list(fast_outcomes))
-        assert "dup-storm" in report and "tamper" in report
-
-
-class TestHarnessPlumbing:
-    def test_unknown_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown service chaos mode"):
-            run_service_chaos_suite(modes=("meteor",), workdir=tmp_path)
-
+class TestServiceCli:
     def test_cli_advertises_service_commands(self):
         from repro.cli import build_parser
 
         text = build_parser().format_help()
         assert "serve" in text
-        assert "service-chaos" in text
-
-    def test_report_renders_failures_loudly(self):
-        outcome = ServiceChaosOutcome(
-            mode="kill9", fault="f", survived=False, byte_identical=False,
-            detail="d",
-        )
-        report = service_chaos_report([outcome])
-        assert "NO" in report
-
-    def test_mode_listing_is_stable(self):
-        assert SERVICE_CHAOS_MODES == (
-            "overload", "dup-storm", "sigterm", "kill9", "tamper",
-        )
+        assert "chaos-exec" in text
 
 
 class TestServeChildEndToEnd:
     def test_served_artifact_matches_direct_cli_run(self, tmp_path):
         """Submit over HTTP to a real server child; the fetched artifact
         must be byte-identical to running the same campaign directly."""
-        from repro.service.chaos import _Server, _fast_job, _job_argv
+        from repro.perf.chaos_exec import _Server, _fast_job, _job_argv
 
         job = _fast_job(23)
         direct = subprocess.run(
             [sys.executable, "-m", "repro.cli", *_job_argv(job)],
-            env=_child_env(),
+            env=child_env(),
             capture_output=True,
             timeout=120.0,
         )
