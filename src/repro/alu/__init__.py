@@ -35,8 +35,8 @@ from repro.alu.redundancy import (
     TimeRedundantALU,
 )
 from repro.alu.variants import (
+    ALUSpec,
     TABLE2_SITE_COUNTS,
-    VariantSpec,
     build_alu,
     variant_names,
     variant_spec,
@@ -44,6 +44,7 @@ from repro.alu.variants import (
 
 __all__ = [
     "ALUResult",
+    "ALUSpec",
     "BUNDLE_BITS",
     "CMOSALU",
     "CMOSVoter",
@@ -57,7 +58,6 @@ __all__ = [
     "SpaceRedundantALU",
     "TABLE2_SITE_COUNTS",
     "TimeRedundantALU",
-    "VariantSpec",
     "build_alu",
     "make_voter",
     "reference_compute",

@@ -1,21 +1,30 @@
-"""Module-level redundancy wrappers (paper Section 2.2).
+"""Module-level redundancy: one box around an ALU core (paper Section 2.2).
 
-Three configurations wrap an ALU core:
+:class:`ModuleBox` wraps any faultable core -- a NanoBox ALU, a CMOS ALU
+or another box -- in one of three compositions:
 
-* :class:`SimplexALU` -- no module-level fault tolerance (``alun*``).
-* :class:`SpaceRedundantALU` -- three concurrent ALU copies feeding a
-  majority voter (``alus*``).
-* :class:`TimeRedundantALU` -- one ALU computing the instruction three
-  times; each pass draws independent transient faults (the mask is
-  regenerated per computation), the three 9-bit inter-operation results are
-  *stored* in fault-prone registers, then voted (``alut*``).  The 27
-  storage sites are the constant "+27" between Table 2's time and space
-  rows.
+* ``"none"`` (:class:`SimplexALU`) -- no module-level fault tolerance
+  (``alun*``).  Site layout: ``core``.
+* ``"space"`` (:class:`SpaceRedundantALU`) -- three concurrent ALU copies
+  feeding a majority voter (``alus*``).  Site layout:
+  ``copy0 | copy1 | copy2 | voter``.
+* ``"time"`` (:class:`TimeRedundantALU`) -- one ALU computing the
+  instruction three times; each pass draws independent transient faults
+  (the mask is regenerated per computation), the three 9-bit
+  inter-operation results are *stored* in fault-prone registers, then
+  voted (``alut*``).  Site layout:
+  ``pass0 | pass1 | pass2 | voter | stored0 | stored1 | stored2``.  The
+  27 storage sites are the constant "+27" between Table 2's time and
+  space rows.
+
+The three copies of a redundant box are physically identical, so they are
+modelled by one core evaluated under three *independent* fault-mask
+slices -- exactly equivalent to three instances, since evaluation is pure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Optional, Tuple
 
 from repro.alu.base import ALUResult, BUNDLE_BITS, FaultableUnit
 from repro.alu.voters import Voter
@@ -23,6 +32,9 @@ from repro.faults.sites import Segment, SiteSpace
 
 #: Number of redundant executions / copies at the module level.
 MODULE_COPIES = 3
+
+#: Module-level compositions -> the name prefix of their copy segments.
+COMPOSITIONS = {"none": "core", "space": "copy", "time": "pass"}
 
 
 def _storage_image_of(component) -> int:
@@ -37,85 +49,97 @@ def _static_mask_of(component) -> int:
     return mask_fn() if mask_fn is not None else 0
 
 
-class SimplexALU(FaultableUnit):
-    """Pass-through wrapper: one core, no module-level redundancy.
+class ModuleBox(FaultableUnit):
+    """A core behind a module-level composition (none, space or time).
 
-    Exists so all twelve Table 2 variants share one interface and one
-    site-space layout convention.
-    """
-
-    def __init__(self, core: FaultableUnit, name: str = "simplex") -> None:
-        self._core = core
-        self._space = SiteSpace(name)
-        self._core_segment = self._space.add("core", core.site_count)
-
-    @property
-    def core(self) -> FaultableUnit:
-        """The wrapped ALU core."""
-        return self._core
-
-    @property
-    def site_space(self) -> SiteSpace:
-        return self._space
-
-    def compute(self, op: int, a: int, b: int, fault_mask: int = 0) -> ALUResult:
-        return self._core.compute(
-            op, a, b, fault_mask=self._core_segment.extract(fault_mask)
-        )
-
-    def storage_image(self) -> int:
-        """Stored-bit image (the wrapped core's, at offset zero)."""
-        return _storage_image_of(self._core)
-
-    def static_site_mask(self) -> int:
-        """Static-storage sites (the wrapped core's)."""
-        return _static_mask_of(self._core)
-
-
-class SpaceRedundantALU(FaultableUnit):
-    """Three concurrent ALU copies voted by a fault-prone majority voter.
-
-    The three copies are physically identical, so they are modelled by one
-    core evaluated under three *independent* fault-mask slices -- exactly
-    equivalent to three instances, since evaluation is pure.
-
-    Site layout: ``copy0 | copy1 | copy2 | voter``.
+    Args:
+        core: the wrapped unit.
+        voter: the module-level majority voter; ``None`` exactly when
+            the composition is ``"none"``.
+        composition: ``"none"``, ``"space"`` or ``"time"``.
+        name: the site space's name.
     """
 
     def __init__(
         self,
-        core_factory: Callable[[], FaultableUnit],
-        voter: Voter,
-        name: str = "space_redundant",
+        core: FaultableUnit,
+        voter: Optional[Voter],
+        composition: str,
+        name: str,
     ) -> None:
-        self._core = core_factory()
+        self._core = core
         self._voter = voter
+        self._composition = composition
         self._space = SiteSpace(name)
-        self._copy_segments: List[Segment] = [
-            self._space.add(f"copy{i}", self._core.site_count)
-            for i in range(MODULE_COPIES)
-        ]
-        self._voter_segment = self._space.add("voter", voter.site_count)
+        prefix = COMPOSITIONS[composition]
+        if voter is None:
+            self._copy_segments: Tuple[Segment, ...] = (
+                self._space.add(prefix, core.site_count),
+            )
+            self._voter_segment: Optional[Segment] = None
+        else:
+            self._copy_segments = tuple(
+                self._space.add(f"{prefix}{i}", core.site_count)
+                for i in range(MODULE_COPIES)
+            )
+            self._voter_segment = self._space.add("voter", voter.site_count)
+        self._stored_segments: Tuple[Segment, ...] = tuple(
+            self._space.add(f"stored{i}", BUNDLE_BITS)
+            for i in range(MODULE_COPIES if composition == "time" else 0)
+        )
 
     @property
     def core(self) -> FaultableUnit:
-        """The replicated ALU core."""
+        """The wrapped core (replicated in space, or reused in time)."""
         return self._core
 
     @property
-    def voter(self) -> Voter:
-        """The module-level majority voter."""
+    def voter(self) -> Optional[Voter]:
+        """The module-level majority voter (``None`` for simplex)."""
         return self._voter
+
+    @property
+    def composition(self) -> str:
+        """``"none"``, ``"space"`` or ``"time"``."""
+        return self._composition
+
+    @property
+    def copy_segments(self) -> Tuple[Segment, ...]:
+        """The core's segments: ``core``, or ``copy{i}`` / ``pass{i}``."""
+        return self._copy_segments
+
+    @property
+    def voter_segment(self) -> Optional[Segment]:
+        """The voter's segment (``None`` for simplex)."""
+        return self._voter_segment
+
+    @property
+    def stored_segments(self) -> Tuple[Segment, ...]:
+        """The ``stored{i}`` holding registers (time redundancy only)."""
+        return self._stored_segments
+
+    @property
+    def storage_sites(self) -> int:
+        """Fault sites in the inter-operation result registers."""
+        return sum(seg.size for seg in self._stored_segments)
 
     @property
     def site_space(self) -> SiteSpace:
         return self._space
 
     def compute(self, op: int, a: int, b: int, fault_mask: int = 0) -> ALUResult:
+        core = self._core
+        if self._voter is None:
+            return core.compute(
+                op, a, b, fault_mask=self._copy_segments[0].extract(fault_mask)
+            )
         bundles = [
-            self._core.compute(op, a, b, fault_mask=seg.extract(fault_mask)).bundle
+            core.compute(op, a, b, fault_mask=seg.extract(fault_mask)).bundle
             for seg in self._copy_segments
         ]
+        # Bit flips in a holding register corrupt the stored copy.
+        for i, seg in enumerate(self._stored_segments):
+            bundles[i] ^= seg.extract(fault_mask)
         voted = self._voter.vote(
             bundles[0],
             bundles[1],
@@ -124,26 +148,55 @@ class SpaceRedundantALU(FaultableUnit):
         )
         return ALUResult.from_bundle(voted)
 
-    def storage_image(self) -> int:
-        """Stored bits: one core image per copy plus the voter's."""
-        core_image = _storage_image_of(self._core)
-        image = 0
+    def _tile(self, of: Callable[[object], int]) -> int:
+        """``of(core)`` at every copy plus ``of(voter)`` at the voter."""
+        core_bits = of(self._core)
+        bits = 0
         for segment in self._copy_segments:
-            image |= core_image << segment.offset
-        image |= _storage_image_of(self._voter) << self._voter_segment.offset
-        return image
+            bits |= core_bits << segment.offset
+        if self._voter is not None:
+            bits |= of(self._voter) << self._voter_segment.offset
+        return bits
+
+    def storage_image(self) -> int:
+        """Stored bits: the core image per copy plus the voter's.
+
+        The holding-register sites carry no static content (they hold a
+        different value every instruction) and contribute zeros.
+        """
+        return self._tile(_storage_image_of)
 
     def static_site_mask(self) -> int:
-        """Static sites: each copy's plus the voter's."""
-        core_mask = _static_mask_of(self._core)
-        mask = 0
-        for segment in self._copy_segments:
-            mask |= core_mask << segment.offset
-        mask |= _static_mask_of(self._voter) << self._voter_segment.offset
-        return mask
+        """Static sites: copies and voter only -- holding registers are
+        dynamic, so manufacturing defects there are modelled as persistent
+        inversions by :class:`~repro.faults.defects.DefectiveUnit`."""
+        return self._tile(_static_mask_of)
 
 
-class TimeRedundantALU(FaultableUnit):
+class SimplexALU(ModuleBox):
+    """Pass-through box: one core, no module-level redundancy.
+
+    Exists so all twelve Table 2 variants share one interface and one
+    site-space layout convention.
+    """
+
+    def __init__(self, core: FaultableUnit, name: str = "simplex") -> None:
+        super().__init__(core, None, "none", name)
+
+
+class SpaceRedundantALU(ModuleBox):
+    """Three concurrent ALU copies voted by a fault-prone majority voter."""
+
+    def __init__(
+        self,
+        core_factory: Callable[[], FaultableUnit],
+        voter: Voter,
+        name: str = "space_redundant",
+    ) -> None:
+        super().__init__(core_factory(), voter, "space", name)
+
+
+class TimeRedundantALU(ModuleBox):
     """One ALU core computing each instruction three times serially.
 
     Each pass experiences an independent draw of transient faults (the
@@ -151,9 +204,6 @@ class TimeRedundantALU(FaultableUnit):
     appear three times in the site space.  Between passes the 9-bit result
     sits in a fault-prone holding register; all three stored bundles are
     voted at the end.
-
-    Site layout: ``pass0 | pass1 | pass2 | voter | storage`` where storage
-    is ``3 x 9 = 27`` register bits.
     """
 
     def __init__(
@@ -162,74 +212,4 @@ class TimeRedundantALU(FaultableUnit):
         voter: Voter,
         name: str = "time_redundant",
     ) -> None:
-        self._core = core_factory()
-        self._voter = voter
-        self._space = SiteSpace(name)
-        self._pass_segments: List[Segment] = [
-            self._space.add(f"pass{i}", self._core.site_count)
-            for i in range(MODULE_COPIES)
-        ]
-        self._voter_segment = self._space.add("voter", voter.site_count)
-        self._storage_segments: List[Segment] = [
-            self._space.add(f"stored{i}", BUNDLE_BITS)
-            for i in range(MODULE_COPIES)
-        ]
-
-    @property
-    def core(self) -> FaultableUnit:
-        """The single, serially reused ALU core."""
-        return self._core
-
-    @property
-    def voter(self) -> Voter:
-        """The module-level majority voter."""
-        return self._voter
-
-    @property
-    def storage_sites(self) -> int:
-        """Fault sites in the inter-operation result registers."""
-        return MODULE_COPIES * BUNDLE_BITS
-
-    @property
-    def site_space(self) -> SiteSpace:
-        return self._space
-
-    def compute(self, op: int, a: int, b: int, fault_mask: int = 0) -> ALUResult:
-        stored: List[int] = []
-        for pass_seg, store_seg in zip(self._pass_segments, self._storage_segments):
-            bundle = self._core.compute(
-                op, a, b, fault_mask=pass_seg.extract(fault_mask)
-            ).bundle
-            # Bit flips in the holding register corrupt the stored copy.
-            stored.append(bundle ^ store_seg.extract(fault_mask))
-        voted = self._voter.vote(
-            stored[0],
-            stored[1],
-            stored[2],
-            fault_mask=self._voter_segment.extract(fault_mask),
-        )
-        return ALUResult.from_bundle(voted)
-
-    def storage_image(self) -> int:
-        """Stored bits: the core image per pass plus the voter's.
-
-        The 27 holding-register sites carry no static content (they hold
-        a different value every instruction) and contribute zeros.
-        """
-        core_image = _storage_image_of(self._core)
-        image = 0
-        for segment in self._pass_segments:
-            image |= core_image << segment.offset
-        image |= _storage_image_of(self._voter) << self._voter_segment.offset
-        return image
-
-    def static_site_mask(self) -> int:
-        """Static sites: passes and voter only -- registers are dynamic,
-        so manufacturing defects there are modelled as persistent
-        inversions by :class:`~repro.faults.defects.DefectiveUnit`."""
-        core_mask = _static_mask_of(self._core)
-        mask = 0
-        for segment in self._pass_segments:
-            mask |= core_mask << segment.offset
-        mask |= _static_mask_of(self._voter) << self._voter_segment.offset
-        return mask
+        super().__init__(core_factory(), voter, "time", name)

@@ -1,4 +1,4 @@
-"""The twelve named ALU variants of paper Table 2.
+"""The twelve named ALU variants of paper Table 2, and the unit recipe.
 
 Variant names decompose as ``alu`` + module level + bit level:
 
@@ -7,21 +7,29 @@ Variant names decompose as ``alu`` + module level + bit level:
 * bit level: ``cmos`` = conventional gates, ``h`` = Hamming-coded LUTs,
   ``n`` = uncoded LUTs, ``s`` = triplicated-string LUTs.
 
-:func:`build_alu` constructs any variant; ``TABLE2_SITE_COUNTS`` records the
-paper's published fault-site counts, which the construction reproduces
-exactly (asserted by the test suite).
+:class:`ALUSpec` is the one recipe for a compute unit: a core scheme
+inside a module-level composition.  :func:`variant_spec` fills it from a
+paper name and :func:`build_alu` builds it.  ``TABLE2_SITE_COUNTS``
+records the paper's published fault-site counts, which the construction
+reproduces exactly (asserted by the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.alu.base import FaultableUnit
 from repro.alu.cmos import CMOSALU
 from repro.alu.nanobox import NanoBoxALU
-from repro.alu.redundancy import SimplexALU, SpaceRedundantALU, TimeRedundantALU
+from repro.alu.redundancy import (
+    COMPOSITIONS,
+    SimplexALU,
+    SpaceRedundantALU,
+    TimeRedundantALU,
+)
 from repro.alu.voters import make_voter
+from repro.lut.coded import DEFAULT_BLOCK_SIZE
 
 #: Paper Table 2: potential fault-injection points per implementation.
 TABLE2_SITE_COUNTS: Dict[str, int] = {
@@ -39,7 +47,10 @@ TABLE2_SITE_COUNTS: Dict[str, int] = {
     "aluts": 5067,
 }
 
-#: Bit-level technique suffix -> LUT coding scheme ("cmos" is special-cased).
+#: Module-level name letter -> composition.
+_MODULE: Dict[str, str] = {"n": "none", "t": "time", "s": "space"}
+
+#: Bit-level technique suffix -> core scheme ("cmos" is the gate core).
 _BIT_LEVEL: Dict[str, str] = {
     "cmos": "cmos",
     "h": "hamming",
@@ -55,43 +66,94 @@ _BIT_LEVEL_LABEL: Dict[str, str] = {
 }
 
 _MODULE_LABEL: Dict[str, str] = {
-    "n": "no module-level redundancy",
-    "t": "module-level time redundancy (three serial passes)",
-    "s": "module-level space redundancy (three concurrent copies)",
+    "none": "no module-level redundancy",
+    "time": "module-level time redundancy (three serial passes)",
+    "space": "module-level space redundancy (three concurrent copies)",
 }
 
 
 @dataclass(frozen=True)
-class VariantSpec:
-    """Static description of one Table 2 ALU variant."""
+class ALUSpec:
+    """Picklable recipe for one fault-maskable compute unit.
 
-    name: str
-    bit_level: str        # "cmos", "hamming", "none", or "tmr"
-    module_level: str     # "n", "t", or "s"
-    expected_sites: int
-    description: str
+    A campaign work item crosses a process boundary, but the units
+    themselves (LUT object graphs, gate netlists) are heavyweight and not
+    worth pickling.  A work item carries this small frozen spec instead
+    and each worker process rebuilds the unit; construction is
+    deterministic, so a spec builds the same unit in every process.
 
-    @property
-    def uses_lut(self) -> bool:
-        """True for NanoBox (lookup-table) variants."""
-        return self.bit_level != "cmos"
+    Attributes:
+        module: module-level composition, ``"none"``, ``"space"`` or
+            ``"time"``.
+        scheme: the core's LUT coding scheme, or ``"cmos"`` for the
+            conventional gate-level core.
+        voter: the voter construction (a :func:`make_voter` kind) of a
+            redundant composition; empty for ``"none"``.
+        block_size: the core's Hamming block size.
+        name: the built unit's site-space name.
+    """
 
-    @property
-    def has_module_redundancy(self) -> bool:
-        return self.module_level != "n"
+    module: str
+    scheme: str
+    voter: str = ""
+    block_size: int = DEFAULT_BLOCK_SIZE
+    name: str = ""
 
+    def __post_init__(self) -> None:
+        if self.module not in COMPOSITIONS:
+            raise ValueError(
+                f"unknown module composition {self.module!r}; "
+                f"valid: {tuple(COMPOSITIONS)}"
+            )
+        if bool(self.voter) == (self.module == "none"):
+            raise ValueError(
+                f"a {self.module!r} composition takes "
+                f"{'no' if self.module == 'none' else 'a'} voter"
+            )
+        if not self.name:
+            raise ValueError("ALU spec requires a name")
 
-def _parse_name(name: str) -> Tuple[str, str]:
-    """Split a Table 2 name into (module suffix, bit-level scheme)."""
-    if not name.startswith("alu") or len(name) < 5:
-        raise KeyError(f"unknown ALU variant {name!r}")
-    module = name[3]
-    bit_suffix = name[4:]
-    if module not in _MODULE_LABEL or bit_suffix not in _BIT_LEVEL:
-        raise KeyError(
-            f"unknown ALU variant {name!r}; valid: {', '.join(variant_names())}"
+    @classmethod
+    def variant(cls, name: str) -> "ALUSpec":
+        """A Table 2 variant by its paper name."""
+        return variant_spec(name)
+
+    @classmethod
+    def simplex(
+        cls, scheme: str, block_size: int = DEFAULT_BLOCK_SIZE, name: str = ""
+    ) -> "ALUSpec":
+        """A single NanoBox module with no module-level redundancy."""
+        return cls(
+            "none", scheme, block_size=block_size,
+            name=name or f"simplex[{scheme}]",
         )
-    return module, _BIT_LEVEL[bit_suffix]
+
+    @classmethod
+    def space(cls, scheme: str, voter: str, name: str = "") -> "ALUSpec":
+        """Three NanoBox copies behind a voter of the given construction."""
+        return cls(
+            "space", scheme, voter=voter,
+            name=name or f"space[{scheme}/{voter}]",
+        )
+
+    @property
+    def description(self) -> str:
+        """One-line prose description of a Table 2 variant's recipe."""
+        return (
+            f"{_BIT_LEVEL_LABEL[self.scheme]} with "
+            f"{_MODULE_LABEL[self.module]}"
+        )
+
+    def build(self) -> FaultableUnit:
+        """Construct the unit."""
+        if self.scheme == "cmos":
+            core: FaultableUnit = CMOSALU()
+        else:
+            core = NanoBoxALU(scheme=self.scheme, block_size=self.block_size)
+        if self.module == "none":
+            return SimplexALU(core, name=self.name)
+        box = SpaceRedundantALU if self.module == "space" else TimeRedundantALU
+        return box(lambda: core, make_voter(self.voter), name=self.name)
 
 
 def variant_names() -> Tuple[str, ...]:
@@ -99,25 +161,19 @@ def variant_names() -> Tuple[str, ...]:
     return tuple(TABLE2_SITE_COUNTS)
 
 
-def variant_spec(name: str) -> VariantSpec:
-    """Return the static description of a named variant."""
-    module, bit_level = _parse_name(name)
-    description = (
-        f"{_BIT_LEVEL_LABEL[bit_level]} with {_MODULE_LABEL[module]}"
-    )
-    return VariantSpec(
-        name=name,
-        bit_level=bit_level,
-        module_level=module,
-        expected_sites=TABLE2_SITE_COUNTS[name],
-        description=description,
-    )
+def variant_spec(name: str) -> ALUSpec:
+    """Return the recipe of a named Table 2 variant.
 
-
-def _core_factory(bit_level: str) -> Callable[[], FaultableUnit]:
-    if bit_level == "cmos":
-        return CMOSALU
-    return lambda: NanoBoxALU(scheme=bit_level)
+    A variant's voter uses its core's bit-level technique.
+    """
+    if name not in TABLE2_SITE_COUNTS:
+        raise KeyError(
+            f"unknown ALU variant {name!r}; valid: {', '.join(variant_names())}"
+        )
+    module = _MODULE[name[3]]
+    scheme = _BIT_LEVEL[name[4:]]
+    voter = "" if module == "none" else scheme
+    return ALUSpec(module, scheme, voter=voter, name=name)
 
 
 def build_alu(name: str) -> FaultableUnit:
@@ -129,14 +185,7 @@ def build_alu(name: str) -> FaultableUnit:
     >>> build_alu("aluss").site_count
     5040
     """
-    module, bit_level = _parse_name(name)
-    core_factory = _core_factory(bit_level)
-    if module == "n":
-        return SimplexALU(core_factory(), name=name)
-    voter = make_voter(bit_level)
-    if module == "s":
-        return SpaceRedundantALU(core_factory, voter, name=name)
-    return TimeRedundantALU(core_factory, voter, name=name)
+    return variant_spec(name).build()
 
 
 def build_all() -> Dict[str, FaultableUnit]:

@@ -14,24 +14,23 @@ Answers the questions a NanoBox adopter would ask next:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.alu.variants import TABLE2_SITE_COUNTS
+from repro.alu.nanobox import NanoBoxALU
 from repro.analysis.models import (
     majority_error_prob,
     predicted_percent_correct,
 )
 from repro.faults.fit import fit_for_fault_fraction
 
-#: Site counts of the single-core configurations per scheme, used to
-#: translate fault fractions into FIT rates and area overheads.
-_SCHEME_SITES: Dict[str, int] = {
-    "none": TABLE2_SITE_COUNTS["alunn"],
-    "hamming": TABLE2_SITE_COUNTS["alunh"],
-    "tmr": TABLE2_SITE_COUNTS["aluns"],
-    "5mr": 16 * 32 * 5,
-    "7mr": 16 * 32 * 7,
-}
+#: The bit-level schemes the closed-form models cover, in report order.
+MODELLED_SCHEMES: Tuple[str, ...] = ("none", "hamming", "tmr", "5mr", "7mr")
+
+
+def _scheme_sites(scheme: str) -> int:
+    """Sites of one NanoBox core under ``scheme``, used to translate
+    fault fractions into FIT rates and area overheads."""
+    return NanoBoxALU(scheme=scheme).site_count
 
 
 def fault_budget(
@@ -70,7 +69,7 @@ def fit_budget(scheme: str, target_percent: float) -> float:
     lands in the 1e24 decade.
     """
     fraction = fault_budget(scheme, target_percent)
-    return fit_for_fault_fraction(fraction, _SCHEME_SITES[scheme])
+    return fit_for_fault_fraction(fraction, _scheme_sites(scheme))
 
 
 def accuracy_per_overhead(scheme: str, p: float) -> float:
@@ -79,18 +78,18 @@ def accuracy_per_overhead(scheme: str, p: float) -> float:
     A crude figure of merit: how much accuracy each unit of silicon
     (site) buys at fault fraction ``p``.
     """
-    overhead = _SCHEME_SITES[scheme] / _SCHEME_SITES["none"]
+    overhead = _scheme_sites(scheme) / _scheme_sites("none")
     return predicted_percent_correct(scheme, p) / overhead
 
 
 def tradeoff_table(
     p: float,
-    schemes: Sequence[str] = ("none", "hamming", "tmr", "5mr", "7mr"),
+    schemes: Sequence[str] = MODELLED_SCHEMES,
 ) -> List[Tuple[str, float, float, float]]:
     """(scheme, overhead, accuracy, accuracy/overhead) rows at one rate."""
     rows = []
     for scheme in schemes:
-        overhead = _SCHEME_SITES[scheme] / _SCHEME_SITES["none"]
+        overhead = _scheme_sites(scheme) / _scheme_sites("none")
         accuracy = predicted_percent_correct(scheme, p)
         rows.append((scheme, overhead, accuracy, accuracy / overhead))
     return rows

@@ -275,14 +275,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
-    from repro.alu.variants import build_alu, variant_spec
+    from repro.alu.variants import TABLE2_SITE_COUNTS, variant_spec
     from repro.core.hierarchy import describe_unit, render_tree
 
     spec = variant_spec(args.variant)
     print(f"{spec.name}: {spec.description}")
-    print(f"fault-injection sites: {spec.expected_sites}")
+    print(f"fault-injection sites: {TABLE2_SITE_COUNTS[spec.name]}")
     print()
-    print(render_tree(describe_unit(build_alu(args.variant))))
+    print(render_tree(describe_unit(spec.build())))
     return 0
 
 
@@ -531,7 +531,11 @@ def _cmd_yield(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.design_space import fault_budget, fit_budget
+    from repro.analysis.design_space import (
+        MODELLED_SCHEMES,
+        fault_budget,
+        fit_budget,
+    )
     from repro.analysis.system import (
         disagreement_probability,
         expected_instructions_to_disable,
@@ -540,7 +544,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_table
 
     rows = []
-    for scheme in ("none", "hamming", "tmr", "5mr", "7mr"):
+    for scheme in MODELLED_SCHEMES:
         budget = fault_budget(scheme, args.target)
         detect = disagreement_probability(scheme, args.fault_percent / 100)
         rows.append(
@@ -873,6 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nanobox-repro",
         description="Recursive NanoBox Processor Grid reproduction toolkit",
     )
+    from repro.alu.variants import variant_names
     from repro.kernels import backend_from_env
 
     try:
@@ -892,11 +897,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fit = sub.add_parser("fit", help="percent -> FIT translation")
-    fit.add_argument("--variant", default="aluss")
+    fit.add_argument("--variant", choices=variant_names(), default="aluss",
+                     metavar="VARIANT")
     fit.set_defaults(fn=_cmd_fit)
 
     describe = sub.add_parser("describe", help="show a variant's hierarchy")
-    describe.add_argument("variant")
+    describe.add_argument("variant", choices=variant_names(), metavar="VARIANT")
     describe.set_defaults(fn=_cmd_describe)
 
     sweep = sub.add_parser("sweep", help="regenerate Figure 7, 8, or 9")
@@ -939,8 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_args(grid)
     _add_backend_arg(grid, "scalar")
     grid.set_defaults(fn=_cmd_grid)
-
-    from repro.alu.variants import variant_names
 
     yld = sub.add_parser("yield", help="manufacturing-yield table")
     yld.add_argument("--variants", nargs="+", choices=variant_names(),

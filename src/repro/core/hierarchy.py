@@ -2,8 +2,8 @@
 
 ``describe_unit`` understands the library's ALU family and produces the
 box-within-a-box tree the paper draws in prose: lookup tables (bit level)
-inside ALU cores, cores inside redundancy wrappers with their voter and
-holding registers (module level).  The grid package extends the same tree
+inside ALU cores, cores inside a module box with its voter and holding
+registers (module level).  The grid package extends the same tree
 one level up (system level) via its own describe helpers.
 """
 
@@ -14,10 +14,17 @@ from typing import List
 from repro.alu.base import FaultableUnit
 from repro.alu.cmos import CMOSALU
 from repro.alu.nanobox import NanoBoxALU
-from repro.alu.redundancy import SimplexALU, SpaceRedundantALU, TimeRedundantALU
+from repro.alu.redundancy import ModuleBox
 from repro.alu.reference import ReferenceALU
-from repro.alu.voters import CMOSVoter, LUTVoter, Voter
+from repro.alu.voters import LUTVoter, Voter
 from repro.core.box import FaultToleranceLevel, NanoBox
+
+#: Module-box composition -> the technique its description names.
+_BOX_TECHNIQUES = {
+    "none": "none",
+    "space": "space-redundancy",
+    "time": "time-redundancy",
+}
 
 
 def _describe_nanobox_core(core: NanoBoxALU, name: str) -> NanoBox:
@@ -40,35 +47,11 @@ def _describe_nanobox_core(core: NanoBoxALU, name: str) -> NanoBox:
     )
 
 
-def _describe_cmos_core(core: CMOSALU, name: str) -> NanoBox:
-    return NanoBox(
-        name=name,
-        level=FaultToleranceLevel.BIT,
-        technique="cmos-gates",
-        sites=core.site_count,
-    )
-
-
-def _describe_core(core: FaultableUnit, name: str) -> NanoBox:
-    if isinstance(core, NanoBoxALU):
-        return _describe_nanobox_core(core, name)
-    if isinstance(core, CMOSALU):
-        return _describe_cmos_core(core, name)
-    return NanoBox(
-        name=name,
-        level=FaultToleranceLevel.BIT,
-        technique="opaque",
-        sites=core.site_count,
-    )
-
-
 def _describe_voter(voter: Voter, name: str) -> NanoBox:
     if isinstance(voter, LUTVoter):
         technique = f"majority-vote[lut:{voter.scheme}]"
-    elif isinstance(voter, CMOSVoter):
+    else:
         technique = "majority-vote[cmos]"
-    else:  # pragma: no cover - future voter kinds
-        technique = "majority-vote"
     return NanoBox(
         name=name,
         level=FaultToleranceLevel.MODULE,
@@ -78,48 +61,44 @@ def _describe_voter(voter: Voter, name: str) -> NanoBox:
 
 
 def describe_unit(unit: FaultableUnit, name: str = "") -> NanoBox:
-    """Return the NanoBox hierarchy of an ALU-family compute unit."""
+    """Return the NanoBox hierarchy of an ALU-family compute unit.
+
+    A module box's children are its core's hierarchy under each copy
+    segment, then its voter, then its holding registers; a box nested
+    inside a box describes the same way, one level down.
+    """
     label = name or unit.site_space.name
-    if isinstance(unit, SimplexALU):
-        core = _describe_core(unit.core, f"{label}.core")
-        return NanoBox(
-            name=label,
-            level=FaultToleranceLevel.MODULE,
-            technique="none",
-            sites=unit.site_count,
-            children=(core,),
-        )
-    if isinstance(unit, SpaceRedundantALU):
+    if isinstance(unit, ModuleBox):
         children = [
-            _describe_core(unit.core, f"{label}.copy{i}") for i in range(3)
+            describe_unit(unit.core, f"{label}.{seg.name}")
+            for seg in unit.copy_segments
         ]
-        children.append(_describe_voter(unit.voter, f"{label}.voter"))
-        return NanoBox(
-            name=label,
-            level=FaultToleranceLevel.MODULE,
-            technique="space-redundancy",
-            sites=unit.site_count,
-            children=tuple(children),
-        )
-    if isinstance(unit, TimeRedundantALU):
-        children = [
-            _describe_core(unit.core, f"{label}.pass{i}") for i in range(3)
-        ]
-        children.append(_describe_voter(unit.voter, f"{label}.voter"))
-        children.append(
-            NanoBox(
-                name=f"{label}.result_registers",
-                level=FaultToleranceLevel.MODULE,
-                technique="triplicated-storage",
-                sites=unit.storage_sites,
+        if unit.voter is not None:
+            children.append(_describe_voter(unit.voter, f"{label}.voter"))
+        if unit.stored_segments:
+            children.append(
+                NanoBox(
+                    name=f"{label}.result_registers",
+                    level=FaultToleranceLevel.MODULE,
+                    technique="triplicated-storage",
+                    sites=unit.storage_sites,
+                )
             )
-        )
         return NanoBox(
             name=label,
             level=FaultToleranceLevel.MODULE,
-            technique="time-redundancy",
+            technique=_BOX_TECHNIQUES[unit.composition],
             sites=unit.site_count,
             children=tuple(children),
+        )
+    if isinstance(unit, NanoBoxALU):
+        return _describe_nanobox_core(unit, label)
+    if isinstance(unit, CMOSALU):
+        return NanoBox(
+            name=label,
+            level=FaultToleranceLevel.BIT,
+            technique="cmos-gates",
+            sites=unit.site_count,
         )
     if isinstance(unit, ReferenceALU):
         return NanoBox(
@@ -128,7 +107,12 @@ def describe_unit(unit: FaultableUnit, name: str = "") -> NanoBox:
             technique="oracle",
             sites=0,
         )
-    return _describe_core(unit, label)
+    return NanoBox(
+        name=label,
+        level=FaultToleranceLevel.BIT,
+        technique="opaque",
+        sites=unit.site_count,
+    )
 
 
 def render_tree(box: NanoBox, indent: str = "") -> str:

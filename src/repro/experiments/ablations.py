@@ -118,7 +118,7 @@ def hamming_semantics_ablation(
     fastest.
     """
     entries = [
-        (scheme, ALUSpec.simplex(scheme, label=f"ablate[{scheme}]"), "exact")
+        (scheme, ALUSpec.simplex(scheme, name=f"ablate[{scheme}]"), "exact")
         for scheme in ("none", "hamming", "hamming-sec", "hamming-fp", "hsiao")
     ]
     return _run_series(
@@ -135,7 +135,7 @@ def redundancy_order_ablation(
 ) -> Dict[str, List[float]]:
     """Sweep bit-level replication order: 1x (none), 3x, 5x, 7x strings."""
     entries = [
-        (label, ALUSpec.simplex(scheme, label=f"ablate[{label}]"), "exact")
+        (label, ALUSpec.simplex(scheme, name=f"ablate[{label}]"), "exact")
         for scheme, label in (
             ("none", "1x"),
             ("tmr", "3x"),
@@ -160,7 +160,7 @@ def voter_coding_ablation(
         (
             f"voter:{voter_kind}",
             ALUSpec.space(
-                "tmr", voter_kind, label=f"ablate[voter:{voter_kind}]"
+                "tmr", voter_kind, name=f"ablate[voter:{voter_kind}]"
             ),
             "exact",
         )
@@ -184,7 +184,7 @@ def mask_policy_ablation(
     version of the Bernoulli draw -- validating that the paper's injection
     semantics is not doing hidden work.
     """
-    spec = ALUSpec.simplex("tmr", label="ablate[policy]")
+    spec = ALUSpec.simplex("tmr", name="ablate[policy]")
     entries = [("exact", spec, "exact"), ("bernoulli", spec, "bernoulli")]
     return _run_series(
         entries, percents, trials_per_workload, seed, jobs, backend
@@ -208,7 +208,7 @@ def hamming_block_size_ablation(
         (
             f"block{block}",
             ALUSpec.simplex(
-                "hamming", block_size=block, label=f"ablate[block{block}]"
+                "hamming", block_size=block, name=f"ablate[block{block}]"
             ),
             "exact",
         )

@@ -121,11 +121,15 @@ def _scaling_section(seed: int) -> str:
 
 
 def _design_space_section() -> str:
-    from repro.analysis.design_space import fault_budget, fit_budget
+    from repro.analysis.design_space import (
+        MODELLED_SCHEMES,
+        fault_budget,
+        fit_budget,
+    )
     from repro.experiments.report import format_table
 
     rows = []
-    for scheme in ("none", "hamming", "tmr", "5mr", "7mr"):
+    for scheme in MODELLED_SCHEMES:
         rows.append(
             (
                 scheme,

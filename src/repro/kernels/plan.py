@@ -17,7 +17,7 @@ generated C kernel (:mod:`repro.kernels.csrc`) and the NumPy executor
 (:class:`repro.alu.batched.BatchedEngine`).  Both read the same arrays,
 so the tiers stay bit-identical by construction.
 
-Lowering walks the scalar units themselves -- redundancy wrappers,
+Lowering walks the scalar units themselves -- the module box,
 NanoBox and CMOS cores, LUT and gate voters, coded LUTs and gate
 netlists -- and reads the segment geometry from their site spaces.  A
 unit outside that family (gate-level Hamming decoders, parity, and the
@@ -36,12 +36,7 @@ import numpy as np
 from repro.alu.base import INTERNAL_OPCODE
 from repro.alu.cmos import CMOSALU
 from repro.alu.nanobox import NanoBoxALU
-from repro.alu.redundancy import (
-    MODULE_COPIES,
-    SimplexALU,
-    SpaceRedundantALU,
-    TimeRedundantALU,
-)
+from repro.alu.redundancy import ModuleBox
 from repro.alu.voters import CMOSVoter, LUTVoter
 from repro.coding import HammingCode, HsiaoCode, IdentityCode, RepetitionCode
 from repro.logic.gates import GateType, SignalKind
@@ -51,6 +46,9 @@ from repro.lut.coded import CodedLUT
 COMP_SIMPLEX = 0
 COMP_SPACE = 1
 COMP_TIME = 2
+
+#: Module-box composition -> composition kind.
+_COMP_KINDS = {"none": COMP_SIMPLEX, "space": COMP_SPACE, "time": COMP_TIME}
 
 #: Coded-LUT schemes (lut descriptor field 0).
 LUT_IDENTITY = 0
@@ -325,27 +323,18 @@ def _lower_voter(b: _Builder, voter) -> int:
     raise _Unloweable
 
 
-def _lower_redundant(b: _Builder, header: List[int], unit, segment: str) -> None:
-    """Lower a three-copy wrapper's core, voter and segment offsets."""
-    space = unit.site_space
-    header[H_CORE] = _lower_core(b, unit.core)
-    header[H_VOTER] = _lower_voter(b, unit.voter)
-    copies = [f"{segment}{i}" for i in range(MODULE_COPIES)]
-    header[H_BASE0 : H_BASE0 + MODULE_COPIES] = _segment_offsets(space, copies)
-    header[H_VOTER_BASE] = space.segment("voter").offset
-
-
 def build_plan(unit) -> Optional[KernelPlan]:
     """Lower a campaign compute unit, or return ``None`` (stay scalar).
 
     Accepts :class:`NanoBoxALU` cores whose coding schemes lower and
-    :class:`CMOSALU` gate-netlist cores, bare or under any of the
-    Simplex / Space / Time redundancy wrappers with LUT or CMOS voters
-    -- all twelve Table 2 variants plus the ablation studies' units,
-    every syndrome decoder included.  Gate-level Hamming decoders and
-    parity (and parts built on them) return ``None``.  A defective part
-    lowers to its pristine design's plan, unchanged: its defects are a
-    mask overlay applied by :func:`repro.kernels.engine.build_engine`.
+    :class:`CMOSALU` gate-netlist cores, bare or inside one
+    :class:`~repro.alu.redundancy.ModuleBox` of any composition with a
+    LUT or CMOS voter -- all twelve Table 2 variants plus the ablation
+    studies' units, every syndrome decoder included.  Gate-level Hamming
+    decoders and parity (and parts built on them), and boxes nested in
+    boxes, return ``None``.  A defective part lowers to its pristine
+    design's plan, unchanged: its defects are a mask overlay applied by
+    :func:`repro.kernels.engine.build_engine`.
     """
     from repro.faults.defects import DefectiveUnit
 
@@ -356,26 +345,20 @@ def build_plan(unit) -> Optional[KernelPlan]:
     header = [0] * HEADER_LEN
     header[H_VOTER] = -1
     try:
-        if isinstance(unit, SimplexALU):
-            header[H_COMP] = COMP_SIMPLEX
+        if isinstance(unit, ModuleBox):
+            header[H_COMP] = _COMP_KINDS[unit.composition]
             header[H_CORE] = _lower_core(b, unit.core)
-            header[H_BASE0] = unit.site_space.segment("core").offset
-        elif isinstance(unit, SpaceRedundantALU):
-            header[H_COMP] = COMP_SPACE
-            _lower_redundant(b, header, unit, "copy")
-        elif isinstance(unit, TimeRedundantALU):
-            header[H_COMP] = COMP_TIME
-            _lower_redundant(b, header, unit, "pass")
-            stores = [f"stored{i}" for i in range(MODULE_COPIES)]
-            header[H_STORE0 : H_STORE0 + MODULE_COPIES] = _segment_offsets(
-                unit.site_space, stores
-            )
+            bases = [seg.offset for seg in unit.copy_segments]
+            header[H_BASE0 : H_BASE0 + len(bases)] = bases
+            if unit.voter is not None:
+                header[H_VOTER] = _lower_voter(b, unit.voter)
+                header[H_VOTER_BASE] = unit.voter_segment.offset
+            stores = [seg.offset for seg in unit.stored_segments]
+            header[H_STORE0 : H_STORE0 + len(stores)] = stores
         else:
-            # A bare core (no redundancy wrapper) evaluates as a
-            # zero-offset simplex.
+            # A bare core evaluates as a zero-offset simplex.
             header[H_COMP] = COMP_SIMPLEX
             header[H_CORE] = _lower_core(b, unit)
-            header[H_BASE0] = 0
     except _Unloweable:
         return None
 

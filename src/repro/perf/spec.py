@@ -3,15 +3,18 @@
 A :class:`~repro.perf.executor.CampaignWorkItem` crosses a process
 boundary, but the compute units themselves (LUT object graphs, gate
 netlists) and the mask policies are heavyweight and not worth pickling.
-Instead a work item carries these small frozen *specs*, and each worker
-process rebuilds the real objects from them.  Construction is
-deterministic, so a spec builds the same unit in every process.
+Instead a work item carries two small frozen *specs* -- an
+:class:`~repro.alu.variants.ALUSpec` (re-exported here) and a
+:class:`PolicySpec` -- and each worker process rebuilds the real objects
+from them.  Construction is deterministic, so a spec builds the same
+unit in every process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.alu.variants import ALUSpec
 from repro.faults.mask import (
     BernoulliMask,
     BurstMask,
@@ -19,82 +22,10 @@ from repro.faults.mask import (
     FixedCountMask,
     MaskPolicy,
 )
-from repro.lut.coded import DEFAULT_BLOCK_SIZE
 
-_ALU_KINDS = ("variant", "simplex", "space")
+__all__ = ["ALUSpec", "PolicySpec"]
+
 _POLICY_KINDS = ("exact", "bernoulli", "burst", "fixed")
-
-
-@dataclass(frozen=True)
-class ALUSpec:
-    """Recipe for one fault-maskable compute unit.
-
-    Three kinds cover every unit the experiment layer sweeps:
-
-    * ``"variant"`` -- a Table 2 variant by paper name (``aluss``, ...);
-    * ``"simplex"`` -- a bare :class:`~repro.alu.nanobox.NanoBoxALU` with
-      an arbitrary coding scheme and Hamming block size (the ablation
-      studies' single-module units);
-    * ``"space"`` -- a space-redundant NanoBox triple with an
-      independently chosen voter construction.
-    """
-
-    kind: str
-    name: str = ""
-    scheme: str = "none"
-    block_size: int = DEFAULT_BLOCK_SIZE
-    voter: str = "tmr"
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in _ALU_KINDS:
-            raise ValueError(
-                f"unknown ALU spec kind {self.kind!r}; valid: {_ALU_KINDS}"
-            )
-        if self.kind == "variant" and not self.name:
-            raise ValueError("variant spec requires a variant name")
-
-    @classmethod
-    def variant(cls, name: str) -> "ALUSpec":
-        """A Table 2 variant by its paper name."""
-        return cls(kind="variant", name=name)
-
-    @classmethod
-    def simplex(
-        cls,
-        scheme: str,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        label: str = "",
-    ) -> "ALUSpec":
-        """A single NanoBox module with no module-level redundancy."""
-        return cls(
-            kind="simplex", scheme=scheme, block_size=block_size, label=label
-        )
-
-    @classmethod
-    def space(cls, scheme: str, voter: str, label: str = "") -> "ALUSpec":
-        """Three NanoBox copies behind a voter of the given construction."""
-        return cls(kind="space", scheme=scheme, voter=voter, label=label)
-
-    def build(self):
-        """Construct the unit (imports deferred for worker startup)."""
-        from repro.alu.nanobox import NanoBoxALU
-        from repro.alu.redundancy import SimplexALU, SpaceRedundantALU
-        from repro.alu.variants import build_alu
-        from repro.alu.voters import make_voter
-
-        if self.kind == "variant":
-            return build_alu(self.name)
-        if self.kind == "simplex":
-            return SimplexALU(
-                NanoBoxALU(scheme=self.scheme, block_size=self.block_size),
-                name=self.label or f"simplex[{self.scheme}]",
-            )
-        return SpaceRedundantALU(
-            lambda: NanoBoxALU(scheme=self.scheme, block_size=self.block_size),
-            make_voter(self.voter),
-            name=self.label or f"space[{self.scheme}/{self.voter}]",
-        )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from repro.alu.base import Opcode
 from repro.alu.redundancy import SimplexALU, SpaceRedundantALU, TimeRedundantALU
 from repro.alu.reference import reference_compute
 from repro.alu.variants import (
+    ALUSpec,
     TABLE2_SITE_COUNTS,
     build_alu,
     build_all,
@@ -37,20 +38,34 @@ class TestTable2SiteCounts:
             assert t[f"alut{bit}"] - t[f"alus{bit}"] == 27  # stored results
 
 
-class TestVariantSpec:
+class TestVariantRecipe:
     def test_spec_fields(self):
         spec = variant_spec("aluss")
-        assert spec.bit_level == "tmr"
-        assert spec.module_level == "s"
-        assert spec.expected_sites == 5040
-        assert spec.uses_lut
-        assert spec.has_module_redundancy
+        assert spec.scheme == "tmr"
+        assert spec.module == "space"
+        assert spec.voter == "tmr"
+        assert spec.name == "aluss"
+        assert TABLE2_SITE_COUNTS[spec.name] == 5040
+        assert spec.build().site_count == 5040
+        assert spec.scheme != "cmos"          # a lookup-table variant
+        assert spec.module != "none"          # module-level redundancy
 
     def test_cmos_spec(self):
         spec = variant_spec("aluncmos")
-        assert spec.bit_level == "cmos"
-        assert not spec.uses_lut
-        assert not spec.has_module_redundancy
+        assert spec.scheme == "cmos"
+        assert spec.module == "none"
+        assert spec.voter == ""
+
+    def test_time_spec(self):
+        spec = variant_spec("aluth")
+        assert (spec.module, spec.scheme, spec.voter) == (
+            "time", "hamming", "hamming"
+        )
+
+    def test_build_alu_builds_the_spec(self):
+        for name in variant_names():
+            assert ALUSpec.variant(name) == variant_spec(name)
+            assert build_alu(name).site_space.name == name
 
     @pytest.mark.parametrize("bad", ["alu", "aluxy", "aluzz", "nanobox", ""])
     def test_unknown_names(self, bad):

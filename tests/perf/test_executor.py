@@ -65,22 +65,29 @@ class TestALUSpec:
         alu = ALUSpec.variant("alunn").build()
         assert alu.site_count == 512
 
-    def test_variant_requires_name(self):
+    def test_spec_requires_name(self):
         with pytest.raises(ValueError):
-            ALUSpec(kind="variant")
+            ALUSpec(module="none", scheme="none")
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_module_rejected(self):
         with pytest.raises(ValueError):
-            ALUSpec(kind="quantum", name="x")
+            ALUSpec(module="quantum", scheme="none", voter="tmr", name="x")
+
+    @pytest.mark.parametrize(
+        "module,voter", [("none", "tmr"), ("space", ""), ("time", "")]
+    )
+    def test_voter_matches_module(self, module, voter):
+        with pytest.raises(ValueError):
+            ALUSpec(module=module, scheme="none", voter=voter, name="x")
 
     def test_simplex_builds_wrapped_nanobox(self):
-        alu = ALUSpec.simplex("hamming", label="lab").build()
+        alu = ALUSpec.simplex("hamming", name="lab").build()
         assert isinstance(alu, SimplexALU)
         assert isinstance(alu.core, NanoBoxALU)
         assert alu.site_space.name == "lab"
 
     def test_space_builds_redundant_alu(self):
-        alu = ALUSpec.space("tmr", "cmos", label="sp").build()
+        alu = ALUSpec.space("tmr", "cmos", name="sp").build()
         assert isinstance(alu, SpaceRedundantALU)
 
     def test_specs_are_hashable(self):

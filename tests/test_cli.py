@@ -32,9 +32,17 @@ class TestStaticCommands:
         assert "time-redundancy" in out
         assert "5067" in out
 
-    def test_describe_unknown_variant(self):
-        with pytest.raises(KeyError):
-            main(["describe", "nonsense"])
+    def test_describe_unknown_variant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["describe", "alunq"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_fit_unknown_variant(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--variant", "alunq"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSweep:
