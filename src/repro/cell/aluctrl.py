@@ -16,7 +16,17 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -67,6 +77,69 @@ def probe_evaluator(unit: FaultableUnit) -> Optional[BatchEvaluator]:
     return evaluate
 
 
+def evaluate_rows(
+    units: Sequence[FaultableUnit],
+    ops: Sequence[int],
+    a: Sequence[int],
+    b: Sequence[int],
+    masks: Sequence[int],
+    batch_evaluator: Callable[[FaultableUnit, int], Optional[BatchEvaluator]],
+) -> List[int]:
+    """Result values of ALU executions, batched by shared unit.
+
+    Row *i* runs ``ops[i]`` on ``a[i]``, ``b[i]`` through ``units[i]``
+    under fault mask ``masks[i]``.  The rows whose unit is one object
+    run as one batch on ``batch_evaluator(unit, n_rows)``.  A unit it
+    returns ``None`` for, and a group holding a mask the unit's site
+    space cannot hold, run the scalar ``compute`` row by row (which
+    owns the canonical errors).  Returns the values in row order.
+    """
+    values = [0] * len(units)
+    groups: Dict[int, List[int]] = {}
+    for index, unit in enumerate(units):
+        groups.setdefault(id(unit), []).append(index)
+    for members in groups.values():
+        unit = units[members[0]]
+        n_sites = unit.site_count
+        rows = [masks[i] for i in members]
+        evaluate = None
+        if all(0 <= m and not m >> n_sites for m in rows):
+            evaluate = batch_evaluator(unit, len(members))
+        if evaluate is None:
+            for i in members:
+                values[i] = unit.compute(
+                    ops[i], a[i], b[i], fault_mask=masks[i]
+                ).value
+            continue
+        n, n_words = len(rows), words_for_sites(n_sites)
+        words = np.frombuffer(
+            b"".join(m.to_bytes(8 * n_words, "little") for m in rows),
+            dtype=WORD_DTYPE,
+        ).reshape(n, n_words)
+        batch = evaluate(
+            np.array([ops[i] for i in members], dtype=np.int64),
+            np.array([a[i] for i in members], dtype=np.int64),
+            np.array([b[i] for i in members], dtype=np.int64),
+            words,
+        )
+        for i, value in zip(members, batch.tolist()):
+            values[i] = value
+    return values
+
+
+def _probe_batch(unit: FaultableUnit, n_rows: int) -> Optional[BatchEvaluator]:
+    """Probe rounds batch a unit shared by several cells on any tier."""
+    return probe_evaluator(unit) if n_rows > 1 else None
+
+
+def _compute_batch(unit: FaultableUnit, n_rows: int) -> Optional[BatchEvaluator]:
+    """Compute ticks batch an :class:`~repro.kernels.AcceleratedUnit`
+    on its own engine; any other unit stays on scalar ``compute``."""
+    from repro.kernels import AcceleratedUnit
+
+    return unit.engine.values_words if isinstance(unit, AcceleratedUnit) else None
+
+
 def run_canary(
     controls: Sequence["ALUControl"], opcode: int, operand1: int, operand2: int
 ) -> List[int]:
@@ -76,41 +149,53 @@ def run_canary(
     given, then evaluates: the controls that share one ALU object run
     as a single batch on that unit's :func:`probe_evaluator`; a unit
     held by one control, a unit that does not lower, and any mask the
-    unit's site space cannot hold run the scalar ``compute`` (which
-    owns the canonical errors).  Returns the result values in order.
+    unit's site space cannot hold run the scalar ``compute`` (see
+    :func:`evaluate_rows`).  Returns the result values in order.
     """
-    masks = [control._mask_source() for control in controls]
-    values = [0] * len(controls)
-    groups: Dict[int, List[int]] = {}
-    for index, control in enumerate(controls):
-        groups.setdefault(id(control.alu), []).append(index)
-    for members in groups.values():
-        unit = controls[members[0]].alu
-        n_sites = unit.site_count
-        rows = [masks[i] for i in members]
-        evaluate = None
-        if len(members) > 1 and all(0 <= m and not m >> n_sites for m in rows):
-            evaluate = probe_evaluator(unit)
-        if evaluate is None:
-            for i in members:
-                values[i] = unit.compute(
-                    opcode, operand1, operand2, fault_mask=masks[i]
-                ).value
-            continue
-        n, n_words = len(rows), words_for_sites(n_sites)
-        words = np.frombuffer(
-            b"".join(m.to_bytes(8 * n_words, "little") for m in rows),
-            dtype=WORD_DTYPE,
-        ).reshape(n, n_words)
-        batch = evaluate(
-            np.full(n, opcode, dtype=np.int64),
-            np.full(n, operand1, dtype=np.int64),
-            np.full(n, operand2, dtype=np.int64),
-            words,
-        )
-        for i, value in zip(members, batch.tolist()):
-            values[i] = value
-    return values
+    masks = [control.mask_source() for control in controls]
+    n = len(controls)
+    return evaluate_rows(
+        [control.alu for control in controls],
+        [opcode] * n,
+        [operand1] * n,
+        [operand2] * n,
+        masks,
+        _probe_batch,
+    )
+
+
+def step_all(controls: Sequence["ALUControl"]) -> Iterator["StepReport"]:
+    """Step every control once, their ALU work evaluated together.
+
+    Every control prepares its next word in the order given (drawing
+    its copies' masks from its own stream), then the copies of all
+    prepared executions run through :func:`evaluate_rows`: one batch
+    per shared :class:`~repro.kernels.AcceleratedUnit`, scalar
+    ``compute`` for any other unit.  Each control finishes as its
+    report is taken, in order.  Draws, stored words and reports equal
+    those of stepping the controls one after the other.
+    """
+    prepared = [control.prepare() for control in controls]
+    units: List[FaultableUnit] = []
+    ops: List[int] = []
+    a: List[int] = []
+    b: List[int] = []
+    masks: List[int] = []
+    for control, item in zip(controls, prepared):
+        if isinstance(item, Execution):
+            for mask in item.masks:
+                units.append(control.alu)
+                ops.append(item.opcode)
+                a.append(item.operand1)
+                b.append(item.operand2)
+                masks.append(mask)
+    values = iter(evaluate_rows(units, ops, a, b, masks, _compute_batch))
+    for control, item in zip(controls, prepared):
+        if isinstance(item, Execution):
+            item = control.finish(
+                item, tuple(next(values) for _ in item.masks)
+            )
+        yield item
 
 
 class StepOutcome(enum.Enum):
@@ -142,6 +227,21 @@ class StepReport:
         if self.result_copies is None:
             return False
         return len(set(self.result_copies)) > 1
+
+
+class Execution(NamedTuple):
+    """A prepared ALU execution: the first half of a compute step.
+
+    Word ``index`` holds a valid, pending instruction; ``masks`` are the
+    fault masks of its result copies, already drawn from the control's
+    stream.
+    """
+
+    index: int
+    opcode: int
+    operand1: int
+    operand2: int
+    masks: Tuple[int, ...]
 
 
 class ALUControl:
@@ -189,6 +289,11 @@ class ALUControl:
         return self._alu
 
     @property
+    def mask_source(self) -> MaskSource:
+        """The per-execution fault-mask supplier."""
+        return self._mask_source
+
+    @property
     def pointer(self) -> int:
         """Next memory word the control will examine."""
         return self._pointer
@@ -225,59 +330,69 @@ class ALUControl:
             raise ValueError(f"pointer {value} out of range")
         self._pointer = value
 
-    def step(self) -> StepReport:
-        """Examine one memory word; compute it if valid and pending.
+    def prepare(self) -> Union[StepReport, Execution]:
+        """First half of :meth:`step`: examine one word, draw its masks.
 
-        Advances the pointer with wrap-around, mirroring the hardware's
-        endless compute-mode loop.
+        Advances the pointer with wrap-around and reads the word's voted
+        flags (through the field voter, when there is one).  A word that
+        is not valid and pending is SKIPPED; a valid one whose opcode an
+        upset pushed outside the ISA is REJECTED (its flag is cleared so
+        the loop cannot wedge on it).  Either way the report comes back
+        at once.  Otherwise the copies' fault masks are drawn and the
+        returned :class:`Execution` awaits :meth:`finish`.
         """
         index = self._pointer
-        self._pointer = (self._pointer + 1) % self._memory.n_words
+        self._pointer = (index + 1) % self._memory.n_words
 
-        word = self._memory.read(index)
+        raw = self._memory.read_raw(index)
+        flags = MemoryWord.flags(raw)
         if self._field_voter is None:
-            data_valid, to_be_computed = word.data_valid, word.to_be_computed
+            data_valid, to_be_computed = flags
         else:
             data_valid, to_be_computed = self._field_voter.classify_word(
-                self._memory.read_raw(index),
-                fault_mask=self._control_mask_source(),
+                raw, fault_mask=self._control_mask_source()
             )
-            if (data_valid, to_be_computed) != (
-                word.data_valid, word.to_be_computed
-            ):
+            if (data_valid, to_be_computed) != flags:
                 self._control_misreads += 1
         if not data_valid or not to_be_computed:
             return StepReport(index, StepOutcome.SKIPPED)
+        word = MemoryWord.unpack(raw)
         try:
             Opcode.from_int(word.opcode)
         except ValueError:
-            # An upset corrupted the opcode beyond the ISA; drop the word
-            # rather than wedge the loop.  The watchdog counts this via the
-            # cell's error tally.
-            self._memory.write_raw(
-                index, MemoryWord.clear_to_be_computed(self._memory.read_raw(index))
-            )
+            # The watchdog counts this via the cell's error tally.
+            self._memory.write_raw(index, MemoryWord.clear_to_be_computed(raw))
             return StepReport(index, StepOutcome.REJECTED)
+        masks = tuple(self._mask_source() for _ in range(self._copies))
+        return Execution(index, word.opcode, word.operand1, word.operand2, masks)
 
-        copies = tuple(
-            self._alu.compute(
-                word.opcode,
-                word.operand1,
-                word.operand2,
-                fault_mask=self._mask_source(),
-            ).value
-            for _ in range(self._copies)
-        )
+    def finish(self, execution: Execution, copies: Sequence[int]) -> StepReport:
+        """Second half of :meth:`step`: store the result copies.
+
+        ``copies`` are the values of ``execution``'s rows, one per mask.
+        Writes them into the word and clears its ``to_be_computed`` flag.
+        """
+        index = execution.index
+        stored = tuple(copies[:3])
         raw = self._memory.read_raw(index)
-        raw = MemoryWord.store_results(raw, copies[:3])
+        raw = MemoryWord.store_results(raw, stored)
         raw = MemoryWord.clear_to_be_computed(raw)
         self._memory.write_raw(index, raw)
 
         self._computed_total += 1
-        report = StepReport(index, StepOutcome.COMPUTED, result_copies=copies[:3])
+        report = StepReport(index, StepOutcome.COMPUTED, result_copies=stored)
         if report.copies_disagree:
             self._disagreements += 1
         return report
+
+    def step(self) -> StepReport:
+        """Examine one memory word; compute it if valid and pending.
+
+        Advances the pointer with wrap-around, mirroring the hardware's
+        endless compute-mode loop.  The one-control case of
+        :func:`step_all`.
+        """
+        return next(step_all((self,)))
 
     def sweep(self) -> int:
         """Run one full pass over the memory; returns instructions computed."""

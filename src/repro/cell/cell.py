@@ -18,8 +18,10 @@ from repro.cell.aluctrl import (
     ALUControl,
     MaskSource,
     StepOutcome,
+    StepReport,
     _no_faults,
     run_canary,
+    step_all,
 )
 from repro.cell.heartbeat import Heartbeat
 from repro.cell.memory import CELL_MEMORY_WORDS, CellMemory
@@ -40,6 +42,21 @@ class CellMode(enum.Enum):
 
 class CellFullError(RuntimeError):
     """Raised when an instruction arrives at a cell with no free word."""
+
+
+def compute_cells(cells: Sequence["ProcessorCell"]) -> List[bool]:
+    """One compute tick over alive cells, their ALU work batched.
+
+    Every cell's ALU control prepares its next word in the order given,
+    the copies of all prepared executions run together
+    (:func:`~repro.cell.aluctrl.step_all`), and each cell then finishes
+    in order: it stores its copies and charges its heartbeat for a
+    rejected word or a copy disagreement.  Each cell ends in the state
+    :meth:`ProcessorCell.compute_step` (the one-cell case) leaves it in.
+    Returns, per cell, whether it computed a word.
+    """
+    reports = step_all([cell.aluctrl for cell in cells])
+    return [cell._charge(report) for cell, report in zip(cells, reports)]
 
 
 def probe_cells(cells: Sequence["ProcessorCell"], canaries) -> List[bool]:
@@ -200,7 +217,13 @@ class ProcessorCell:
         """
         if not self.alive:
             return False
-        report = self.aluctrl.step()
+        return compute_cells((self,))[0]
+
+    def _charge(self, report: StepReport) -> bool:
+        """Charge one step's detected errors to the heartbeat.
+
+        Returns True if the step computed a word.
+        """
         if report.outcome is StepOutcome.REJECTED:
             self.heartbeat.record_error()
             return False
@@ -217,16 +240,15 @@ class ProcessorCell:
         (paper Section 3.2.3).  The word is erased once emitted.  Returns
         ``None`` when nothing remains to send.
         """
-        while self._shift_out_pointer < self.memory.n_words:
+        memory = self.memory
+        while self._shift_out_pointer < memory.n_words:
             index = self._shift_out_pointer
             self._shift_out_pointer += 1
-            word = self.memory.read(index)
-            if word.data_valid and not word.to_be_computed:
-                raw = self.memory.read_raw(index)
-                voted = MemoryWord.voted_result(raw)
-                iid = word.instruction_id
-                self.memory.erase(index)
-                return (iid, voted)
+            raw = memory.read_raw(index)
+            if MemoryWord.flags(raw) == (True, False):
+                word = MemoryWord.unpack(raw)
+                memory.erase(index)
+                return (word.instruction_id, word.result)
         return None
 
     def fast_forward_shift_out(self) -> None:

@@ -107,40 +107,36 @@ class CellMemory:
 
     # --------------------------------------------------------- bulk queries
     #
-    # A raw-0 word is invalid by construction (all three ``data_valid``
-    # copies are zero), so the queries skip it without decoding -- an
-    # empty cell answers without a single ``unpack``, as ``scrub`` does.
-
-    def _decoded(self) -> Iterator[Tuple[int, MemoryWord]]:
-        """``(index, word)`` for every non-zero stored word, in order."""
-        for i in range(self._n_words):
-            raw = self._words[i]
-            if raw:
-                yield i, MemoryWord.unpack(raw)
+    # The queries read only the voted flags, straight from the raw word
+    # (:meth:`MemoryWord.flags`); no word is decoded to answer them.  A
+    # raw-0 word is invalid by construction (all three ``data_valid``
+    # copies are zero), so they skip it without even that, as ``scrub``
+    # does.
 
     def free_slot(self) -> Optional[int]:
         """Index of the first word with ``data_valid`` unset, or ``None``."""
-        for i in range(self._n_words):
-            raw = self._words[i]
-            if not raw or not MemoryWord.unpack(raw).data_valid:
+        for i, raw in enumerate(self._words):
+            if not raw or not MemoryWord.flags(raw)[0]:
                 return i
         return None
 
     def pending_words(self) -> Iterator[int]:
         """Indices of valid words still awaiting computation."""
-        for i, word in self._decoded():
-            if word.data_valid and word.to_be_computed:
+        for i, raw in enumerate(self._words):
+            if raw and MemoryWord.flags(raw) == (True, True):
                 yield i
 
     def completed_words(self) -> Iterator[int]:
         """Indices of valid words whose computation finished."""
-        for i, word in self._decoded():
-            if word.data_valid and not word.to_be_computed:
+        for i, raw in enumerate(self._words):
+            if raw and MemoryWord.flags(raw) == (True, False):
                 yield i
 
     def occupancy(self) -> int:
         """Number of valid words."""
-        return sum(1 for _, word in self._decoded() if word.data_valid)
+        return sum(
+            1 for raw in self._words if raw and MemoryWord.flags(raw)[0]
+        )
 
     # ------------------------------------------------------------ scrubbing
 

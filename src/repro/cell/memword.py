@@ -59,6 +59,18 @@ def majority_bit(bits: Tuple[int, int, int]) -> int:
     return 1 if sum(bits) >= 2 else 0
 
 
+def _voted_flags(pattern: int) -> Tuple[bool, bool]:
+    """``(data_valid, to_be_computed)`` of one 6-bit flag pattern."""
+    dv = tuple((pattern >> c) & 1 for c in range(FLAG_COPIES))
+    tbc = tuple((pattern >> (FLAG_COPIES + c)) & 1 for c in range(FLAG_COPIES))
+    return bool(majority_bit(dv)), bool(majority_bit(tbc))
+
+
+#: Voted flags of every pattern of the word's top six bits (the three
+#: ``data_valid`` copies, then the three ``to_be_computed`` copies).
+_FLAG_TABLE = tuple(_voted_flags(p) for p in range(1 << (2 * FLAG_COPIES)))
+
+
 @dataclass(frozen=True)
 class MemoryWord:
     """Decoded view of one processor-cell memory word."""
@@ -119,19 +131,27 @@ class MemoryWord:
         op1 = (raw >> _OP1_OFF) & bit_length_mask(OPERAND_BITS)
         op2 = (raw >> _OP2_OFF) & bit_length_mask(OPERAND_BITS)
         result = cls.voted_result(raw)
-        dv = majority_bit(tuple((raw >> (_DV_OFF + c)) & 1 for c in range(3)))
-        tbc = majority_bit(tuple((raw >> (_TBC_OFF + c)) & 1 for c in range(3)))
+        dv, tbc = cls.flags(raw)
         return cls(
             instruction_id=iid,
             opcode=opcode,
             operand1=op1,
             operand2=op2,
             result=result,
-            data_valid=bool(dv),
-            to_be_computed=bool(tbc),
+            data_valid=dv,
+            to_be_computed=tbc,
         )
 
     # --------------------------------------------------------- raw helpers
+
+    @staticmethod
+    def flags(raw: int) -> Tuple[bool, bool]:
+        """Majority-voted ``(data_valid, to_be_computed)`` of a raw word.
+
+        The two triplicated flags are the word's top six bits, so one
+        table lookup votes both without decoding the rest of the word.
+        """
+        return _FLAG_TABLE[(raw >> _DV_OFF) & 0x3F]
 
     @staticmethod
     def result_copies(raw: int) -> Tuple[int, int, int]:

@@ -167,9 +167,10 @@ def run_lifecycle_point(
     )
     total_cells = rows * cols
     alive_cell_cycles = [0, 0]
+    grid = sim.grid
 
     def sample_availability() -> None:
-        alive_cell_cycles[0] += sim.grid.alive_count()
+        alive_cell_cycles[0] += grid.alive_count()
         alive_cell_cycles[1] += total_cells
 
     sim.control.add_tick_hook(sample_availability)

@@ -9,6 +9,7 @@ grid from a due-date queue instead of sampling every cell every cycle.
 from __future__ import annotations
 
 import copy
+import weakref
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -187,7 +188,16 @@ class TemporalScheduler:
         self._buckets: Dict[int, List[np.ndarray]] = {}
         self._suspended: Dict[int, object] = {}
         self._arm(np.arange(n, dtype=np.int64))
-        grid.add_alive_listener(self._on_alive_change)
+        # The grid holds the listener, and the listener holds this
+        # scheduler weakly: the grid is not kept in a cycle through it.
+        scheduler = weakref.ref(self)
+
+        def on_alive_change(coord: Coord, healthy: bool) -> None:
+            live = scheduler()
+            if live is not None:
+                live._on_alive_change(coord, healthy)
+
+        grid.add_alive_listener(on_alive_change)
 
     def _schedule(self, cells: np.ndarray, due: np.ndarray, fires) -> None:
         self._due[cells] = due

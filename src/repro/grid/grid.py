@@ -19,6 +19,9 @@ is idle and healthy almost all of the time.
 * only cells that hold work (or whose heartbeat is mid-transition) take
   compute/shift-out actions; idle cells' ALU-scan pointers are fast
   forwarded on demand;
+* one compute tick's ALU work is one batch: the acting cells' result
+  copies evaluate together, one call per shared unit
+  (:func:`~repro.cell.cell.compute_cells`);
 * the watchdog polls only *attention* cells -- those whose heartbeat
   could do anything other than beat -- and every skipped quiescent beat
   is credited in bulk the moment the cell is looked at;
@@ -41,6 +44,7 @@ built-in ones hand every cell one shared, stateless unit).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -61,7 +65,12 @@ import numpy as np
 from repro.alu.base import FaultableUnit
 from repro.alu.nanobox import NanoBoxALU
 from repro.cell.aluctrl import MaskSource, _no_faults
-from repro.cell.cell import CellFullError, CellMode, ProcessorCell
+from repro.cell.cell import (
+    CellFullError,
+    CellMode,
+    ProcessorCell,
+    compute_cells,
+)
 from repro.cell.router import Direction, route_packet
 from repro.grid.bus import Bus
 from repro.grid.linkfault import FaultEvent, FaultyBus, LinkFaultConfig
@@ -134,24 +143,48 @@ LinkFaultPolicy = Union[
 
 
 class _LazyDict(dict):
-    """A dict that materialises missing entries through a factory.
+    """A dict of grid components that materialises missing entries.
 
-    ``d[key]`` on a missing key calls ``factory(key)``, stores, and
-    returns the result (a factory raising ``KeyError`` rejects the key).
+    ``d[key]`` on a missing key calls ``materialise(grid, key)``, stores,
+    and returns the result (a ``KeyError`` from it rejects the key).
     ``d.get(key)`` and ``key in d`` never materialise -- the grid uses
-    them to ask "does this exist yet?" without creating it.
+    them to ask "does this exist yet?" without creating it.  The grid is
+    held through a weak reference, so a grid and its dicts form no
+    reference cycle.
     """
 
-    __slots__ = ("_factory",)
+    __slots__ = ("_grid", "_materialise")
 
-    def __init__(self, factory: Callable[[object], object]) -> None:
+    def __init__(
+        self,
+        grid: "weakref.ReferenceType[NanoBoxGrid]",
+        materialise: Callable[["NanoBoxGrid", object], object],
+    ) -> None:
         super().__init__()
-        self._factory = factory
+        self._grid = grid
+        self._materialise = materialise
 
     def __missing__(self, key):
-        value = self._factory(key)
+        grid = self._grid()
+        if grid is None:
+            raise KeyError(key)
+        value = self._materialise(grid, key)
         self[key] = value
         return value
+
+
+def _heartbeat_hook(grid_ref, coord: Coord, _heartbeat=None) -> None:
+    """A cell's heartbeat watcher; a no-op once its grid is gone."""
+    grid = grid_ref()
+    if grid is not None:
+        grid._on_heartbeat(coord)
+
+
+def _memory_hook(grid_ref, coord: Coord) -> None:
+    """A cell's memory observer; a no-op once its grid is gone."""
+    grid = grid_ref()
+    if grid is not None:
+        grid._on_memory(coord)
 
 
 class NanoBoxGrid:
@@ -167,7 +200,8 @@ class NanoBoxGrid:
         alu_factory: returns each cell's ALU core.  It may hand the same
             unit to many cells (the built-in factories share one per
             design), so a unit must be stateless across ``compute``
-            calls; probe rounds batch the cells sharing a unit.
+            calls; compute ticks and probe rounds batch the cells
+            sharing a unit.
         mask_source_factory: given a cell coordinate, returns that cell's
             per-execution fault-mask supplier (default: fault-free).
         n_words: memory words per cell (paper: 32).
@@ -252,6 +286,10 @@ class NanoBoxGrid:
         self.dropped_packets: List[Packet] = []
         self._mode = CellMode.SHIFT_IN
         self._cycle = 0
+        # The one weak self-reference that cell callbacks and lazy
+        # component dicts hold: nothing the grid owns points back at it,
+        # so a dropped grid is freed by reference counting.
+        self._ref = weakref.ref(self)
         self._build_fabric()
 
     def _build_fabric(self) -> None:
@@ -290,21 +328,22 @@ class NanoBoxGrid:
         # Stream index of every materialised link: the tick order key.
         self._link_index: Dict[Tuple[object, object], int] = {}
         self._alive_listeners: List[Callable[[Coord, bool], None]] = []
+        kind = type(self)
         self._cells: Dict[Coord, ProcessorCell] = _LazyDict(
-            self._materialise_cell
+            self._ref, kind._materialise_cell
         )
         # Directed buses between neighbours plus per-column edge buses.
         self._buses: Dict[Tuple[object, object], Bus] = _LazyDict(
-            self._materialise_link
+            self._ref, kind._materialise_link
         )
         # Per-cell per-direction outbound queues of in-flight envelopes;
         # forwarded traffic is queued ahead of locally generated traffic
         # (paper Section 3.2.3).
         self._outboxes: Dict[Coord, Dict[Direction, Deque[Envelope]]] = (
-            _LazyDict(self._materialise_outbox)
+            _LazyDict(self._ref, kind._materialise_outbox)
         )
         self._inboxes: Dict[Coord, Deque[Envelope]] = _LazyDict(
-            self._materialise_inbox
+            self._ref, kind._materialise_inbox
         )
         if self._lut_router_scheme is not None:
             # LUT routers are capped at 16x16 grids; build them eagerly
@@ -348,8 +387,8 @@ class NanoBoxGrid:
         # those beats before hooking the watcher.
         cell.heartbeat.credit_beats(self._polls)
         self._synced_at_poll[coord] = self._polls
-        cell.heartbeat.watcher = partial(self._on_heartbeat, coord)
-        cell.memory.on_mutate = partial(self._on_memory, coord)
+        cell.heartbeat.watcher = partial(_heartbeat_hook, self._ref, coord)
+        cell.memory.on_mutate = partial(_memory_hook, self._ref, coord)
         return cell
 
     def _materialise_router(self, coord: Coord) -> None:
@@ -968,10 +1007,10 @@ class NanoBoxGrid:
 
     def _cell_actions(self) -> None:
         if self._mode is CellMode.COMPUTE:
-            for coord in sorted(self._phase_active):
-                cell = self._cells[coord]
-                if cell.alive:
-                    cell.compute_step()
+            # One lock-step batch: every active cell's ALU work this tick
+            # is evaluated together (one kernel call per shared unit).
+            cells = [self._cells[c] for c in sorted(self._phase_active)]
+            compute_cells([cell for cell in cells if cell.alive])
         elif self._mode is CellMode.SHIFT_OUT:
             for coord in sorted(self._phase_active):
                 cell = self._cells[coord]

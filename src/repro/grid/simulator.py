@@ -10,7 +10,7 @@ whole image-processing jobs through the control processor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,106 @@ def draw_memory_upsets(
         hits.append((int(alive[start + k]), count, mask))
         start += k + 1
     return hits
+
+
+class MaskStream:
+    """A per-execution fault-mask supplier on its own seeded stream.
+
+    Each call draws one mask over ``sites`` sites from ``policy``.  The
+    stream is seeded from ``entropy`` (a cell's seed and coordinate), so
+    it is the same whenever and in whatever order the cell is built.
+    """
+
+    __slots__ = ("policy", "sites", "rng")
+
+    def __init__(self, policy: MaskPolicy, sites: int, entropy: Sequence[int]):
+        self.policy = policy
+        self.sites = sites
+        self.rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+
+    def __call__(self) -> int:
+        return self.policy.generate(self.sites, self.rng)
+
+
+class FaultInjector:
+    """The simulator's per-cycle fault injection into one grid.
+
+    Its four tick hooks run before every fabric step, in order: the
+    scheduled cell kills, the temporal fault process, the persistent
+    memory upsets and the periodic scrub.  It holds the injection state
+    and the grid, but not the simulator, so a control processor holding
+    the hooks keeps working on its own and nothing points back at the
+    simulator: a finished simulator is freed by reference counting.
+    """
+
+    def __init__(
+        self,
+        grid: NanoBoxGrid,
+        seed: int,
+        kill_schedule: Optional[Dict[int, Sequence[Coord]]],
+        memory_upset_rate: float,
+        memory_bits: int,
+        scrub_interval: int,
+        temporal_fault_process: Optional[TemporalFaultProcess],
+    ) -> None:
+        self.grid = grid
+        self._rng = np.random.default_rng(seed)
+        self._kill_schedule = {
+            int(cycle): list(coords)
+            for cycle, coords in (kill_schedule or {}).items()
+        }
+        self._memory_upset_rate = memory_upset_rate
+        self._memory_bits = memory_bits
+        self._scrub_interval = scrub_interval
+        self._memory_upsets = 0
+        self._scrub_corrections = 0
+        self._temporal_events = 0
+        self._temporal_scheduler = None
+        if temporal_fault_process is not None:
+            self._temporal_scheduler = TemporalScheduler(
+                grid, temporal_fault_process, seed
+            )
+
+    @property
+    def tick_hooks(self) -> Tuple[Callable[[], None], ...]:
+        return (
+            self._apply_schedule,
+            self._apply_temporal_faults,
+            self._apply_memory_upsets,
+            self._apply_scrub,
+        )
+
+    def _apply_schedule(self) -> None:
+        coords = self._kill_schedule.pop(self.grid.cycle + 1, None)
+        if coords:
+            for coord in coords:
+                self.grid.kill_cell(*coord)
+
+    def _apply_temporal_faults(self) -> None:
+        if self._temporal_scheduler is not None:
+            self._temporal_events += self._temporal_scheduler.tick()
+
+    def _apply_memory_upsets(self) -> None:
+        if self._memory_upset_rate <= 0:
+            return
+        cols = self.grid.cols
+        for index, count, mask in draw_memory_upsets(
+            self._rng,
+            self.grid.alive_indices(),
+            self._memory_bits,
+            self._memory_upset_rate,
+        ):
+            self.grid.cell(*divmod(index, cols)).memory.apply_faults(mask)
+            self._memory_upsets += count
+
+    def _apply_scrub(self) -> None:
+        if self._scrub_interval <= 0:
+            return
+        if self.grid.cycle % self._scrub_interval != 0:
+            return
+        for cell in self.grid.cells():
+            if cell.alive:
+                self._scrub_corrections += cell.memory.scrub()
 
 
 @dataclass(frozen=True)
@@ -143,13 +243,14 @@ class GridSimulator:
             extra cycle per packet per hop).
         seed: base PRNG seed for all injection streams.
         backend: ALU evaluation tier (``scalar``/``batched``/
-            ``compiled``/``auto``) of each cell's per-instruction
-            ``compute``.  ``compiled``/``auto`` route it through one
-            native kernel engine shared by every cell (batches of one);
-            ``None`` keeps the plain scalar unit.  Canary probe rounds
-            always batch every quarantined cell on the fastest tier
-            that lowers the unit, whatever this says.  Results are
-            bit-identical on every tier.
+            ``compiled``/``auto``) of the cells' ALU work.
+            ``compiled``/``auto`` wrap the design in one native kernel
+            engine shared by every cell, and each compute tick evaluates
+            every computing cell's result copies in one call on it;
+            ``None`` keeps the plain scalar unit, one ``compute`` per
+            copy.  Canary probe rounds always batch every quarantined
+            cell on the fastest tier that lowers the unit, whatever this
+            says.  Results are bit-identical on every tier.
         grid_engine: accepted for compatibility and must be ``"auto"``:
             there is one fabric engine.  The every-cell, every-cycle
             reference fabric lives with the tests
@@ -194,18 +295,6 @@ class GridSimulator:
                 "simulator has one fabric engine (the dense reference "
                 "grid is the test oracle in tests/grid/dense_oracle.py)"
             )
-        self._rng = np.random.default_rng(seed)
-        self._alu_policy = alu_fault_policy
-        self._memory_upset_rate = memory_upset_rate
-        self._memory_bits = memory_layout(n_words)[0].total_sites
-        self._scrub_interval = scrub_interval
-        self._scrub_corrections = 0
-        self._kill_schedule = {
-            int(cycle): list(coords)
-            for cycle, coords in (kill_schedule or {}).items()
-        }
-        self._memory_upsets = 0
-
         # The design unit is built once and shared by every cell (a
         # flyweight): it holds no per-cell state, cells compute
         # sequentially, and its frozen site layout never changes.
@@ -220,18 +309,11 @@ class GridSimulator:
         def alu_factory() -> FaultableUnit:
             return design
 
-        def mask_source_factory(coord: Coord):
-            if self._alu_policy is None:
-                return lambda: 0
-            cell_rng = np.random.default_rng(
-                np.random.SeedSequence([seed, coord[0], coord[1]])
-            )
-            policy = self._alu_policy
+        mask_source_factory = None
+        if alu_fault_policy is not None:
 
-            def source() -> int:
-                return policy.generate(sites, cell_rng)
-
-            return source
+            def mask_source_factory(coord: Coord) -> MaskStream:
+                return MaskStream(alu_fault_policy, sites, (seed, *coord))
 
         router_mask_source_factory = None
         if lut_router_scheme is not None and router_fault_policy is not None:
@@ -239,16 +321,10 @@ class GridSimulator:
 
             router_sites = LUTRouter(lut_router_scheme).site_count
 
-            def router_mask_source_factory(coord: Coord):
-                cell_rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, coord[0], coord[1], 11])
+            def router_mask_source_factory(coord: Coord) -> MaskStream:
+                return MaskStream(
+                    router_fault_policy, router_sites, (seed, *coord, 11)
                 )
-                policy = router_fault_policy
-
-                def source() -> int:
-                    return policy.generate(router_sites, cell_rng)
-
-                return source
 
         self.grid = NanoBoxGrid(
             rows,
@@ -270,61 +346,25 @@ class GridSimulator:
             memory_salvageable=memory_salvageable,
             policy=lifecycle_policy or LifecyclePolicy(),
         )
-        self._temporal_scheduler = None
-        self._temporal_events = 0
-        if temporal_fault_process is not None:
-            self._temporal_scheduler = TemporalScheduler(
-                self.grid, temporal_fault_process, seed
-            )
+        self._injector = FaultInjector(
+            self.grid,
+            seed,
+            kill_schedule,
+            memory_upset_rate,
+            memory_layout(n_words)[0].total_sites,
+            scrub_interval,
+            temporal_fault_process,
+        )
         self.control = ControlProcessor(
             self.grid,
             watchdog=self.watchdog,
-            tick_hooks=(
-                self._apply_schedule,
-                self._apply_temporal_faults,
-                self._apply_memory_upsets,
-                self._apply_scrub,
-            ),
+            tick_hooks=self._injector.tick_hooks,
         )
-
-    # ------------------------------------------------------------ injection
-
-    def _apply_schedule(self) -> None:
-        coords = self._kill_schedule.pop(self.grid.cycle + 1, None)
-        if coords:
-            for coord in coords:
-                self.grid.kill_cell(*coord)
-
-    def _apply_temporal_faults(self) -> None:
-        if self._temporal_scheduler is not None:
-            self._temporal_events += self._temporal_scheduler.tick()
-
-    def _apply_memory_upsets(self) -> None:
-        if self._memory_upset_rate <= 0:
-            return
-        cols = self.grid.cols
-        for index, count, mask in draw_memory_upsets(
-            self._rng,
-            self.grid.alive_indices(),
-            self._memory_bits,
-            self._memory_upset_rate,
-        ):
-            self.grid.cell(*divmod(index, cols)).memory.apply_faults(mask)
-            self._memory_upsets += count
-
-    def _apply_scrub(self) -> None:
-        if self._scrub_interval <= 0:
-            return
-        if self.grid.cycle % self._scrub_interval != 0:
-            return
-        for cell in self.grid.cells():
-            if cell.alive:
-                self._scrub_corrections += cell.memory.scrub()
 
     @property
     def scrub_corrections(self) -> int:
         """Stored bits repaired by scrubbing so far."""
-        return self._scrub_corrections
+        return self._injector._scrub_corrections
 
     # ----------------------------------------------------------------- jobs
 
@@ -383,7 +423,7 @@ class GridSimulator:
             failed_cells=self.watchdog.disabled_cells,
             salvaged_words=salvaged,
             lost_words=lost,
-            memory_upsets=self._memory_upsets,
+            memory_upsets=self._injector._memory_upsets,
             corrupt_rejected=self.grid.corrupt_rejects,
             link_dropped=self.grid.link_dropped,
             link_stalled_cycles=link.stalled_cycles,
@@ -393,5 +433,5 @@ class GridSimulator:
             readmissions=self.watchdog.readmissions,
             retired_cells=self.watchdog.cells_in_state(CellState.RETIRED),
             probes=len(self.watchdog.probe_reports),
-            temporal_fault_events=self._temporal_events,
+            temporal_fault_events=self._injector._temporal_events,
         )

@@ -111,9 +111,10 @@ def build_library(source: str) -> Path:
     return lib_path
 
 
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
+#: Array arguments go in as raw addresses (``arr.ctypes.data``): a
+#: ``data_as`` cast builds a reference cycle per argument per call.
+#: Every wrapper keeps its arrays referenced for the length of the call.
+_PTR = ctypes.c_void_p
 _U64_MAX = (1 << 64) - 1
 
 
@@ -131,24 +132,24 @@ def load_eval(lib_path: Path) -> Callable:
         raise KernelBuildError(f"could not load {lib_path}: {exc!r}") from exc
     fn.restype = None
     fn.argtypes = [
-        _I64P, _I64P, _U8P, _I64P, _I64P, _I64P, _U64P,
-        ctypes.c_int64, ctypes.c_int64, _I64P, _U8P,
+        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+        ctypes.c_int64, ctypes.c_int64, _PTR, _PTR,
     ]
 
     def eval_batch(header, ipool, bpool, ops, va, vb, words, n, n_words,
                    out, scratch):
         fn(
-            header.ctypes.data_as(_I64P),
-            ipool.ctypes.data_as(_I64P),
-            bpool.ctypes.data_as(_U8P),
-            ops.ctypes.data_as(_I64P),
-            va.ctypes.data_as(_I64P),
-            vb.ctypes.data_as(_I64P),
-            words.ctypes.data_as(_U64P),
+            header.ctypes.data,
+            ipool.ctypes.data,
+            bpool.ctypes.data,
+            ops.ctypes.data,
+            va.ctypes.data,
+            vb.ctypes.data,
+            words.ctypes.data,
             int(n),
             int(n_words),
-            out.ctypes.data_as(_I64P),
-            scratch.ctypes.data_as(_U8P),
+            out.ctypes.data,
+            scratch.ctypes.data,
         )
 
     return eval_batch
@@ -173,9 +174,9 @@ def load_exact_fraction(lib_path: Path) -> Callable:
         ) from exc
     fn.restype = ctypes.c_int64
     fn.argtypes = [
-        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _PTR, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        _U64P, _U64P, _I64P,
+        _PTR, _PTR, _PTR,
     ]
 
     def exact_fraction(bit_generator, n_sites, n_draws, base, remainder,
@@ -193,12 +194,12 @@ def load_exact_fraction(lib_path: Path) -> Callable:
                 dtype=np.uint64,
             )
             declined = fn(
-                regs.ctypes.data_as(_U64P),
+                regs.ctypes.data,
                 int(n_sites), int(n_draws), int(base),
                 float(remainder), float(tlo), float(thi),
-                words.ctypes.data_as(_U64P),
-                band_val.ctypes.data_as(_U64P),
-                band_idx.ctypes.data_as(_I64P),
+                words.ctypes.data,
+                band_val.ctypes.data,
+                band_idx.ctypes.data,
             )
             if declined:
                 return None
@@ -227,7 +228,7 @@ def load_tape_scan(lib_path: Path) -> Callable:
         ) from exc
     fn.restype = None
     fn.argtypes = [
-        _U64P, _I64P, ctypes.c_int64, _I64P, ctypes.c_double, _I64P,
+        _PTR, _PTR, ctypes.c_int64, _PTR, ctypes.c_double, _PTR,
     ]
 
     def tape_scan(pcg, cells, limits, rate):
@@ -242,12 +243,12 @@ def load_tape_scan(lib_path: Path) -> Callable:
             raise IndexError("cell index outside the register array")
         hits = np.empty(len(cells), dtype=np.int64)
         fn(
-            pcg.ctypes.data_as(_U64P),
-            cells.ctypes.data_as(_I64P),
+            pcg.ctypes.data,
+            cells.ctypes.data,
             len(cells),
-            limits.ctypes.data_as(_I64P),
+            limits.ctypes.data,
             float(rate),
-            hits.ctypes.data_as(_I64P),
+            hits.ctypes.data,
         )
         return hits
 

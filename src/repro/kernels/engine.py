@@ -179,16 +179,16 @@ def build_engine(unit, backend: str = "auto") -> Optional[PlanEngine]:
 
 
 class AcceleratedUnit(FaultableUnit):
-    """A scalar ``compute`` facade over a :class:`CompiledEngine`.
+    """A unit whose executions run on a :class:`CompiledEngine`.
 
-    Lets grid cells (which compute one instruction at a time against a
-    per-cell mask stream) ride the compiled tier: each call is a batch
-    of one through the native kernel; probe rounds batch every cell
-    sharing the unit through :attr:`engine`.  Everything else -- site
-    layout, storage images -- delegates to the wrapped unit, and any
-    input the kernel does not model (invalid opcodes, out-of-range
-    operands or masks) is delegated wholesale so error behaviour stays
-    canonical.
+    Lets grid cells ride the compiled tier: a compute tick evaluates the
+    rows of every cell sharing the unit in one call on :attr:`engine`
+    (:func:`repro.cell.aluctrl.evaluate_rows`), and so do probe rounds.
+    ``compute`` stays for scalar callers: each call is a batch of one.
+    Everything else -- site layout, storage images -- delegates to the
+    wrapped unit, and any input the kernel does not model (invalid
+    opcodes, out-of-range operands or masks) is delegated wholesale so
+    error behaviour stays canonical.
     """
 
     def __init__(self, unit: FaultableUnit, engine: CompiledEngine) -> None:

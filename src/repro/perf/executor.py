@@ -322,30 +322,34 @@ class CampaignExecutor:
             else:
                 completed[idx] = payload
 
-        # Boxed so the loop can swap in a rebuilt pool and the finally
-        # clause still tears down the *current* one.
+        # Boxed so the loop can swap in a rebuilt pool and the teardown
+        # below still reaches the *current* one.
         pool_ref = [ProcessPoolExecutor(max_workers=workers)]
         try:
             self._submission_loop(
                 pool_ref, chunks, chunk_fn, completed, attempts,
                 absorb, stats, workers, obs,
             )
-        except KeyboardInterrupt:
-            # Ctrl-C mid-campaign: cancel whatever has not started, kill
-            # the workers outright (no zombies, no hang on join), then
-            # re-raise so the caller -- e.g. the resilient runner, which
-            # flushes a final checkpoint -- sees the real interrupt.
-            obs.metrics.counter("executor.interrupts").inc()
-            if obs.enabled:
-                obs.trace.emit(
-                    "run_interrupted",
-                    source="executor",
-                    completed_chunks=len(completed),
-                    total_chunks=len(chunks),
-                )
-            raise
-        finally:
+        except BaseException as exc:
+            if isinstance(exc, KeyboardInterrupt):
+                # Ctrl-C mid-campaign: count it, then re-raise so the
+                # caller -- e.g. the resilient runner, which flushes a
+                # final checkpoint -- sees the real interrupt.
+                obs.metrics.counter("executor.interrupts").inc()
+                if obs.enabled:
+                    obs.trace.emit(
+                        "run_interrupted",
+                        source="executor",
+                        completed_chunks=len(completed),
+                        total_chunks=len(chunks),
+                    )
+            # Cancel whatever has not started and kill the workers
+            # outright: one may be wedged, and a join could hang.
             _discard_pool(pool_ref[0])
+            raise
+        # Every chunk landed: let the idle workers exit and join them,
+        # so no worker or pipe outlives the run.
+        pool_ref[0].shutdown(wait=True)
         results: List[CampaignResult] = []
         for idx in range(len(chunks)):
             results.extend(completed[idx])

@@ -446,7 +446,9 @@ class TestMemoryUpsets:
         with dense_engine():
             sim = GridSimulator(3, 3, temporal_fault_process=process)
         assert type(sim.grid) is DenseGrid
-        assert not isinstance(sim._temporal_scheduler, TemporalScheduler)
+        assert not isinstance(
+            sim._injector._temporal_scheduler, TemporalScheduler
+        )
         after = GridSimulator(3, 3, temporal_fault_process=process)
         assert type(after.grid) is NanoBoxGrid
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cell.memory import memory_layout
 from repro.grid import GridSimulator, NanoBoxGrid
-from repro.grid.simulator import draw_memory_upsets
+from repro.grid.simulator import FaultInjector, draw_memory_upsets
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import reverse_video
 from tests.grid.dense_oracle import ENGINES, DenseGrid, dense_engine
@@ -134,11 +134,14 @@ def test_simulator_matches_scalar_hook(monkeypatch, engine):
         ):
             self._memory_upsets += count
 
-    monkeypatch.setattr(GridSimulator, "_apply_memory_upsets", scalar_hook)
+    monkeypatch.setattr(FaultInjector, "_apply_memory_upsets", scalar_hook)
     with dense_engine():
         oracle = GridSimulator(**kwargs)
     expected = oracle.run_image_job(gradient(6, 6), reverse_video())
     assert outcome.stats.memory_upsets > 0
     assert outcome == expected
     assert memory_images(sim.grid) == memory_images(oracle.grid)
-    assert sim._rng.bit_generator.state == oracle._rng.bit_generator.state
+    assert (
+        sim._injector._rng.bit_generator.state
+        == oracle._injector._rng.bit_generator.state
+    )

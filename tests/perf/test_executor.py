@@ -18,6 +18,7 @@ from repro.perf import (
     PolicySpec,
     run_campaign_items,
 )
+from repro.perf import executor as executor_module
 from repro.perf.executor import _execute_chunk
 
 #: Sentinel path used by the crashing worker; set per-test, inherited by
@@ -176,6 +177,22 @@ class TestCampaignExecutor:
         assert stats.retries == 0
         assert stats.pool_rebuilds == 0
         assert executor.last_stats is stats
+
+    def test_successful_run_joins_its_workers(self, monkeypatch):
+        """A clean run shuts its pool down and joins it: every worker
+        exits on its own with status 0 instead of being terminated."""
+        workers = []
+
+        class RecordingPool(executor_module.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                workers.extend((self._processes or {}).values())
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+        results = CampaignExecutor(jobs=2).run(_items())
+        assert results == CampaignExecutor(jobs=1).run(_items())
+        assert len(workers) == 2
+        assert [proc.exitcode for proc in workers] == [0, 0]
 
     def test_invalid_retry_and_timeout_args(self):
         with pytest.raises(ValueError):
