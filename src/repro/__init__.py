@@ -20,82 +20,65 @@ Quickstart::
     print(f"{result.percent_correct:.1f}% correct at 3% injected faults")
 """
 
-from repro.alu import (
-    ALUResult,
-    CMOSALU,
-    FaultableUnit,
-    NanoBoxALU,
-    Opcode,
-    ReferenceALU,
-    SimplexALU,
-    SpaceRedundantALU,
-    TABLE2_SITE_COUNTS,
-    TimeRedundantALU,
-    build_alu,
-    reference_compute,
-    variant_names,
-    variant_spec,
-)
-from repro.coding import HammingCode, IdentityCode, ParityCode, RepetitionCode
-from repro.core import describe_unit, render_tree, ErrorLedger
-from repro.faults import (
-    BernoulliMask,
-    ExactFractionMask,
-    FaultCampaign,
-    FixedCountMask,
-    SiteSpace,
-    fit_for_fault_fraction,
-    fit_for_faults_per_cycle,
-)
-from repro.grid import ControlProcessor, GridSimulator, NanoBoxGrid, Watchdog
-from repro.lut import CodedLUT, TruthTable
-from repro.obs import Observer, get_observer, observing, report_metrics
-from repro.workloads import Bitmap, hue_shift, paper_workloads, reverse_video
+import importlib
+from typing import List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALUResult",
-    "BernoulliMask",
-    "Bitmap",
-    "CMOSALU",
-    "CodedLUT",
-    "ControlProcessor",
-    "ErrorLedger",
-    "ExactFractionMask",
-    "FaultCampaign",
-    "FaultableUnit",
-    "FixedCountMask",
-    "GridSimulator",
-    "HammingCode",
-    "IdentityCode",
-    "NanoBoxALU",
-    "NanoBoxGrid",
-    "Observer",
-    "Opcode",
-    "ParityCode",
-    "ReferenceALU",
-    "RepetitionCode",
-    "SimplexALU",
-    "SiteSpace",
-    "SpaceRedundantALU",
-    "TABLE2_SITE_COUNTS",
-    "TimeRedundantALU",
-    "TruthTable",
-    "Watchdog",
-    "build_alu",
-    "describe_unit",
-    "fit_for_fault_fraction",
-    "fit_for_faults_per_cycle",
-    "get_observer",
-    "hue_shift",
-    "observing",
-    "paper_workloads",
-    "reference_compute",
-    "render_tree",
-    "report_metrics",
-    "reverse_video",
-    "variant_names",
-    "variant_spec",
-    "__version__",
-]
+#: Every public name and the module it comes from.  The names load on
+#: first access (PEP 562), so ``import repro.obs`` or ``import repro.cli``
+#: pulls in no ALU, fault or grid code.
+_EXPORTS = {
+    "repro.alu": (
+        "ALUResult",
+        "CMOSALU",
+        "FaultableUnit",
+        "NanoBoxALU",
+        "Opcode",
+        "ReferenceALU",
+        "SimplexALU",
+        "SpaceRedundantALU",
+        "TABLE2_SITE_COUNTS",
+        "TimeRedundantALU",
+        "build_alu",
+        "reference_compute",
+        "variant_names",
+        "variant_spec",
+    ),
+    "repro.coding": (
+        "HammingCode", "IdentityCode", "ParityCode", "RepetitionCode",
+    ),
+    "repro.core": ("describe_unit", "render_tree", "ErrorLedger"),
+    "repro.faults": (
+        "BernoulliMask",
+        "ExactFractionMask",
+        "FaultCampaign",
+        "FixedCountMask",
+        "SiteSpace",
+        "fit_for_fault_fraction",
+        "fit_for_faults_per_cycle",
+    ),
+    "repro.grid": ("ControlProcessor", "GridSimulator", "NanoBoxGrid", "Watchdog"),
+    "repro.lut": ("CodedLUT", "TruthTable"),
+    "repro.obs": ("Observer", "get_observer", "observing", "report_metrics"),
+    "repro.workloads": ("Bitmap", "hue_shift", "paper_workloads", "reverse_video"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_SOURCE))
+
+
+__all__ = sorted(_SOURCE) + ["__version__"]

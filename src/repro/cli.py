@@ -286,22 +286,22 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser, default: str) -> None:
+def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     """Attach the evaluation-tier flag shared by the simulation commands.
 
     The default comes from the ``REPRO_BACKEND`` environment variable
-    (already validated by :func:`build_parser`), else ``default``; an
+    (already validated by :func:`build_parser`), else ``auto``; an
     explicit flag wins.  Every tier is bit-identical -- the choice only
     affects speed.
     """
     from repro.kernels import BACKENDS, backend_from_env
 
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=backend_from_env(default),
+        "--backend", choices=BACKENDS, default=backend_from_env("auto"),
         help="evaluation tier: scalar, batched (NumPy), compiled "
              "(native kernel; falls back with a warning if unavailable), "
              "or auto (fastest available); default honours $REPRO_BACKEND, "
-             f"else {default}",
+             "else auto",
     )
 
 
@@ -920,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "any value gives identical output)")
     _add_observability_args(sweep)
     _add_resilience_args(sweep)
-    _add_backend_arg(sweep, "auto")
+    _add_backend_arg(sweep)
     sweep.set_defaults(fn=_cmd_sweep)
 
     grid = sub.add_parser("grid", help="run a full-system image job")
@@ -943,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="render the final fabric state")
     _add_observability_args(grid)
     _add_resilience_args(grid)
-    _add_backend_arg(grid, "scalar")
+    _add_backend_arg(grid)
     grid.set_defaults(fn=_cmd_grid)
 
     yld = sub.add_parser("yield", help="manufacturing-yield table")
@@ -983,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2004)
     _add_observability_args(chaos)
     _add_resilience_args(chaos)
-    _add_backend_arg(chaos, "scalar")
+    _add_backend_arg(chaos)
     chaos.set_defaults(fn=_cmd_chaos)
 
     chaos_exec = sub.add_parser(
@@ -1073,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument("--seed", type=int, default=2004)
     _add_observability_args(lifecycle)
     _add_resilience_args(lifecycle)
-    _add_backend_arg(lifecycle, "scalar")
+    _add_backend_arg(lifecycle)
     lifecycle.set_defaults(fn=_cmd_lifecycle)
 
     bench = sub.add_parser(

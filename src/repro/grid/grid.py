@@ -586,7 +586,9 @@ class NanoBoxGrid:
         Joining cells were continuously alive and action-free since the
         phase began (anything observable would have joined them sooner),
         so the only trace of their skipped actions is the scan pointer
-        -- replayed here in O(1).
+        -- replayed here in O(1).  A shift-out cell that left the phase
+        after its scan ran out may rejoin: its pointer is already pinned
+        at the end, so the replay leaves it there.
         """
         if self._mode is CellMode.SHIFT_IN or coord in self._phase_active:
             return
@@ -1022,12 +1024,16 @@ class NanoBoxGrid:
                 exit_queue = self._outboxes[coord][exit_direction]
                 if not exit_queue:
                     popped = cell.pop_result()
-                    if popped is not None:
-                        iid, result = popped
-                        exit_queue.append(
-                            Envelope(ResultPacket(iid, result), prev=coord)
-                        )
-                        self._active_outboxes.add(coord)
+                    if popped is None:
+                        # The scan is exhausted until the next mode
+                        # switch: every later pop this phase is None.
+                        self._phase_active.discard(coord)
+                        continue
+                    iid, result = popped
+                    exit_queue.append(
+                        Envelope(ResultPacket(iid, result), prev=coord)
+                    )
+                    self._active_outboxes.add(coord)
 
     def _drain_outboxes(self) -> None:
         for coord in sorted(self._active_outboxes):

@@ -1,14 +1,18 @@
-"""Compile-and-cache machinery for the generated C kernel.
+"""Compile-and-cache machinery for the generated C kernel entries.
 
-The kernel source (:func:`repro.kernels.csrc.c_source`) is compiled once
-per (source hash, compiler) into a shared object under a per-user cache
-directory, then loaded through ``ctypes``.  Subsequent runs -- and every
-worker process of a campaign fan-out -- dlopen the cached artifact
-directly, so JIT cost is paid once per machine, not once per process.
+Each kernel entry (``eval``, ``mask``, ``tape``; see
+:mod:`repro.kernels.csrc`) is its own translation unit, compiled into
+its own shared object under a per-user cache directory the first time a
+process asks for it, then loaded through ``ctypes``.  An artifact is
+keyed by its entry's source hash and the compiler, so changing one
+entry never rebuilds the others.  Subsequent runs -- and every worker
+process of a campaign fan-out -- dlopen the cached artifact directly, so
+JIT cost is paid once per machine and entry, not once per process, and
+a run that never calls an entry never compiles it.
 
 The cache directory defaults to a per-user path under the system temp
 directory and can be pinned with ``REPRO_KERNEL_CACHE`` (useful in CI to
-persist the artifact across steps).  Writes follow the repo-wide
+persist the artifacts across steps).  Writes follow the repo-wide
 crash-consistency idiom: build to a unique temp name, ``os.replace``
 into place, so concurrent builders race benignly.
 """
@@ -69,8 +73,9 @@ def _cache_tag(source: str, compiler: str) -> str:
     return digest.hexdigest()[:16]
 
 
-def build_library(source: str) -> Path:
-    """Compile ``source`` into the cache; returns the shared-object path.
+def build_library(source: str, entry: str) -> Path:
+    """Compile one entry's ``source`` into the cache; returns the
+    shared-object path, ``repro_<entry>_<source hash>.so``.
 
     Idempotent and concurrency-safe: a cached artifact is reused without
     invoking the compiler at all.
@@ -81,7 +86,7 @@ def build_library(source: str) -> Path:
             f"no C compiler on PATH (tried {', '.join(COMPILERS)})"
         )
     directory = cache_dir()
-    lib_path = directory / f"repro_kernel_{_cache_tag(source, compiler)}.so"
+    lib_path = directory / f"repro_{entry}_{_cache_tag(source, compiler)}.so"
     if lib_path.exists():
         return lib_path
     # Both the source and the object get per-process names: a shared
@@ -119,7 +124,7 @@ _U64_MAX = (1 << 64) - 1
 
 
 def load_eval(lib_path: Path) -> Callable:
-    """dlopen the kernel and wrap its entry point in the eval signature.
+    """dlopen the ``eval`` entry and wrap it in the eval signature.
 
     The returned callable is the plan evaluator ``fn(header, ipool,
     bpool, ops, va, vb, words, n, n_words, out, scratch)`` over
@@ -156,7 +161,7 @@ def load_eval(lib_path: Path) -> Callable:
 
 
 def load_exact_fraction(lib_path: Path) -> Callable:
-    """dlopen the kernel and wrap its exact-fraction mask draw.
+    """dlopen the ``mask`` entry and wrap its exact-fraction mask draw.
 
     The returned callable is ``draw(bit_generator, n_sites, n_draws,
     base, remainder, tlo, thi)`` for a NumPy ``PCG64`` bit generator.
@@ -211,7 +216,7 @@ def load_exact_fraction(lib_path: Path) -> Callable:
 
 
 def load_tape_scan(lib_path: Path) -> Callable:
-    """dlopen the kernel and wrap its temporal fault-stream scan.
+    """dlopen the ``tape`` entry and wrap its temporal fault-stream scan.
 
     The returned callable has :func:`repro.faults.schedule.scan_numpy`'s
     signature and contract: ``scan(pcg, cells, limits, rate)`` over the

@@ -3,8 +3,10 @@
 A transliteration of the row-at-a-time reference interpreter kept with
 the tests (``tests/kernels/interp.py``) -- same plan format, same
 arithmetic, same evaluation order -- compiled once per machine by
-:mod:`repro.kernels.cbuild` and called through ``ctypes``.  The ABI is
-the plan evaluator:
+:mod:`repro.kernels.cbuild` and called through ``ctypes``.  Each of the
+three entries is its own translation unit (:func:`c_source` of an
+:data:`ENTRIES` name), carrying only the prelude it needs, so a process
+compiles only the entries it calls.  ``eval`` is the plan evaluator:
 
 .. code-block:: c
 
@@ -14,8 +16,8 @@ the plan evaluator:
                          const uint64_t *words, int64_t n,
                          int64_t n_words, int64_t *out, uint8_t *scratch);
 
-plus, where the compiler has 128-bit integers, the exact-fraction mask
-draw behind :meth:`repro.faults.mask.ExactFractionMask.generate_batch`:
+``mask``, where the compiler has 128-bit integers, is the exact-fraction
+mask draw behind :meth:`repro.faults.mask.ExactFractionMask.generate_batch`:
 
 .. code-block:: c
 
@@ -25,8 +27,8 @@ draw behind :meth:`repro.faults.mask.ExactFractionMask.generate_batch`:
                                 uint64_t *words, uint64_t *band_val,
                                 int64_t *band_idx);
 
-and the temporal fault-stream scan behind
-:class:`repro.faults.schedule.StreamBank`:
+and ``tape``, under the same guard, is the temporal fault-stream scan
+behind :class:`repro.faults.schedule.StreamBank`:
 
 .. code-block:: c
 
@@ -34,8 +36,9 @@ and the temporal fault-stream scan behind
                         const int64_t *limits, double rate, int64_t *hits);
 
 Both reproduce NumPy's ``PCG64`` ``random()`` doubles from registers
-(state high/low, increment high/low) through one shared step, so they
-consume exactly the uniforms the NumPy bodies would.  The mask draw
+(state high/low, increment high/low) through one step that both of
+their sources carry, so they consume exactly the uniforms the NumPy
+bodies would.  The mask draw
 advances the one generator in ``pcg``.  Every row consumes a fixed block
 of ``n_sites`` uniforms plus one for rounding when ``remainder > 0``,
 so the kernel computes the LCG jump over one block once per call (square
@@ -58,10 +61,11 @@ The tape scan reads the four registers of cell ``cells[j]`` at ``pcg +
 none) in ``hits[j]`` and writes the registers back after exactly the
 draws consumed.
 
-The ``__int128`` functions build at ``-O1`` because every process that
-finds the cache empty pays for the build: with gcc 12 on x86-64 the
-whole source compiles in about 0.17 s against 0.21 s with them at
-``-O2``, and the mask draw runs no slower.
+The ``__int128`` functions build at ``-O1`` (``MASK_FN``) because every
+process that finds the cache empty pays for the build, and the mask
+draw runs no slower for it.  ``eval`` stays at ``-O2``: with gcc 12 on
+x86-64, ``-O1`` compiles it in 0.12 s instead of 0.19 s but runs the
+lowered Table 2 variants 24% slower.
 
 All layout constants are injected from :mod:`repro.kernels.plan` at
 format time, so the two executors can never drift on the encoding.
@@ -71,11 +75,13 @@ from __future__ import annotations
 
 from repro.kernels import plan as _p
 
-_TEMPLATE = r"""
+_PRELUDE = r"""
 #include <stdint.h>
 
 #define KERNEL_ABI_VERSION {abi_version}
+"""
 
+_EVAL = r"""
 static int64_t bit_at(const uint64_t *words, int64_t wb, int64_t site) {{
     return (int64_t)((words[wb + (site >> 6)] >> (site & 63)) & 1u);
 }}
@@ -293,6 +299,11 @@ void repro_eval_batch(const int64_t *header, const int64_t *ipool,
         out[i] = bundle;
     }}
 }}
+"""
+
+#: The PCG64 step the mask draw and the tape scan share, opening the
+#: 128-bit guard that :data:`_PCG_END` closes.
+_PCG = r"""
 #ifdef __SIZEOF_INT128__
 #if defined(__GNUC__) && !defined(__clang__)
 #define MASK_FN __attribute__((optimize("O1")))
@@ -313,7 +324,9 @@ pcg_draw53(__uint128_t *state, __uint128_t inc) {{
     unsigned rot = (unsigned)(*state >> 122);
     return ((x >> rot) | (x << ((-rot) & 63))) >> 11;
 }}
+"""
 
+_MASK = r"""
 /* The LCG jump of k steps: after k draws a state s has become
    s * mult + add (square-and-multiply, as in PCG's advance). */
 static MASK_FN void
@@ -505,7 +518,9 @@ MASK_FN int64_t repro_exact_fraction(uint64_t *pcg, int64_t n_sites,
     pcg[1] = (uint64_t)state;
     return 0;
 }}
+"""
 
+_TAPE = r"""
 MASK_FN void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
                              const int64_t *limits, double rate,
                              int64_t *hits) {{
@@ -529,17 +544,31 @@ MASK_FN void repro_tape_scan(uint64_t *pcg, const int64_t *cells, int64_t n,
         reg[1] = (uint64_t)state;
     }}
 }}
-#endif
 """
+
+_PCG_END = "#endif\n"
 
 #: Bump when the plan encoding or the C ABI changes: part of the build
 #: cache key, so stale shared objects are never reloaded.
 ABI_VERSION = 5
 
 
-def c_source() -> str:
-    """The full kernel C source, layout constants baked in."""
-    return _TEMPLATE.format(
+#: Each entry's template: the prelude it needs and its own body, so a
+#: run compiles only what it calls.
+_SOURCES = {
+    "eval": _PRELUDE + _EVAL,
+    "mask": _PRELUDE + _PCG + _MASK + _PCG_END,
+    "tape": _PRELUDE + _PCG + _TAPE + _PCG_END,
+}
+
+#: The kernel entries, one translation unit each.
+ENTRIES = tuple(_SOURCES)
+
+
+def c_source(entry: str) -> str:
+    """One entry's C source (see :data:`ENTRIES`), layout constants
+    baked in."""
+    return _SOURCES[entry].format(
         abi_version=ABI_VERSION,
         LUT_IDENTITY=_p.LUT_IDENTITY,
         LUT_REPETITION=_p.LUT_REPETITION,

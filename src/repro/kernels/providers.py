@@ -7,6 +7,11 @@ draw and tape scan.  With no compiler there is no provider, and callers
 run plans on the NumPy executor instead (silently under ``auto``; with
 a one-time stderr warning when ``compiled`` was requested explicitly).
 
+Each entry is its own shared object.  Probing builds and self-tests
+only ``eval``; the mask draw and the tape scan are built, loaded and
+self-tested the first time a caller reads ``mask_fn`` or ``tape_fn``,
+so a grid run never compiles either of them.
+
 Every probe failure is captured, never raised: a missing toolchain can
 only cost speed, not correctness.  Probing is cached per process; tests
 monkeypatch :func:`_build_cc` and call :func:`reset_provider_cache` to
@@ -16,8 +21,10 @@ exercise each degradation path.
 from __future__ import annotations
 
 import sys
+import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional
 
 from repro.obs import get_observer
@@ -30,12 +37,20 @@ class KernelProvider:
     name: str  # "cc"
     eval_fn: Callable
     compile_seconds: float
-    #: The native exact-fraction mask draw (see
-    #: :func:`repro.kernels.cbuild.load_exact_fraction`), or ``None``.
-    mask_fn: Optional[Callable] = None
-    #: The native temporal fault-stream scan (see
-    #: :func:`repro.kernels.cbuild.load_tape_scan`), or ``None``.
-    tape_fn: Optional[Callable] = None
+
+    @cached_property
+    def mask_fn(self) -> Optional[Callable]:
+        """The native exact-fraction mask draw (see
+        :func:`repro.kernels.cbuild.load_exact_fraction`), or ``None``;
+        built on first access."""
+        return _build_optional("mask")
+
+    @cached_property
+    def tape_fn(self) -> Optional[Callable]:
+        """The native temporal fault-stream scan (see
+        :func:`repro.kernels.cbuild.load_tape_scan`), or ``None``; built
+        on first access."""
+        return _build_optional("tape")
 
 
 #: Sentinel distinguishing "not probed yet" from "probed, unavailable".
@@ -44,59 +59,63 @@ _UNPROBED = object()
 _provider = _UNPROBED
 _failures: List[str] = []
 _warned = False
+#: Serialises entry builds: two threads of one process would otherwise
+#: share the builder's per-process temporary names.
+_build_lock = threading.Lock()
+
+
+def _build_entry(entry: str) -> Callable:
+    """Build, load and self-test one kernel entry.
+
+    Raises :class:`repro.kernels.cbuild.KernelBuildError` (or whatever
+    the toolchain raises) when the entry is unusable.
+    """
+    from repro.kernels import cbuild
+    from repro.kernels.csrc import c_source
+
+    load, check = {
+        "eval": (cbuild.load_eval, cbuild.self_test),
+        "mask": (cbuild.load_exact_fraction, cbuild.mask_self_test),
+        "tape": (cbuild.load_tape_scan, cbuild.tape_self_test),
+    }[entry]
+    with _build_lock:
+        fn = load(cbuild.build_library(c_source(entry), entry))
+    check(fn)
+    return fn
+
+
+def _build_optional(entry: str) -> Optional[Callable]:
+    """An optional entry, or ``None`` with the reason in
+    :func:`provider_failures`.  Its build time lands on the
+    ``kernel.jit_compile`` timer, like the probe's."""
+    try:
+        with get_observer().metrics.time("kernel.jit_compile"):
+            return _build_entry(entry)
+    except Exception as exc:  # noqa: BLE001 - any failure means "none"
+        _failures.append(f"cc.{entry}: {exc!r}")
+        return None
 
 
 def _build_cc() -> KernelProvider:
-    """The generated-and-cached C extension via ctypes.
-
-    The mask draw and the tape scan are optional: if one is missing or
-    fails its self-test, the reason joins :func:`provider_failures` and
-    the provider stays live with that entry ``None``.
-    """
-    from repro.kernels.cbuild import (
-        KernelBuildError,
-        build_library,
-        load_eval,
-        load_exact_fraction,
-        load_tape_scan,
-        mask_self_test,
-        self_test,
-        tape_self_test,
-    )
-    from repro.kernels.csrc import c_source
-
+    """The generated-and-cached C plan evaluator via ctypes."""
     start = time.perf_counter()
-    lib_path = build_library(c_source())
-    eval_fn = load_eval(lib_path)
-    self_test(eval_fn)
-    try:
-        mask_fn = load_exact_fraction(lib_path)
-        mask_self_test(mask_fn)
-    except KernelBuildError as exc:
-        _failures.append(f"cc.mask: {exc!r}")
-        mask_fn = None
-    try:
-        tape_fn = load_tape_scan(lib_path)
-        tape_self_test(tape_fn)
-    except KernelBuildError as exc:
-        _failures.append(f"cc.tape: {exc!r}")
-        tape_fn = None
+    eval_fn = _build_entry("eval")
     return KernelProvider(
         name="cc",
         eval_fn=eval_fn,
         compile_seconds=time.perf_counter() - start,
-        mask_fn=mask_fn,
-        tape_fn=tape_fn,
     )
 
 
 def get_provider() -> Optional[KernelProvider]:
     """The process's compiled-tier provider, or ``None`` if unavailable.
 
-    The first call probes (and compiles); the verdict is cached.
-    Compile time lands on the ``kernel.jit_compile`` observability timer
-    -- *outside* every campaign trial timer, so benchmark numbers never
-    include first-call warmup.
+    The first call probes (and compiles ``eval``); the verdict is
+    cached.  Compile time lands on the ``kernel.jit_compile``
+    observability timer -- *outside* every campaign trial timer, so
+    benchmark numbers never include first-call warmup.  The optional
+    entries build on their first use, inside whatever is being timed
+    then; a timed caller that uses them warms up first.
     """
     global _provider
     if _provider is _UNPROBED:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cell.cell import CellMode
+from repro.cell.cell import CellMode, ProcessorCell
 from repro.cell.router import Direction
 from repro.grid.grid import NanoBoxGrid
 from repro.grid.packet import InstructionPacket
@@ -161,6 +161,32 @@ class TestShiftOut:
             grid.step()
         results = {p.instruction_id: p.result for p in grid.cp_inbox}
         assert results == {1: 10, 2: 11, 3: 12}
+
+    def test_exhausted_scan_leaves_the_phase(self, monkeypatch):
+        """Once a cell's scan is exhausted every later pop this phase is
+        ``None``, so the grid stops asking: one ``None`` per cell."""
+        empty_pops = {}
+        real_pop = ProcessorCell.pop_result
+
+        def counting_pop(cell):
+            popped = real_pop(cell)
+            if popped is None:
+                empty_pops[cell.cell_id] = empty_pops.get(cell.cell_id, 0) + 1
+            return popped
+
+        monkeypatch.setattr(ProcessorCell, "pop_result", counting_pop)
+        grid = NanoBoxGrid(3, 2)
+        grid.set_mode(CellMode.SHIFT_IN)
+        for iid, (r, c) in enumerate([(0, 0), (1, 1), (2, 0)]):
+            grid.cell(r, c).store_instruction(iid + 1, 0b111, 10, iid)
+        grid.set_mode(CellMode.COMPUTE)
+        for _ in range(40):
+            grid.step()
+        grid.set_mode(CellMode.SHIFT_OUT)
+        for _ in range(200):
+            grid.step()
+        assert len(grid.cp_inbox) == 3
+        assert empty_pops == {(0, 0): 1, (1, 1): 1, (2, 0): 1}
 
     def test_counters(self):
         grid = NanoBoxGrid(2, 2)

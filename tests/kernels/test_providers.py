@@ -1,11 +1,15 @@
 """Provider probing and graceful degradation of the compiled tier.
 
 The provider is the generated C kernel or none; any failure is
-captured, not raised.  ``auto`` degrades silently; an explicit
+captured, not raised.  Probing builds only the ``eval`` entry; the mask
+draw and the tape scan build on first access, and each degrades to
+``None`` on its own.  ``auto`` degrades silently; an explicit
 ``compiled`` request warns exactly once on stderr.  The probe verdict is cached per process,
 so each test resets the cache around its monkeypatching (and the module
 restores the real verdict afterwards for the rest of the suite).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.faults.mask import ExactFractionMask
 from repro.kernels import get_provider, provider_failures, reset_provider_cache
 from repro.kernels import cbuild
 from repro.kernels import providers as providers_mod
+from repro.obs import Observer, observing
 from repro.perf.spec import ALUSpec
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import paper_workloads
@@ -100,17 +105,19 @@ class TestMaskEntryDegradation:
     def test_missing_int128_drops_only_the_mask_entry(
         self, monkeypatch, tmp_path
     ):
-        """A compiler without ``__int128`` builds the kernel without the
-        mask entry; eval stays live."""
+        """A compiler without ``__int128`` builds the mask unit without
+        its entry point; eval stays live."""
         from repro.kernels import csrc
 
-        real_source = csrc.c_source()
-        assert "#ifdef __SIZEOF_INT128__" in real_source
+        real_source = csrc.c_source
+        assert "__int128" not in real_source("eval")
+        for entry in ("mask", "tape"):
+            assert "#ifdef __SIZEOF_INT128__" in real_source(entry)
         monkeypatch.setenv(cbuild.CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(
             csrc,
             "c_source",
-            lambda: real_source.replace(
+            lambda entry: real_source(entry).replace(
                 "#ifdef __SIZEOF_INT128__", "#ifdef REPRO_NO_SUCH_MACRO"
             ),
         )
@@ -175,6 +182,73 @@ class TestTapeEntryDegradation:
         monkeypatch.setattr(cbuild, "load_tape_scan", missing)
         failure = self._assert_only_tape_dead(get_provider())
         assert "no tape entry" in failure
+
+
+def _artifacts(cache):
+    """The entry of each shared object in a kernel cache, sorted."""
+    return sorted(p.name.split("_")[1] for p in cache.glob("*.so"))
+
+
+def _compiles(obs):
+    histograms = obs.metrics.snapshot()["histograms"]
+    return histograms.get("kernel.jit_compile", {}).get("count", 0)
+
+
+@requires_cc
+class TestOnDemandEntries:
+    """Probing builds ``eval`` alone; each optional entry is built, loaded
+    and self-tested once, on its first access."""
+
+    def test_probe_builds_only_eval(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(cbuild.CACHE_ENV, str(tmp_path))
+        obs = Observer()
+        with observing(obs):
+            provider = get_provider()
+            assert _compiles(obs) == 1
+            assert _artifacts(tmp_path) == ["eval"]
+            assert provider.tape_fn is not None
+            assert provider.tape_fn is provider.tape_fn
+            assert _compiles(obs) == 2
+            assert _artifacts(tmp_path) == ["eval", "tape"]
+            assert provider.mask_fn is not None
+            assert provider.mask_fn is provider.mask_fn
+            assert _compiles(obs) == 3
+        assert _artifacts(tmp_path) == ["eval", "mask", "tape"]
+        assert provider_failures() == []
+
+    def test_compiler_failing_only_the_mask_unit(self, monkeypatch, tmp_path):
+        """A toolchain that rejects the mask unit costs only the mask
+        draw: ``eval`` and ``tape`` build and stay live."""
+        real = cbuild.find_compiler()
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        wrapper = bin_dir / "cc"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            'for arg in "$@"; do\n'
+            '  case "$arg" in *.c)\n'
+            '    if grep -q repro_exact_fraction "$arg"; then\n'
+            "      echo 'mask unit rejected' >&2; exit 1\n"
+            "    fi;;\n"
+            "  esac\n"
+            "done\n"
+            f'exec "{real}" "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv(cbuild.CACHE_ENV, str(tmp_path / "cache"))
+        assert cbuild.find_compiler() == str(wrapper)
+        provider = get_provider()
+        assert provider is not None and provider.name == "cc"
+        assert provider.mask_fn is None
+        assert provider.tape_fn is not None
+        failures = provider_failures()
+        assert len(failures) == 1
+        assert failures[0].startswith("cc.mask:")
+        assert "mask unit rejected" in failures[0]
+        cbuild.self_test(provider.eval_fn)
+        cbuild.tape_self_test(provider.tape_fn)
+        assert _artifacts(tmp_path / "cache") == ["eval", "tape"]
 
 
 class TestDegradedCampaigns:

@@ -245,5 +245,5 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.backend == "batched"
         monkeypatch.delenv("REPRO_BACKEND")
-        assert build_parser().parse_args(["sweep"]).backend == "auto"
-        assert build_parser().parse_args(["grid"]).backend == "scalar"
+        for command in ("sweep", "grid", "chaos", "lifecycle"):
+            assert build_parser().parse_args([command]).backend == "auto"

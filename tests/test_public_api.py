@@ -1,14 +1,50 @@
 """Public-API surface and end-to-end integration tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPublicSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_all_exports_listed_by_dir(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    @pytest.mark.parametrize("statement", ["import repro", "import repro.cli"])
+    def test_package_root_loads_no_subsystem(self, statement):
+        """The root exports lazily: importing it (or the CLI module) loads
+        no ALU, fault or grid code until a name is used."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        code = (
+            f"{statement}\n"
+            "import sys\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith('repro'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "repro" in loaded
+        for package in ("repro.alu", "repro.faults", "repro.grid"):
+            assert not any(
+                m == package or m.startswith(package + ".") for m in loaded
+            ), loaded
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
