@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -76,6 +77,30 @@ class _Tee(io.TextIOBase):
     def flush(self) -> None:
         for stream in self._streams:
             stream.flush()
+
+
+#: The parser's choices, kept literal so that building it loads no ALU,
+#: fault or kernel code: they mirror ``repro.alu.variants.variant_names()``
+#: (in Table 2 order) and ``repro.kernels.BACKENDS``.
+VARIANT_CHOICES = (
+    "aluncmos", "alunh", "alunn", "aluns",
+    "aluscmos", "alush", "alusn", "aluss",
+    "alutcmos", "aluth", "alutn", "aluts",
+)
+BACKEND_CHOICES = ("scalar", "batched", "compiled", "auto")
+
+
+def _backend_from_env(default: Optional[str] = None) -> Optional[str]:
+    """The ``REPRO_BACKEND`` selection, validated; ``default`` if unset."""
+    value = os.environ.get("REPRO_BACKEND")
+    if not value:
+        return default
+    if value not in BACKEND_CHOICES:
+        raise ValueError(
+            f"REPRO_BACKEND={value!r} is not a backend; "
+            f"valid: {BACKEND_CHOICES}"
+        )
+    return value
 
 
 #: Exit status for a well-formed partial result (deadline hit or chunks
@@ -294,10 +319,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     explicit flag wins.  Every tier is bit-identical -- the choice only
     affects speed.
     """
-    from repro.kernels import BACKENDS, backend_from_env
-
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=backend_from_env("auto"),
+        "--backend", choices=BACKEND_CHOICES, default=_backend_from_env("auto"),
         help="evaluation tier: scalar, batched (NumPy), compiled "
              "(native kernel; falls back with a warning if unavailable), "
              "or auto (fastest available); default honours $REPRO_BACKEND, "
@@ -877,11 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nanobox-repro",
         description="Recursive NanoBox Processor Grid reproduction toolkit",
     )
-    from repro.alu.variants import variant_names
-    from repro.kernels import backend_from_env
-
     try:
-        backend_from_env()
+        _backend_from_env()
     except ValueError as exc:
         parser.error(str(exc))  # a usage error (exit 2), not a traceback
     sub = parser.add_subparsers(dest="command", required=True)
@@ -897,12 +917,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fit = sub.add_parser("fit", help="percent -> FIT translation")
-    fit.add_argument("--variant", choices=variant_names(), default="aluss",
+    fit.add_argument("--variant", choices=VARIANT_CHOICES, default="aluss",
                      metavar="VARIANT")
     fit.set_defaults(fn=_cmd_fit)
 
     describe = sub.add_parser("describe", help="show a variant's hierarchy")
-    describe.add_argument("variant", choices=variant_names(), metavar="VARIANT")
+    describe.add_argument("variant", choices=VARIANT_CHOICES, metavar="VARIANT")
     describe.set_defaults(fn=_cmd_describe)
 
     sweep = sub.add_parser("sweep", help="regenerate Figure 7, 8, or 9")
@@ -947,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.set_defaults(fn=_cmd_grid)
 
     yld = sub.add_parser("yield", help="manufacturing-yield table")
-    yld.add_argument("--variants", nargs="+", choices=variant_names(),
+    yld.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES,
                      default=["alunn", "aluns"], metavar="VARIANT")
     yld.add_argument("--density", type=_probability, nargs="+",
                      default=[1e-3])

@@ -18,92 +18,62 @@
   EXPERIMENTS.md comparison tables.
 """
 
-from repro.experiments.figures import (
-    PAPER_FAULT_PERCENTAGES,
-    FigureResult,
-    SeriesPoint,
-    figure7,
-    figure8,
-    figure9,
-    run_figure,
-    sweep_variant,
-)
-from repro.experiments.tables import table1_text, table2_rows, table2_text
-from repro.experiments.fit_table import fit_rows, fit_table_text, headline_claims
-from repro.experiments.area import area_rows, area_table_text
-from repro.experiments.report import format_series, format_table
-from repro.experiments.ascii_chart import ascii_chart, figure_chart
-from repro.experiments.defect_yield import yield_at, yield_sweep, yield_table_text
-from repro.experiments.export import (
-    figure_from_json,
-    figure_to_csv,
-    figure_to_json,
-    records_to_csv,
-    records_to_json,
-)
-from repro.experiments.scaling import (
-    detection_latency,
-    detection_table_text,
-    pipeline_scaling,
-    pipeline_table_text,
-)
-from repro.experiments.chaos_fabric import (
-    ChaosPoint,
-    chaos_sweep,
-    chaos_table_text,
-    run_chaos_point,
-)
-from repro.experiments.lifecycle import (
-    LifecyclePoint,
-    PolicyConfig,
-    lifecycle_sweep,
-    lifecycle_table_text,
-    permanent_policy,
-    run_lifecycle_point,
-    self_healing_policy,
-)
+import importlib
+from typing import List
 
-__all__ = [
-    "PAPER_FAULT_PERCENTAGES",
-    "ChaosPoint",
-    "FigureResult",
-    "LifecyclePoint",
-    "PolicyConfig",
-    "SeriesPoint",
-    "area_rows",
-    "area_table_text",
-    "ascii_chart",
-    "chaos_sweep",
-    "chaos_table_text",
-    "detection_latency",
-    "detection_table_text",
-    "figure_chart",
-    "figure_from_json",
-    "lifecycle_sweep",
-    "lifecycle_table_text",
-    "permanent_policy",
-    "run_lifecycle_point",
-    "self_healing_policy",
-    "figure_to_csv",
-    "figure_to_json",
-    "figure7",
-    "figure8",
-    "figure9",
-    "fit_rows",
-    "fit_table_text",
-    "format_series",
-    "format_table",
-    "headline_claims",
-    "pipeline_scaling",
-    "pipeline_table_text",
-    "records_to_csv",
-    "records_to_json",
-    "run_figure",
-    "sweep_variant",
-    "table1_text",
-    "table2_rows",
-    "table2_text",
-    "yield_at",
-    "yield_sweep",
-    "yield_table_text",
-]
+#: Every public name and the submodule it comes from.  The names load on
+#: first access (PEP 562), so rendering Table 1 pulls in no ALU, fault or
+#: grid code.
+_EXPORTS = {
+    "repro.experiments.figures": (
+        "PAPER_FAULT_PERCENTAGES", "FigureResult", "SeriesPoint", "figure7",
+        "figure8", "figure9", "run_figure", "sweep_variant",
+    ),
+    "repro.experiments.tables": ("table1_text", "table2_rows", "table2_text"),
+    "repro.experiments.fit_table": (
+        "fit_rows", "fit_table_text", "headline_claims",
+    ),
+    "repro.experiments.area": ("area_rows", "area_table_text"),
+    "repro.experiments.report": ("format_series", "format_table"),
+    "repro.experiments.ascii_chart": ("ascii_chart", "figure_chart"),
+    "repro.experiments.defect_yield": (
+        "yield_at", "yield_sweep", "yield_table_text",
+    ),
+    "repro.experiments.export": (
+        "figure_from_json", "figure_to_csv", "figure_to_json",
+        "records_to_csv", "records_to_json",
+    ),
+    "repro.experiments.scaling": (
+        "detection_latency", "detection_table_text", "pipeline_scaling",
+        "pipeline_table_text",
+    ),
+    "repro.experiments.chaos_fabric": (
+        "ChaosPoint", "chaos_sweep", "chaos_table_text", "run_chaos_point",
+    ),
+    "repro.experiments.lifecycle": (
+        "LifecyclePoint", "PolicyConfig", "lifecycle_sweep",
+        "lifecycle_table_text", "permanent_policy", "run_lifecycle_point",
+        "self_healing_policy",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module 'repro.experiments' has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_SOURCE))
+
+
+__all__ = sorted(_SOURCE)

@@ -5,7 +5,10 @@ of its neighbors" (paper Section 3.1).  A :class:`Bus` is one *directed*
 link: it carries a single packet at a time, taking one cycle per byte-wide
 flit, so an 8-flit instruction packet occupies the link for 8 cycles.
 Nanoscale drive limits mean there is no bypassing or wormhole overlap --
-the next packet waits until the previous one fully drains.
+the next packet waits until the previous one fully drains.  So a link
+that cannot stall knows, the moment it accepts a packet, the cycle it
+will deliver it in; :meth:`Bus.advance` lets a fabric jump to that cycle
+instead of ticking the link through every cycle in between.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ class Bus:
             its payload flits -- 1 when CRC framing appends a checksum
             flit (:mod:`repro.grid.packet`), 0 for the bare fabric.
     """
+
+    #: True when the link may hold its flit on an occupied cycle, so its
+    #: delivery cycle is unknown at send time and it must tick every cycle.
+    stalls = False
 
     def __init__(self, name: str, flit_overhead: int = 0) -> None:
         if flit_overhead < 0:
@@ -69,6 +76,20 @@ class Bus:
             return None
         self._busy_cycles += 1
         self._remaining -= 1
+        if self._remaining > 0:
+            return None
+        delivered = self._packet
+        self._packet = None
+        self._delivered_count += 1
+        return delivered
+
+    def advance(self, cycles: int) -> Optional[Packet]:
+        """Advance ``cycles`` cycles at once: the same as ``cycles``
+        calls of :meth:`tick` on a link that does not stall."""
+        if self._packet is None:
+            return None
+        self._busy_cycles += cycles
+        self._remaining -= cycles
         if self._remaining > 0:
             return None
         delivered = self._packet

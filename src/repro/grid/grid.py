@@ -14,8 +14,10 @@ is idle and healthy almost all of the time.
 
 * cells, buses, inboxes, and outboxes materialise lazily on first touch
   (quiescent cells never exist as objects at all);
-* only busy buses tick, only non-empty inboxes route, only non-empty
-  outboxes drain;
+* a link that cannot stall delivers from a timing wheel: each send is
+  filed under the cycle its last flit arrives in, so the link costs
+  nothing until then; only links that can stall tick, and only while
+  busy; only non-empty inboxes route, only non-empty outboxes drain;
 * only cells that hold work (or whose heartbeat is mid-transition) take
   compute/shift-out actions; idle cells' ALU-scan pointers are fast
   forwarded on demand;
@@ -30,16 +32,17 @@ is idle and healthy almost all of the time.
   every cell every cycle.
 
 Every skipped step is unobservable (an idle cell's compute step is a
-pure pointer increment, an idle bus tick is a no-op, a quiescent beat is
-a pure counter increment) and is replayed in bulk before it could be
-observed.  Per-cell and per-link PRNG streams are keyed by coordinate /
-link index, never by construction order, and iteration over the active
-sets follows the row-major / link-index order, so same-cycle event
-interleavings match.  The observable state therefore equals, bit for
-bit, that of a fabric doing per-cell work every cycle -- the reference
-the test suite keeps in ``tests/grid/dense_oracle.py``.  Custom
-``alu_factory`` callables must be construction-order independent (the
-built-in ones hand every cell one shared, stateless unit).
+pure pointer increment, a bus tick short of delivery only counts a busy
+cycle, a quiescent beat is a pure counter increment) and is replayed in
+bulk before it could be observed.  Per-cell and per-link PRNG streams
+are keyed by coordinate / link index, never by construction order, and
+iteration over the active sets follows the row-major / link-index order,
+so same-cycle event interleavings match.  The observable state
+therefore equals, bit for bit, that of a fabric doing per-cell work
+every cycle -- the reference the test suite keeps in
+``tests/grid/dense_oracle.py``.  Custom ``alu_factory`` callables must
+be construction-order independent (the built-in ones hand every cell
+one shared, stateless unit).
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from repro.grid.bus import Bus
 from repro.grid.linkfault import FaultEvent, FaultyBus, LinkFaultConfig
 from repro.grid.packet import CRC_FLITS, InstructionPacket, Packet, ResultPacket
 from repro.grid.routing import (
+    MESH_DIRECTIONS,
     Envelope,
     choose_direction,
     default_hop_budget,
@@ -277,6 +281,7 @@ class NanoBoxGrid:
         # Links are built as FaultyBus / overhead-carrying Bus instances
         # when link fault injection or CRC framing is configured.
         self.crc_enabled = crc_enabled
+        self._flit_overhead = CRC_FLITS if crc_enabled else 0
         self._link_fault_config = link_fault_config
         self._link_fault_seed = link_fault_seed
         self.corrupt_rejects = 0
@@ -321,8 +326,14 @@ class NanoBoxGrid:
         self._cell_counts: Dict[Coord, Tuple[int, int]] = {}
         self._total_pending = 0
         self._total_completed = 0
-        # Active fabric: busy links, non-empty inboxes/outboxes.
+        # Active fabric: busy links that can stall, non-empty
+        # inboxes/outboxes.
         self._active_buses: Set[Tuple[object, object]] = set()
+        # Timing wheel of the links that cannot stall: due cycle ->
+        # (link index, key) of each delivery; and, per link in flight,
+        # the cycle its busy count was last brought up to.
+        self._wheel: Dict[int, List[Tuple[int, Tuple[object, object]]]] = {}
+        self._in_wheel: Dict[Tuple[object, object], int] = {}
         self._active_inboxes: Set[Coord] = set()
         self._active_outboxes: Set[Coord] = set()
         # Stream index of every materialised link: the tick order key.
@@ -344,6 +355,11 @@ class NanoBoxGrid:
         )
         self._inboxes: Dict[Coord, Deque[Envelope]] = _LazyDict(
             self._ref, kind._materialise_inbox
+        )
+        # Per-cell static exits: each outbox queue with the key of the
+        # link it drains into (None for a disabled outer-edge bus).
+        self._exits: Dict[Coord, Tuple[Tuple[Deque[Envelope], object], ...]] = (
+            _LazyDict(self._ref, kind._materialise_exits)
         )
         if self._lut_router_scheme is not None:
             # LUT routers are capped at 16x16 grids; build them eagerly
@@ -428,13 +444,16 @@ class NanoBoxGrid:
             raise KeyError(coord)
         return deque()
 
+    def _materialise_exits(self, coord: Coord):
+        exits = []
+        for direction, queue in self._outboxes[coord].items():
+            target = self._bus_target(coord, direction)
+            exits.append((queue, None if target is None else (coord, target)))
+        return tuple(exits)
+
     @staticmethod
     def _make_outbox() -> Dict[Direction, Deque[Envelope]]:
-        return {
-            d: deque()
-            for d in (Direction.UP, Direction.DOWN,
-                      Direction.LEFT, Direction.RIGHT)
-        }
+        return {d: deque() for d in MESH_DIRECTIONS}
 
     # ---------------------------------------------------------------- links
 
@@ -482,7 +501,7 @@ class NanoBoxGrid:
             return "CP" if endpoint == CONTROL_PROCESSOR else str(endpoint)
 
         name = f"{label(src)}->{label(dst)}"
-        overhead = CRC_FLITS if self.crc_enabled else 0
+        overhead = self._flit_overhead
         config = self._link_fault_config
         if callable(config):
             config = config(src, dst)
@@ -801,10 +820,23 @@ class NanoBoxGrid:
         if column is None:
             raise RuntimeError("no alive top-row cell to inject through")
         key = (CONTROL_PROCESSOR, (self.top_row, column))
-        sent = self._buses[key].try_send(Envelope(packet))
-        if sent:
+        return self._send(key, self._buses[key], Envelope(packet))
+
+    def _send(self, key, bus: Bus, envelope: Envelope) -> bool:
+        """Put ``envelope`` on link ``key``; False when it is busy.
+
+        A link that cannot stall is filed under the cycle whose tick
+        would deliver it; one that can is ticked every cycle.
+        """
+        if not bus.try_send(envelope):
+            return False
+        if bus.stalls:
             self._active_buses.add(key)
-        return sent
+            return True
+        due = self._cycle + envelope.flit_count + self._flit_overhead
+        self._wheel.setdefault(due, []).append((self._link_index[key], key))
+        self._in_wheel[key] = self._cycle
+        return True
 
     def cp_bus_busy(self, col: int) -> bool:
         """True while column ``col``'s downstream edge bus is occupied."""
@@ -829,13 +861,26 @@ class NanoBoxGrid:
         self._drain_outboxes()
 
     def _tick_buses(self) -> None:
-        for key in sorted(self._active_buses, key=self._link_index.__getitem__):
+        """Complete this cycle's wheel slot and tick the stalling links,
+        merged in link-index order."""
+        due = self._wheel.pop(self._cycle, [])
+        if self._active_buses:
+            index = self._link_index
+            due.extend((index[key], key) for key in self._active_buses)
+        if len(due) > 1:
+            due.sort()
+        in_wheel = self._in_wheel
+        for _, key in due:
             bus = self._buses[key]
-            delivered = bus.tick()
+            sent = in_wheel.pop(key, None)
+            if sent is None:
+                delivered = bus.tick()
+                if not bus.busy:
+                    self._active_buses.discard(key)
+            else:
+                delivered = bus.advance(self._cycle - sent)
             if delivered is not None:
                 self._handle_bus_delivery(key[1], delivered)
-            if not bus.busy:
-                self._active_buses.discard(key)
 
     def _handle_bus_delivery(self, dst, delivered) -> None:
         """Resolve one bus delivery (or fault event) at its receiver."""
@@ -1044,19 +1089,17 @@ class NanoBoxGrid:
                         self.dropped_packets.append(queue.popleft().packet)
                 self._active_outboxes.discard(coord)
                 continue
-            for direction, queue in queues.items():
+            for queue, key in self._exits[coord]:
                 if not queue:
                     continue
-                target = self._bus_target(coord, direction)
-                if target is None:
+                if key is None:
                     # Outer-edge buses are disabled (paper Section 3.1)
                     # except the top row's link to the control processor.
                     self.dropped_packets.append(queue.popleft().packet)
                     continue
-                key = (coord, target)
-                if self._buses[key].try_send(queue[0]):
-                    queue.popleft()
-                    self._active_buses.add(key)
+                bus = self._buses[key]
+                if not bus.busy:
+                    self._send(key, bus, queue.popleft())
             if not any(queues.values()):
                 self._active_outboxes.discard(coord)
 
@@ -1073,6 +1116,8 @@ class NanoBoxGrid:
 
     def idle(self) -> bool:
         """True when no packet is in flight, queued, or undelivered."""
+        if self._in_wheel:
+            return False
         for key in list(self._active_buses):
             if self._buses[key].busy:
                 return False
@@ -1158,6 +1203,10 @@ class NanoBoxGrid:
         """
         if self._cycle == 0:
             return BusStatistics(0, 0.0, 0.0, 0.0, "")
+        # Bring the busy counts of the links on the wheel up to now.
+        for key, synced in self._in_wheel.items():
+            self._buses[key].advance(self._cycle - synced)
+            self._in_wheel[key] = self._cycle
         mesh_links = 2 * (
             self.rows * (self.cols - 1) + self.cols * (self.rows - 1)
         )

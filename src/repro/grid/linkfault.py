@@ -130,6 +130,7 @@ class FaultyBus(Bus):
             BernoulliMask(config.bit_flip_rate) if config.bit_flip_rate > 0 else None
         )
         self._will_drop = False
+        self.stalls = config.stall_rate > 0
         self.bit_flips = 0
         self.dropped_in_flight = 0
         self.stalled_cycles = 0
@@ -161,7 +162,15 @@ class FaultyBus(Bus):
             self._busy_cycles += 1
             self.stalled_cycles += 1
             return None
-        delivered = super().tick()
+        return self._arrive(super().tick())
+
+    def advance(self, cycles: int) -> Optional[Delivery]:
+        if self.stalls:
+            raise RuntimeError(f"{self.name} stalls: it must tick every cycle")
+        return self._arrive(super().advance(cycles))
+
+    def _arrive(self, delivered: Optional[Envelope]) -> Optional[Delivery]:
+        """Pass a finished envelope through the drop and flip channels."""
         if delivered is None:
             return None
         if self._will_drop:

@@ -21,7 +21,7 @@ equivalent NanoBox protocol as future work.  This module implements it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cell.router import Direction, route_packet
@@ -56,7 +56,7 @@ class Envelope:
 
     def forwarded(self, via: Coord) -> "Envelope":
         """The envelope as it leaves ``via`` toward the next hop."""
-        return replace(self, hops=self.hops + 1, prev=via)
+        return Envelope(self.packet, self.hops + 1, via)
 
 
 def default_hop_budget(rows: int, cols: int) -> int:

@@ -21,9 +21,6 @@ variable.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 from repro.kernels.engine import (
     AcceleratedUnit,
     CompiledEngine,
@@ -43,21 +40,6 @@ from repro.kernels.providers import (
 #: The backend seam's vocabulary, in increasing order of ambition.
 BACKENDS = ("scalar", "batched", "compiled", "auto")
 
-#: Environment default for ``--backend`` (CLI flags still win).
-BACKEND_ENV = "REPRO_BACKEND"
-
-
-def backend_from_env(default: Optional[str] = None) -> Optional[str]:
-    """The ``REPRO_BACKEND`` selection, validated; ``default`` if unset."""
-    value = os.environ.get(BACKEND_ENV)
-    if not value:
-        return default
-    if value not in BACKENDS:
-        raise ValueError(
-            f"{BACKEND_ENV}={value!r} is not a backend; valid: {BACKENDS}"
-        )
-    return value
-
 
 def resolve_backend(backend: str) -> str:
     """Validate a backend request.
@@ -75,13 +57,11 @@ def resolve_backend(backend: str) -> str:
 __all__ = [
     "AcceleratedUnit",
     "BACKENDS",
-    "BACKEND_ENV",
     "CompiledEngine",
     "KernelPlan",
     "KernelProvider",
     "PlanEngine",
     "accelerate_unit",
-    "backend_from_env",
     "build_engine",
     "build_plan",
     "get_provider",

@@ -18,6 +18,13 @@ class TestTable1:
         rows = {mnemonic: bits for bits, mnemonic, _ in table1_rows()}
         assert rows == {"AND": "000", "OR": "001", "XOR": "010", "ADD": "111"}
 
+    def test_rows_match_the_opcode_enum(self):
+        from repro.alu.base import Opcode
+
+        assert [(bits, name) for bits, name, _ in table1_rows()] == [
+            (format(int(op), "03b"), op.name) for op in Opcode
+        ]
+
     def test_render_contains_actions(self):
         text = table1_text()
         assert "Operand1 AND Operand2" in text

@@ -111,3 +111,48 @@ class TestBus:
     def test_negative_flit_overhead_rejected(self):
         with pytest.raises(ValueError):
             Bus("b", flit_overhead=-1)
+
+
+class TestAdvance:
+    """Completing a send in one step, as the fabric's timing wheel does."""
+
+    @pytest.mark.parametrize("packet", [instr(), ResultPacket(1, 2)],
+                             ids=["instruction", "result"])
+    @pytest.mark.parametrize("overhead", [0, 1])
+    def test_equals_ticking_to_delivery(self, packet, overhead):
+        ticked, advanced = Bus("t", overhead), Bus("a", overhead)
+        for bus in (ticked, advanced):
+            assert bus.try_send(packet)
+        latency = packet.flit_count + overhead
+        for _ in range(latency - 1):
+            assert ticked.tick() is None
+        assert ticked.tick() is packet
+        assert advanced.advance(latency) is packet
+        for bus in (ticked, advanced):
+            assert not bus.busy
+            assert bus.busy_cycles == latency
+            assert bus.delivered_count == 1
+
+    def test_split_advance_matches_ticks_mid_flight(self):
+        """Partial advances count busy cycles like ticks and keep the
+        packet on the wire until its last flit."""
+        packet = instr()
+        ticked, advanced = Bus("t"), Bus("a")
+        for bus in (ticked, advanced):
+            bus.try_send(packet)
+        for _ in range(3):
+            ticked.tick()
+        assert advanced.advance(3) is None
+        assert advanced.busy and advanced.in_flight is packet
+        assert advanced.busy_cycles == ticked.busy_cycles == 3
+        assert advanced.delivered_count == ticked.delivered_count == 0
+        assert advanced.advance(packet.flit_count - 3) is packet
+        assert advanced.busy_cycles == packet.flit_count
+
+    def test_idle_advance_is_a_no_op(self):
+        bus = Bus("b")
+        assert bus.advance(5) is None
+        assert bus.busy_cycles == 0
+
+    def test_plain_bus_never_stalls(self):
+        assert not Bus("b").stalls

@@ -93,6 +93,48 @@ class TestCRC8:
         assert crc8([]) == 0
 
 
+class TestEventPath:
+    """A link that cannot stall delivers the same on either path: ticked
+    every cycle, or advanced to its due cycle in one step."""
+
+    @pytest.mark.parametrize("config", [
+        LinkFaultConfig(bit_flip_rate=0.05),
+        LinkFaultConfig(drop_rate=0.3),
+        LinkFaultConfig(bit_flip_rate=0.02, drop_rate=0.2),
+    ], ids=["flip", "drop", "flip+drop"])
+    @pytest.mark.parametrize("crc", [False, True], ids=["bare", "crc"])
+    def test_no_stall_link_same_on_both_paths(self, config, crc):
+        overhead = 1 if crc else 0
+        ticked, advanced = (
+            bus(config, seed=11, crc_enabled=crc, flit_overhead=overhead)
+            for _ in range(2)
+        )
+        assert not ticked.stalls
+        counters = ("bit_flips", "dropped_in_flight", "crc_rejects",
+                    "framing_rejects", "silent_corruptions",
+                    "busy_cycles", "delivered_count")
+        for iid in range(60):
+            packet = instr(iid) if iid % 3 else ResultPacket(iid, iid & 0xFF)
+            env = envelope(packet)
+            assert ticked.try_send(env) and advanced.try_send(env)
+            latency = env.flit_count + overhead
+            for _ in range(latency - 1):
+                assert ticked.tick() is None
+            assert advanced.advance(latency) == ticked.tick()
+            assert (ticked._rng.bit_generator.state
+                    == advanced._rng.bit_generator.state)
+            for name in counters:
+                assert getattr(ticked, name) == getattr(advanced, name), name
+        assert ticked.bit_flips + ticked.dropped_in_flight > 0
+
+    def test_stalling_link_refuses_to_advance(self):
+        b = bus(LinkFaultConfig(stall_rate=0.1))
+        assert b.stalls
+        b.try_send(envelope())
+        with pytest.raises(RuntimeError, match="stalls"):
+            b.advance(1)
+
+
 class TestFaultyBus:
     def test_fault_free_config_behaves_like_bus(self):
         b = bus(LinkFaultConfig())

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import build_parser, main, _parse_kill
+from repro.alu.variants import variant_names
+from repro.cli import (
+    BACKEND_CHOICES,
+    VARIANT_CHOICES,
+    build_parser,
+    main,
+    _parse_kill,
+)
 from repro.kernels import BACKENDS
 
 
@@ -218,6 +225,20 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_static_choices_mirror_their_sources(self):
+        """The parser's literal choice tuples track the live vocabularies,
+        order included (argparse lists them in usage errors)."""
+        assert VARIANT_CHOICES == variant_names()
+        assert BACKEND_CHOICES == BACKENDS
+
+    def test_unknown_variant_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["describe", "alunq"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'alunq'" in err
+        assert ", ".join(repr(n) for n in variant_names()) in err
 
     @pytest.mark.parametrize("argv", [["sweep", "--help"], ["table1"]])
     def test_bad_backend_env_is_a_usage_error(self, monkeypatch, capsys, argv):

@@ -46,6 +46,39 @@ class TestPublicSurface:
                 m == package or m.startswith(package + ".") for m in loaded
             ), loaded
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from repro.cli import build_parser; build_parser()",
+            "from repro.cli import main; main(['table1'])",
+            "from repro.cli import main\ntry:\n    main(['--help'])\n"
+            "except SystemExit:\n    pass",
+        ],
+        ids=["build_parser", "table1", "help"],
+    )
+    def test_cli_start_up_loads_no_numeric_stack(self, statement):
+        """The parser's choices are literal and Table 1 is static text, so
+        none of these loads NumPy or the ALU, fault or kernel code."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        code = (
+            f"{statement}\n"
+            "import sys\n"
+            "print('MODULES', ' '.join(sorted(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split("MODULES", 1)[1].split()
+        for package in ("numpy", "repro.alu", "repro.faults", "repro.kernels"):
+            assert not any(
+                m == package or m.startswith(package + ".") for m in loaded
+            ), (package, loaded)
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
