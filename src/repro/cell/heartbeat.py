@@ -110,10 +110,18 @@ class Heartbeat:
         protocol and is re-admitted to service.  The lifetime
         ``error_count`` is deliberately preserved.
         """
-        self._forced_silent = False
-        self._score = 0.0
+        self.restart()
         if self.watcher is not None:
             self.watcher(self)
+
+    def restart(self) -> None:
+        """:meth:`revive` without calling the watcher.
+
+        For a caller that settles the watcher's bookkeeping itself: the
+        grid readmitting a probe round's cells in one batch.
+        """
+        self._forced_silent = False
+        self._score = 0.0
 
     def beat(self) -> bool:
         """Emit (or withhold) one cycle's heartbeat.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import weakref
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -162,7 +162,9 @@ class TemporalScheduler:
     alive*.  A liveness listener on the grid pauses a dying cell's entry
     (storing its remaining alive-cycle offset) and resumes it on
     revival, so suspend/revive round trips land events on the same
-    alive-cycle a per-tick sampler would.
+    alive-cycle a per-tick sampler would.  A batch of revivals (a probe
+    round's readmissions) is resumed with one ``_schedule`` and re-armed
+    with one ``_arm`` call.
 
     The grid must be fully alive at construction (a fresh grid is).
     ``tick()`` must be called exactly once per simulated cycle, alive
@@ -192,10 +194,10 @@ class TemporalScheduler:
         # scheduler weakly: the grid is not kept in a cycle through it.
         scheduler = weakref.ref(self)
 
-        def on_alive_change(coord: Coord, healthy: bool) -> None:
+        def on_alive_change(coords: Sequence[Coord], healthy: bool) -> None:
             live = scheduler()
             if live is not None:
-                live._on_alive_change(coord, healthy)
+                live._on_alive_change(coords, healthy)
 
         grid.add_alive_listener(on_alive_change)
 
@@ -228,27 +230,42 @@ class TemporalScheduler:
         self._horizon[rescan] = np.minimum(horizon[~fired] * 2, _MAX_HORIZON)
         self._schedule(cells, self._inv + quiet + fired, fired)
 
-    def _on_alive_change(self, coord: Coord, healthy: bool) -> None:
-        cell = coord[0] * self._cols + coord[1]
+    def _on_alive_change(self, coords: Sequence[Coord], healthy: bool) -> None:
+        cells = [row * self._cols + col for row, col in coords]
         if not healthy:
-            due = int(self._due[cell])
-            if due >= 0:
-                self._due[cell] = -1
-                self._suspended[cell] = (due - self._inv, self._fires[cell])
+            for cell in cells:
+                due = int(self._due[cell])
+                if due >= 0:
+                    self._due[cell] = -1
+                    self._suspended[cell] = (due - self._inv, self._fires[cell])
+                else:
+                    # Mid-application death (its own kill/error event) or
+                    # a dead stream: nothing scheduled to preserve.
+                    self._suspended[cell] = _REARM
+            return
+        resumed: List[int] = []
+        due: List[int] = []
+        fires: List[bool] = []
+        rearm: List[int] = []
+        for cell in cells:
+            state = self._suspended.pop(cell, None)
+            if state is None:
+                continue
+            if state is _REARM:
+                rearm.append(cell)
             else:
-                # Mid-application death (its own kill/error event) or a
-                # dead stream: nothing scheduled to preserve.
-                self._suspended[cell] = _REARM
-            return
-        state = self._suspended.pop(cell, None)
-        if state is None:
-            return
-        cells = np.array([cell], dtype=np.int64)
-        if state is _REARM:
-            self._arm(cells)
-        else:
-            remaining, fires = state
-            self._schedule(cells, np.array([self._inv + remaining]), fires)
+                remaining, fire = state
+                resumed.append(cell)
+                due.append(self._inv + remaining)
+                fires.append(fire)
+        if resumed:
+            self._schedule(
+                np.array(resumed, dtype=np.int64),
+                np.array(due, dtype=np.int64),
+                np.array(fires, dtype=bool),
+            )
+        if rearm:
+            self._arm(np.array(rearm, dtype=np.int64))
 
     def tick(self) -> int:
         """Advance one hook invocation; fire due events.  Returns count."""

@@ -24,9 +24,11 @@ is idle and healthy almost all of the time.
 * one compute tick's ALU work is one batch: the acting cells' result
   copies evaluate together, one call per shared unit
   (:func:`~repro.cell.cell.compute_cells`);
-* the watchdog polls only *attention* cells -- those whose heartbeat
-  could do anything other than beat -- and every skipped quiescent beat
-  is credited in bulk the moment the cell is looked at;
+* the watchdog polls only *attention* cells it has not disabled --
+  those whose heartbeat could do anything other than beat -- and every
+  skipped quiescent beat is credited in bulk the moment the cell is
+  looked at; a probe round readmits its passing cells in one batch
+  (:meth:`NanoBoxGrid.readmit_cells`);
 * temporal fault streams run from a due-date queue
   (:class:`~repro.grid.engine.TemporalScheduler`) instead of sampling
   every cell every cycle.
@@ -58,6 +60,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -314,6 +317,8 @@ class NanoBoxGrid:
         # polls earn no beats (a poll skips disabled cells before
         # beating them).
         self._wd_disabled: Set[Coord] = set()
+        # Attention cells not disabled: exactly what a poll samples.
+        self._poll_set: Set[Coord] = set()
         self._polls = 0
         self._synced_at_poll: Dict[Coord, int] = {}
         # Cells taking real per-tick actions in the current phase.
@@ -338,7 +343,9 @@ class NanoBoxGrid:
         self._active_outboxes: Set[Coord] = set()
         # Stream index of every materialised link: the tick order key.
         self._link_index: Dict[Tuple[object, object], int] = {}
-        self._alive_listeners: List[Callable[[Coord, bool], None]] = []
+        self._alive_listeners: List[
+            Callable[[Sequence[Coord], bool], None]
+        ] = []
         kind = type(self)
         self._cells: Dict[Coord, ProcessorCell] = _LazyDict(
             self._ref, kind._materialise_cell
@@ -521,44 +528,61 @@ class NanoBoxGrid:
 
     # ---------------------------------------------------------------- watchers
 
-    def add_alive_listener(self, listener: Callable[[Coord, bool], None]) -> None:
-        """Register ``listener(coord, healthy)`` for liveness flips."""
+    def add_alive_listener(
+        self, listener: Callable[[Sequence[Coord], bool], None]
+    ) -> None:
+        """Register ``listener(coords, healthy)`` for liveness flips.
+
+        ``coords`` is a batch of cells, row-major, that all flipped to
+        ``healthy``: one cell for a heartbeat change, every revived cell
+        of a :meth:`readmit_cells` call.
+        """
         self._alive_listeners.append(listener)
 
     def _on_heartbeat(self, coord: Coord, _heartbeat=None) -> None:
         """Heartbeat watcher: maintain the mask and the attention set."""
-        cell = self._cells[coord]
-        heartbeat = cell.heartbeat
+        heartbeat = self._cells[coord].heartbeat
         healthy = heartbeat.healthy
         if healthy != bool(self._alive[coord]):
-            # Settle occupancy under the old gate, then flip it and move
-            # the whole cell's counts across the alive boundary.
-            if coord in self._mem_dirty:
-                self._flush_cell(coord)
-            pending, completed = self._cell_counts.get(coord, (0, 0))
+            self._cross_alive(coord, healthy)
             if healthy:
-                self._alive[coord] = True
-                self._total_pending += pending
-                self._total_completed += completed
-                col = coord[1]
-                dead = np.nonzero(~self._alive[:, col])[0]
-                self._col_max_dead[col] = int(dead[-1]) if dead.size else -1
-            else:
-                self._total_pending -= pending
-                self._total_completed -= completed
-                self._alive[coord] = False
-                if coord[0] > self._col_max_dead[coord[1]]:
-                    self._col_max_dead[coord[1]] = coord[0]
+                self._settle_column(coord[1])
+            elif coord[0] > self._col_max_dead[coord[1]]:
+                self._col_max_dead[coord[1]] = coord[0]
             for listener in self._alive_listeners:
-                listener(coord, healthy)
+                listener((coord,), healthy)
+        self._settle_attention(coord, heartbeat)
+
+    def _cross_alive(self, coord: Coord, healthy: bool) -> None:
+        """Flip one cell's alive bit, moving its counts across the gate."""
+        # Settle occupancy under the old gate first.
+        if coord in self._mem_dirty:
+            self._flush_cell(coord)
+        pending, completed = self._cell_counts.get(coord, (0, 0))
+        if not healthy:
+            pending, completed = -pending, -completed
+        self._total_pending += pending
+        self._total_completed += completed
+        self._alive[coord] = healthy
+
+    def _settle_column(self, col: int) -> None:
+        """Recompute one column's deepest dead row from the mask."""
+        dead = np.flatnonzero(~self._alive[:, col])
+        self._col_max_dead[col] = int(dead[-1]) if dead.size else -1
+
+    def _settle_attention(self, coord: Coord, heartbeat) -> None:
+        """Move a cell into or out of the attention set after a change."""
         if heartbeat.quiescent():
             if coord in self._attention:
                 self._attention.discard(coord)
+                self._poll_set.discard(coord)
                 # Every poll so far reached this cell live.
                 self._synced_at_poll[coord] = self._polls
         elif coord not in self._attention:
             self._credit_deficit(coord)
             self._attention.add(coord)
+            if coord not in self._wd_disabled:
+                self._poll_set.add(coord)
             self._join_phase(coord)
 
     def _on_memory(self, coord: Coord) -> None:
@@ -584,11 +608,39 @@ class NanoBoxGrid:
         """Watchdog hook: ``coord`` was quarantined/retired."""
         self._credit_deficit(coord)
         self._wd_disabled.add(coord)
+        self._poll_set.discard(coord)
 
     def on_cell_enabled(self, coord: Coord) -> None:
         """Watchdog hook: ``coord`` was re-admitted to service."""
         self._wd_disabled.discard(coord)
         self._synced_at_poll[coord] = self._polls
+        if coord in self._attention:
+            self._poll_set.add(coord)
+
+    def readmit_cells(self, coords: Sequence[Coord]) -> None:
+        """Watchdog hook: return a probe round's passing cells to service.
+
+        Each cell's heartbeat restarts with a clean score and the cell is
+        re-enabled, as ``heartbeat.revive()`` then :meth:`on_cell_enabled`
+        would do cell by cell, with the shared bookkeeping settled once:
+        one reachability update per touched column and one alive-listener
+        call with every revived cell.  ``coords`` are row-major.
+        """
+        revived: List[Coord] = []
+        for coord in coords:
+            heartbeat = self._cells[coord].heartbeat
+            self._credit_deficit(coord)
+            heartbeat.restart()
+            if not self._alive[coord]:
+                self._cross_alive(coord, True)
+                revived.append(coord)
+            self._settle_attention(coord, heartbeat)
+            self.on_cell_enabled(coord)
+        for col in {coord[1] for coord in revived}:
+            self._settle_column(col)
+        if revived:
+            for listener in self._alive_listeners:
+                listener(revived, True)
 
     # ------------------------------------------------------- phase bookkeeping
 
@@ -690,13 +742,15 @@ class NanoBoxGrid:
     def poll_candidates(self) -> Iterator[ProcessorCell]:
         """Cells the watchdog must actually sample this poll.
 
-        The attention cells, row-major: those whose heartbeat could
-        change state or miss a beat.  Counts the poll, so every other
-        cell is owed one beat, credited in bulk when it is next looked
-        at.
+        The attention cells the watchdog has not disabled, row-major:
+        those whose heartbeat could change state or miss a beat.  A
+        disabled cell is skipped by the poll before it beats and is owed
+        nothing, so however many are quarantined they cost a poll
+        nothing.  Counts the poll, so every other enabled cell is owed
+        one beat, credited in bulk when it is next looked at.
         """
         self._polls += 1
-        return iter([self._cells[c] for c in sorted(self._attention)])
+        return iter([self._cells[c] for c in sorted(self._poll_set)])
 
     def free_capacity(self, coord: Coord) -> int:
         """Free memory words at one cell (never materialises it)."""

@@ -221,10 +221,18 @@ class Watchdog:
         )
 
     def lifecycle_counts(self) -> Dict[str, int]:
-        """``{state value: cell count}`` snapshot over the whole grid."""
+        """``{state value: cell count}`` snapshot over the whole grid.
+
+        Counts the cells the watchdog has moved out of ACTIVE; every
+        other cell is ACTIVE.
+        """
         counts = {state.value: 0 for state in CellState}
-        for coord in self._all_coords():
-            counts[self.state(coord).value] += 1
+        for state in self._states.values():
+            if state is not CellState.ACTIVE:
+                counts[state.value] += 1
+        counts[CellState.ACTIVE.value] = (
+            self._grid.rows * self._grid.cols - sum(counts.values())
+        )
         return counts
 
     @property
@@ -250,7 +258,7 @@ class Watchdog:
         new_reports: List[SalvageReport] = []
         # The grid yields only cells whose heartbeat could do anything
         # but beat, and credits the skipped quiescent beats in bulk
-        # afterwards.
+        # afterwards.  It may yield disabled cells too; they never beat.
         for cell in self._grid.poll_candidates():
             coord = cell.cell_id
             if coord in self._disabled:
@@ -332,7 +340,9 @@ class Watchdog:
 
         Every verdict is worked out first, in one canary-major batch over
         the quarantined cells in row-major order (:func:`probe_cells`);
-        the bookkeeping then runs cell by cell in that same order.
+        the bookkeeping then runs cell by cell in that same order, and
+        the grid takes the round's readmitted cells back in one batch
+        (:meth:`NanoBoxGrid.readmit_cells`).
         """
         if not self._policy.probing:
             return []
@@ -346,11 +356,13 @@ class Watchdog:
         verdicts = probe_cells(
             [self._grid.cell(*coord) for coord in coords], canaries
         )
+        readmitted: List[Coord] = []
         for coord, passed in zip(coords, verdicts):
             if passed:
                 self._clean_probes[coord] = self._clean_probes.get(coord, 0) + 1
                 if self._clean_probes[coord] >= self._policy.readmit_clean_probes:
                     self._readmit(coord)
+                    readmitted.append(coord)
             else:
                 self._clean_probes[coord] = 0
                 self._failed_rounds[coord] = self._failed_rounds.get(coord, 0) + 1
@@ -388,13 +400,15 @@ class Watchdog:
                     outcome=self.state(coord),
                 )
             )
+        if readmitted:
+            self._grid.readmit_cells(readmitted)
         self._probe_reports.extend(reports)
         return reports
 
     def _readmit(self, coord: Coord) -> None:
-        self._grid.cell(*coord).heartbeat.revive()
+        """The watchdog's side of one readmission; the caller hands the
+        cell back to the grid."""
         self._disabled.discard(coord)
-        self._grid.on_cell_enabled(coord)
         self._states[coord] = CellState.ACTIVE
         self._silent_streak[coord] = 0
         self._readmission_counts[coord] = (

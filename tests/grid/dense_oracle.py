@@ -117,6 +117,12 @@ class DenseGrid(NanoBoxGrid):
     def on_cell_enabled(self, coord: Coord) -> None:
         """Watchdog hook: ``coord`` was re-admitted to service (no-op here)."""
 
+    def readmit_cells(self, coords) -> None:
+        """Watchdog hook: revive and re-enable each cell in turn."""
+        for coord in coords:
+            self._cells[coord].heartbeat.revive()
+            self.on_cell_enabled(coord)
+
     def poll_candidates(self) -> Iterator[ProcessorCell]:
         """Cells the watchdog must actually sample this poll.
 

@@ -237,3 +237,32 @@ class TestLifecycleIntegration:
             watchdog.poll()
         counts = watchdog.lifecycle_counts()
         assert sum(counts.values()) == 9
+
+    def test_lifecycle_counts_match_a_brute_force_count(self):
+        """Cells in all four states, plus a readmitted cell whose state
+        the watchdog holds as ACTIVE: the counts equal a per-cell tally."""
+        grid = _healing_grid()
+        watchdog = Watchdog(
+            grid, policy=_healing_policy(suspect_polls=1, readmit_clean_probes=2)
+        )
+        grid.kill_cell(0, 0)
+        grid.cell(1, 1).heartbeat.record_error(9)
+        watchdog.poll()
+        watchdog.poll()
+        watchdog.probe_quarantined()
+        grid.cell(2, 2).heartbeat.record_error(9)
+        watchdog.poll()
+        watchdog.poll()
+        watchdog.probe_quarantined()
+        grid.cell(0, 2).heartbeat.record_error(9)
+        watchdog.poll()
+        assert watchdog.state((0, 0)) is CellState.RETIRED
+        assert watchdog.state((1, 1)) is CellState.ACTIVE
+        assert watchdog.readmissions == 1
+        assert watchdog.state((2, 2)) is CellState.QUARANTINED
+        assert watchdog.state((0, 2)) is CellState.SUSPECT
+        brute = {state.value: 0 for state in CellState}
+        for coord in grid.all_coords():
+            brute[watchdog.state(coord).value] += 1
+        assert watchdog.lifecycle_counts() == brute
+        assert brute == {"active": 6, "suspect": 1, "quarantined": 1, "retired": 1}
