@@ -59,8 +59,19 @@ from __future__ import annotations
 import argparse
 import io
 import os
+import re
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 class _Tee(io.TextIOBase):
@@ -81,13 +92,18 @@ class _Tee(io.TextIOBase):
 
 #: The parser's choices, kept literal so that building it loads no ALU,
 #: fault or kernel code: they mirror ``repro.alu.variants.variant_names()``
-#: (in Table 2 order) and ``repro.kernels.BACKENDS``.
+#: (in Table 2 order), ``repro.kernels.BACKENDS`` and the LUT coding
+#: schemes ``repro.lut.coded`` can build.
 VARIANT_CHOICES = (
     "aluncmos", "alunh", "alunn", "aluns",
     "aluscmos", "alush", "alusn", "aluss",
     "alutcmos", "aluth", "alutn", "aluts",
 )
 BACKEND_CHOICES = ("scalar", "batched", "compiled", "auto")
+SCHEME_CHOICES = (
+    "none", "hamming", "hamming-sec", "hamming-fp", "hsiao", "parity",
+    "tmr", "tmr-interleaved", "5mr", "7mr",
+)
 
 
 def _backend_from_env(default: Optional[str] = None) -> Optional[str]:
@@ -108,33 +124,256 @@ def _backend_from_env(default: Optional[str] = None) -> Optional[str]:
 EXIT_INCOMPLETE = 3
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared crash-safety / budget flags."""
-    group = parser.add_argument_group("resilience")
-    group.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="durably checkpoint completed work chunks "
-                            "under DIR (content-addressed by the run "
-                            "configuration)")
-    group.add_argument("--resume", action="store_true",
-                       help="reuse valid checkpoints from --checkpoint-dir; "
-                            "the resumed output is byte-identical to an "
-                            "uninterrupted run")
-    group.add_argument("--deadline", type=float, default=None, metavar="SECS",
-                       help="wall-clock budget; on expiry the run stops "
-                            "scheduling work and reports an explicit "
-                            f"partial result (exit {EXIT_INCOMPLETE})")
-    group.add_argument("--checkpoint-chunk-size", type=int, default=4,
-                       metavar="N", help="tasks per checkpointed chunk")
-    group.add_argument("--chunk-timeout", type=float, default=None,
-                       metavar="SECS",
-                       help="per-chunk hung-worker timeout (parallel "
-                            "runs only): a wedged worker is killed and "
-                            "its chunk re-run in a fresh pool")
+def _in_range(
+    parse: Callable[[str], Any],
+    low: float,
+    high: Optional[float] = None,
+    *,
+    low_open: bool = False,
+    high_open: bool = False,
+) -> Callable[[str], Any]:
+    """argparse type: one ``parse``-d value inside an interval.
+
+    ``low``/``high`` are inclusive unless ``low_open``/``high_open``;
+    without ``high`` there is no upper bound.  An out-of-range value is
+    an ``ArgumentTypeError``, so argparse reports a usage error.
+    """
+    noun = "an integer" if parse is int else "a number"
+    if high is not None:
+        domain = (
+            f"within {'(' if low_open else '['}{low}, "
+            f"{high}{')' if high_open else ']'}"
+        )
+    elif low_open:
+        domain = f"greater than {low}"
+    else:
+        domain = f"at least {low}"
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        inside = (low < value if low_open else low <= value) and (
+            high is None or (value < high if high_open else value <= high)
+        )
+        if not inside:
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text}")
+        return value
+
+    return convert
+
+
+_positive_int = _in_range(int, 1)
+_seed = _in_range(int, 0)
+_probability = _in_range(float, 0, 1)
+_rate = _in_range(float, 0, 1, high_open=True)
+_non_negative = _in_range(float, 0)
+_seconds = _in_range(float, 0, low_open=True)
+
+
+def _parse_kill(spec: str) -> Tuple[int, Tuple[int, int]]:
+    """Parse ``row,col@cycle`` into ``(cycle, (row, col))``."""
+    match = re.fullmatch(r"([0-9]+),([0-9]+)@([0-9]+)", spec)
+    if match is None:
+        raise argparse.ArgumentTypeError(
+            f"bad --kill spec {spec!r}; expected row,col@cycle"
+        )
+    row, col, cycle = (int(group) for group in match.groups())
+    return cycle, (row, col)
+
+
+class Param(NamedTuple):
+    """One flag of a table-built command.
+
+    ``type`` parses one value and enforces its domain, so an
+    out-of-range value is a usage error on the command line and a
+    validation error in the campaign service, which reads the same
+    entry.  A flag that ``requires`` another (named by its dest) parses
+    to None when absent, so that its presence shows, and gets its
+    default once :func:`unmet_requirement` has passed.
+    """
+
+    flag: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    help: Optional[str] = None
+    choices: Optional[Tuple[Any, ...]] = None
+    nargs: Optional[str] = None
+    action: Optional[str] = None
+    metavar: Optional[str] = None
+    requires: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def add_to(self, parser) -> None:
+        options = {
+            name: value for name, value in zip(self._fields, self)
+            if value is not None and name not in ("flag", "requires")
+        }
+        if self.requires:
+            options["default"] = None
+        parser.add_argument(self.flag, **options)
+
+
+#: Flag families, attached to commands by name: ``name -> (argument
+#: group title, or None for the command's own options; flags)``.
+FAMILIES: Dict[str, Tuple[Optional[str], Tuple[Param, ...]]] = {
+    "observability": ("observability", (
+        Param("--metrics", metavar="PATH",
+              help="write the run's metrics registry as JSON"),
+        Param("--trace", metavar="PATH",
+              help="write the run's trace events as JSON Lines"),
+        Param("--chrome-trace", metavar="PATH",
+              help="write the run's trace as a Chrome trace event file "
+                   "(open in ui.perfetto.dev)"),
+        Param("--obs-report", action="store_true",
+              help="print the ASCII observability summary (top timers, "
+                   "counters, lifecycle timeline)"),
+        Param("--manifest", metavar="PATH",
+              help="record an exact-replay manifest (re-run and verify "
+                   "with: nanobox-repro replay PATH)"),
+    )),
+    "resilience": ("resilience", (
+        Param("--checkpoint-dir", metavar="DIR",
+              help="durably checkpoint completed work chunks under DIR "
+                   "(content-addressed by the run configuration)"),
+        Param("--resume", action="store_true", default=False,
+              requires="checkpoint_dir",
+              help="reuse valid checkpoints from --checkpoint-dir; the "
+                   "resumed output is byte-identical to an uninterrupted "
+                   "run"),
+        Param("--deadline", type=_seconds, metavar="SECS",
+              help="wall-clock budget; on expiry the run stops scheduling "
+                   "work and reports an explicit partial result "
+                   f"(exit {EXIT_INCOMPLETE})"),
+        Param("--checkpoint-chunk-size", type=_positive_int, default=4,
+              metavar="N", help="tasks per checkpointed chunk"),
+        Param("--chunk-timeout", type=_seconds, metavar="SECS",
+              help="per-chunk hung-worker timeout (parallel runs only): a "
+                   "wedged worker is killed and its chunk re-run in a "
+                   "fresh pool"),
+    )),
+    # The default is "auto" unless $REPRO_BACKEND (validated by
+    # build_parser) names a tier; an explicit flag wins.  Every tier is
+    # bit-identical -- the choice only affects speed.
+    "backend": (None, (
+        Param("--backend", choices=BACKEND_CHOICES, default="auto",
+              help="evaluation tier: scalar, batched (NumPy), compiled "
+                   "(native kernel; falls back with a warning if "
+                   "unavailable), or auto (fastest available); default "
+                   "honours $REPRO_BACKEND, else auto"),
+    )),
+}
+
+_JOBS_HELP = (
+    "campaign worker processes (1 = serial; any value gives identical output)"
+)
+
+#: The experiment-running commands, declared once: ``name -> (help,
+#: own flags in --help order, flag families)``.  ``build_parser`` builds
+#: their subparsers from it and the campaign service validates job
+#: requests and lowers them to argv with it.
+COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
+    "sweep": ("regenerate Figure 7, 8, or 9", (
+        Param("--figure", type=int, choices=(7, 8, 9), default=7),
+        Param("--trials", type=_positive_int, default=5,
+              help="trials per workload (paper: 5)"),
+        Param("--quick", action="store_true"),
+        Param("--chart", action="store_true",
+              help="render as an ASCII chart instead of a table"),
+        Param("--json", help="also write a JSON export to this path"),
+        Param("--seed", type=_seed, default=2004),
+        Param("--jobs", type=_positive_int, default=1, help=_JOBS_HELP),
+    ), ("observability", "resilience", "backend")),
+    "grid": ("run a full-system image job", (
+        Param("--rows", type=_positive_int, default=4),
+        Param("--cols", type=_positive_int, default=4),
+        Param("--scheme", choices=SCHEME_CHOICES, default="tmr",
+              metavar="SCHEME", help="cell ALU LUT coding scheme"),
+        Param("--workload", default="reverse_video",
+              choices=("reverse_video", "hue_shift", "brightness_boost",
+                       "threshold_mask")),
+        Param("--image-size", type=_positive_int, default=8),
+        Param("--fault-percent", type=_in_range(float, 0, 100),
+              default=0.0),
+        Param("--kill", type=_parse_kill, action="append",
+              metavar="ROW,COL@CYCLE"),
+        Param("--adaptive", action="store_true",
+              help="route around dead cells"),
+        Param("--rounds", type=_positive_int, default=3),
+        Param("--seed", type=_seed, default=0),
+        Param("--show-grid", action="store_true",
+              help="render the final fabric state"),
+    ), ("observability", "resilience", "backend")),
+    "chaos": ("link-fault chaos sweep of the transport fabric", (
+        Param("--rates", type=_probability, nargs="+",
+              default=(0.0, 0.001, 0.003, 0.01),
+              help="link bit-flip rates to sweep"),
+        Param("--rounds", type=_positive_int, nargs="+", default=(1, 3),
+              help="retransmit budgets (submission rounds) to sweep"),
+        Param("--drop-rate", type=_probability, default=0.0,
+              help="whole-packet drop probability per link"),
+        Param("--stall-rate", type=_rate, default=0.0,
+              help="per-cycle link stall probability"),
+        Param("--rows", type=_positive_int, default=3),
+        Param("--cols", type=_positive_int, default=3),
+        Param("--instructions", type=_positive_int, default=48),
+        Param("--seed", type=_seed, default=2004),
+    ), ("observability", "resilience", "backend")),
+    "lifecycle": ("self-healing sweep: fault processes x lifecycle policies", (
+        Param("--processes", nargs="+",
+              choices=("transient", "intermittent", "permanent"),
+              help="temporal fault processes to sweep (default: one of "
+                   "each class)"),
+        Param("--rate", type=_rate, default=0.0015, requires="processes",
+              help="per-cell per-cycle fault onset rate (stuck-at uses "
+                   "rate/10)"),
+        Param("--burst-length", type=_positive_int, default=5,
+              requires="processes", help="cycles per intermittent burst"),
+        Param("--decay", type=_non_negative, default=0.1,
+              help="self-healing heartbeat score decay per cycle"),
+        Param("--jobs", type=_positive_int, default=6,
+              help="jobs run back-to-back per point"),
+        Param("--instructions", type=_positive_int, default=96,
+              help="instructions per job"),
+        Param("--rows", type=_positive_int, default=4),
+        Param("--cols", type=_positive_int, default=4),
+        Param("--seed", type=_seed, default=2004),
+    ), ("observability", "resilience", "backend")),
+    "report": ("full EXPERIMENTS report", (
+        Param("--quick", action="store_true"),
+        Param("--seed", type=_seed, default=2004),
+        Param("--jobs", type=_positive_int, default=1, help=_JOBS_HELP),
+        Param("--out"),
+    ), ("observability",)),
+}
+
+
+def command_params(command: str) -> Dict[str, Param]:
+    """A table-built command's flags by dest: its own, then its families'."""
+    _, own, families = COMMANDS[command]
+    params = list(own)
+    for family in families:
+        params.extend(FAMILIES[family][1])
+    return {param.dest: param for param in params}
+
+
+def unmet_requirement(command: str, given: Iterable[str]) -> Optional[str]:
+    """The error for a flag given (by dest) without the flag it needs."""
+    params = command_params(command)
+    present = set(given)
+    for param in params.values():
+        if param.dest in present and param.requires not in (None, *present):
+            return f"{param.flag} requires {params[param.requires].flag}"
+    return None
 
 
 def _runtime_from_args(args: argparse.Namespace):
-    """The ResilientRuntime the flags ask for, or None for the
-    plain (pre-existing, flag-free) execution path."""
+    """The ResilientRuntime the flags ask for, or None: without
+    resilience flags the task list runs once, inline."""
     wanted = (
         args.checkpoint_dir is not None
         or args.resume
@@ -143,9 +382,6 @@ def _runtime_from_args(args: argparse.Namespace):
     )
     if not wanted:
         return None
-    if args.resume and args.checkpoint_dir is None:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        raise SystemExit(2)
     from pathlib import Path
 
     from repro.perf import ResilientRuntime
@@ -161,11 +397,25 @@ def _runtime_from_args(args: argparse.Namespace):
     )
 
 
-def _emit_resilience_note(outcome) -> None:
-    """Recovery accounting goes to stderr: stdout stays byte-identical."""
-    from repro.perf import resilience_note
+def _finish(outcome, body: Optional[str] = None) -> int:
+    """Print a run's report ``body``; exit status 0, or 3 after the
+    explicit partial-result banner when tasks are missing.
 
-    print(resilience_note(outcome), file=sys.stderr)
+    A checkpointed run's recovery accounting goes to stderr, so stdout
+    stays byte-identical to a run without resilience flags.
+    """
+    if outcome.run_key is not None:
+        from repro.perf import resilience_note
+
+        print(resilience_note(outcome), file=sys.stderr)
+    if body is not None:
+        print(body)
+    if outcome.complete:
+        return 0
+    if body is not None:
+        print()
+    print(_incomplete_banner(outcome))
+    return EXIT_INCOMPLETE
 
 
 def _incomplete_banner(outcome) -> str:
@@ -184,24 +434,6 @@ def _incomplete_banner(outcome) -> str:
         f"{len(outcome.results)} task(s) not computed ({reason}); "
         f"re-run with --resume and the same --checkpoint-dir to continue"
     )
-
-
-def _add_observability_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared observability / provenance flags."""
-    group = parser.add_argument_group("observability")
-    group.add_argument("--metrics", default=None, metavar="PATH",
-                       help="write the run's metrics registry as JSON")
-    group.add_argument("--trace", default=None, metavar="PATH",
-                       help="write the run's trace events as JSON Lines")
-    group.add_argument("--chrome-trace", default=None, metavar="PATH",
-                       help="write the run's trace as a Chrome trace "
-                            "event file (open in ui.perfetto.dev)")
-    group.add_argument("--obs-report", action="store_true",
-                       help="print the ASCII observability summary "
-                            "(top timers, counters, lifecycle timeline)")
-    group.add_argument("--manifest", default=None, metavar="PATH",
-                       help="record an exact-replay manifest (re-run and "
-                            "verify with: nanobox-repro replay PATH)")
 
 
 def _run_with_observability(args: argparse.Namespace) -> int:
@@ -311,25 +543,12 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """Attach the evaluation-tier flag shared by the simulation commands.
-
-    The default comes from the ``REPRO_BACKEND`` environment variable
-    (already validated by :func:`build_parser`), else ``auto``; an
-    explicit flag wins.  Every tier is bit-identical -- the choice only
-    affects speed.
-    """
-    parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default=_backend_from_env("auto"),
-        help="evaluation tier: scalar, batched (NumPy), compiled "
-             "(native kernel; falls back with a warning if unavailable), "
-             "or auto (fastest available); default honours $REPRO_BACKEND, "
-             "else auto",
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import PAPER_FAULT_PERCENTAGES, run_figure
+    from repro.experiments.figures import (
+        PAPER_FAULT_PERCENTAGES,
+        partial_figure_text,
+        run_figure_resilient,
+    )
 
     percents: Sequence[float]
     if args.quick:
@@ -338,38 +557,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         percents = PAPER_FAULT_PERCENTAGES
         trials = args.trials
-    runtime = _runtime_from_args(args)
-    if runtime is None:
-        result = run_figure(
-            f"figure{args.figure}",
-            fault_percents=percents,
-            trials_per_workload=trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            backend=args.backend,
-        )
-    else:
-        from repro.experiments.figures import (
-            partial_figure_text,
-            run_figure_resilient,
-        )
-
-        run = run_figure_resilient(
-            f"figure{args.figure}",
-            runtime,
-            fault_percents=percents,
-            trials_per_workload=trials,
-            seed=args.seed,
-            jobs=args.jobs,
-            backend=args.backend,
-        )
-        _emit_resilience_note(run.outcome)
-        result = run.figure
-        if result is None:
-            print(partial_figure_text(run))
-            print()
-            print(_incomplete_banner(run.outcome))
-            return EXIT_INCOMPLETE
+    run = run_figure_resilient(
+        f"figure{args.figure}",
+        _runtime_from_args(args),
+        fault_percents=percents,
+        trials_per_workload=trials,
+        seed=args.seed,
+        jobs=args.jobs,
+        backend=args.backend,
+    )
+    result = run.figure
+    if result is None:
+        return _finish(run.outcome, partial_figure_text(run))
+    _finish(run.outcome)
     if args.chart:
         from repro.experiments.ascii_chart import figure_chart
 
@@ -386,26 +586,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_kill(spec: str) -> Tuple[int, Tuple[int, int]]:
-    """Parse ``row,col@cycle`` into ``(cycle, (row, col))``."""
-    try:
-        coords, cycle = spec.split("@")
-        row, col = coords.split(",")
-        return int(cycle), (int(row), int(col))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad --kill spec {spec!r}; expected row,col@cycle"
-        ) from None
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
-    runtime = _runtime_from_args(args)
-    if runtime is None:
-        return _grid_run(args)
     from contextlib import redirect_stdout
-    from dataclasses import replace
 
-    from repro.perf import ResilientRunner
+    from repro.perf.resilient import TaskPlan
 
     # A grid run is one indivisible simulation, so the checkpoint unit
     # is the whole report: a single chunk whose payload is the exact
@@ -433,17 +617,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             status = _grid_run(args)
         return [{"stdout": buffer.getvalue(), "exit_status": status}]
 
-    runner = ResilientRunner(
-        run_chunk,
-        runtime=replace(runtime, chunk_size=1),
-        config=config,
-        kind="grid-stdout",
-    )
-    outcome = runner.run([0])
-    _emit_resilience_note(outcome)
-    if not outcome.complete:
-        print(_incomplete_banner(outcome))
-        return EXIT_INCOMPLETE
+    plan = TaskPlan([0], run_chunk, config, kind="grid-stdout", chunk_size=1)
+    outcome = plan.run(_runtime_from_args(args))
+    status = _finish(outcome)
+    if status:
+        return status
     payload = outcome.results[0]
     sys.stdout.write(payload["stdout"])
     return int(payload["exit_status"])
@@ -518,28 +696,6 @@ def _grid_run(args: argparse.Namespace) -> int:
     return 0 if outcome.job.complete else 1
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _probability(text: str) -> float:
-    """argparse type: a float within [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be within [0, 1], got {text}")
-    return value
-
-
 def _cmd_yield(args: argparse.Namespace) -> int:
     from repro.experiments.defect_yield import yield_sweep, yield_table_text
 
@@ -597,58 +753,34 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos_fabric import chaos_sweep, chaos_table_text
+    from repro.experiments.chaos_fabric import (
+        chaos_sweep_plan,
+        chaos_table_text,
+    )
 
-    runtime = _runtime_from_args(args)
-    incomplete = None
-    if runtime is None:
-        points = chaos_sweep(
-            link_rates=tuple(args.rates),
-            retry_budgets=tuple(args.rounds),
-            drop_rate=args.drop_rate,
-            stall_rate=args.stall_rate,
-            rows=args.rows,
-            cols=args.cols,
-            n_instructions=args.instructions,
-            seed=args.seed,
-            backend=args.backend,
-        )
-    else:
-        from repro.experiments.chaos_fabric import chaos_sweep_resilient
-
-        outcome = chaos_sweep_resilient(
-            runtime,
-            link_rates=tuple(args.rates),
-            retry_budgets=tuple(args.rounds),
-            drop_rate=args.drop_rate,
-            stall_rate=args.stall_rate,
-            rows=args.rows,
-            cols=args.cols,
-            n_instructions=args.instructions,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        _emit_resilience_note(outcome)
-        points = [p for p in outcome.results if p is not None]
-        if not outcome.complete:
-            incomplete = outcome
-    print(
+    outcome = chaos_sweep_plan(
+        link_rates=tuple(args.rates),
+        retry_budgets=tuple(args.rounds),
+        drop_rate=args.drop_rate,
+        stall_rate=args.stall_rate,
+        rows=args.rows,
+        cols=args.cols,
+        n_instructions=args.instructions,
+        seed=args.seed,
+        backend=args.backend,
+    ).run(_runtime_from_args(args))
+    points = [point for point in outcome.results if point is not None]
+    return _finish(outcome, (
         f"Link-fault chaos sweep ({args.rows}x{args.cols} grid, "
         f"{args.instructions} instructions, drop {args.drop_rate:g}, "
-        f"stall {args.stall_rate:g})"
-    )
-    print(chaos_table_text(points))
-    if incomplete is not None:
-        print()
-        print(_incomplete_banner(incomplete))
-        return EXIT_INCOMPLETE
-    return 0
+        f"stall {args.stall_rate:g})\n{chaos_table_text(points)}"
+    ))
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
     from repro.experiments.lifecycle import (
         default_processes,
-        lifecycle_sweep,
+        lifecycle_sweep_plan,
         lifecycle_table_text,
         permanent_policy,
         self_healing_policy,
@@ -672,48 +804,22 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         permanent_policy(),
         self_healing_policy(heartbeat_decay=args.decay),
     )
-    runtime = _runtime_from_args(args)
-    incomplete = None
-    if runtime is None:
-        points = lifecycle_sweep(
-            processes,
-            policies,
-            jobs=args.jobs,
-            n_instructions=args.instructions,
-            rows=args.rows,
-            cols=args.cols,
-            seed=args.seed,
-            backend=args.backend,
-        )
-    else:
-        from repro.experiments.lifecycle import lifecycle_sweep_resilient
-
-        outcome = lifecycle_sweep_resilient(
-            runtime,
-            processes,
-            policies,
-            jobs=args.jobs,
-            n_instructions=args.instructions,
-            rows=args.rows,
-            cols=args.cols,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        _emit_resilience_note(outcome)
-        points = [p for p in outcome.results if p is not None]
-        if not outcome.complete:
-            incomplete = outcome
-    print(
+    outcome = lifecycle_sweep_plan(
+        processes,
+        policies,
+        jobs=args.jobs,
+        n_instructions=args.instructions,
+        rows=args.rows,
+        cols=args.cols,
+        seed=args.seed,
+        backend=args.backend,
+    ).run(_runtime_from_args(args))
+    points = [point for point in outcome.results if point is not None]
+    return _finish(outcome, (
         f"Cell health lifecycle sweep ({args.rows}x{args.cols} grid, "
         f"{args.jobs} jobs x {args.instructions} instructions, "
-        f"seed {args.seed})"
-    )
-    print(lifecycle_table_text(points))
-    if incomplete is not None:
-        print()
-        print(_incomplete_banner(incomplete))
-        return EXIT_INCOMPLETE
-    return 0
+        f"seed {args.seed})\n{lifecycle_table_text(points)}"
+    ))
 
 
 def _cmd_chaos_exec(args: argparse.Namespace) -> int:
@@ -895,7 +1001,45 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_command(sub, name: str, fn) -> None:
+    """Build one table-declared subcommand (see :data:`COMMANDS`)."""
+    help_text, own, families = COMMANDS[name]
+    parser = sub.add_parser(name, help=help_text)
+    for param in own:
+        param.add_to(parser)
+    for family in families:
+        title, params = FAMILIES[family]
+        group = parser if title is None else parser.add_argument_group(title)
+        for param in params:
+            param.add_to(group)
+    if "backend" in families:
+        parser.set_defaults(backend=_backend_from_env("auto"))
+    parser.set_defaults(fn=fn)
+
+
+def _apply_requirements(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject a table flag given without the flag it needs (exit 2),
+    then fill in the defaults of the dependent flags left out."""
+    error = unmet_requirement(args.command, (
+        dest for dest, value in vars(args).items()
+        if value is not None and value is not False
+    ))
+    if error:
+        parser.error(error)
+    for param in command_params(args.command).values():
+        if param.requires and getattr(args, param.dest) is None:
+            setattr(args, param.dest, param.default)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser.
+
+    A table flag that ``requires`` another (``lifecycle --rate``,
+    ``--resume``, ...) parses to None when absent; :func:`main` rejects
+    it without the flag it needs and only then fills in its default.
+    """
     parser = argparse.ArgumentParser(
         prog="nanobox-repro",
         description="Recursive NanoBox Processor Grid reproduction toolkit",
@@ -925,46 +1069,8 @@ def build_parser() -> argparse.ArgumentParser:
     describe.add_argument("variant", choices=VARIANT_CHOICES, metavar="VARIANT")
     describe.set_defaults(fn=_cmd_describe)
 
-    sweep = sub.add_parser("sweep", help="regenerate Figure 7, 8, or 9")
-    sweep.add_argument("--figure", type=int, choices=(7, 8, 9), default=7)
-    sweep.add_argument("--trials", type=int, default=5,
-                       help="trials per workload (paper: 5)")
-    sweep.add_argument("--quick", action="store_true")
-    sweep.add_argument("--chart", action="store_true",
-                       help="render as an ASCII chart instead of a table")
-    sweep.add_argument("--json", default=None,
-                       help="also write a JSON export to this path")
-    sweep.add_argument("--seed", type=int, default=2004)
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="campaign worker processes (1 = serial; "
-                            "any value gives identical output)")
-    _add_observability_args(sweep)
-    _add_resilience_args(sweep)
-    _add_backend_arg(sweep)
-    sweep.set_defaults(fn=_cmd_sweep)
-
-    grid = sub.add_parser("grid", help="run a full-system image job")
-    grid.add_argument("--rows", type=int, default=4)
-    grid.add_argument("--cols", type=int, default=4)
-    grid.add_argument("--scheme", default="tmr",
-                      help="cell ALU LUT coding scheme")
-    grid.add_argument("--workload", default="reverse_video",
-                      choices=("reverse_video", "hue_shift",
-                               "brightness_boost", "threshold_mask"))
-    grid.add_argument("--image-size", type=int, default=8)
-    grid.add_argument("--fault-percent", type=float, default=0.0)
-    grid.add_argument("--kill", type=_parse_kill, action="append",
-                      metavar="ROW,COL@CYCLE")
-    grid.add_argument("--adaptive", action="store_true",
-                      help="route around dead cells")
-    grid.add_argument("--rounds", type=int, default=3)
-    grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--show-grid", action="store_true",
-                      help="render the final fabric state")
-    _add_observability_args(grid)
-    _add_resilience_args(grid)
-    _add_backend_arg(grid)
-    grid.set_defaults(fn=_cmd_grid)
+    _add_command(sub, "sweep", _cmd_sweep)
+    _add_command(sub, "grid", _cmd_grid)
 
     yld = sub.add_parser("yield", help="manufacturing-yield table")
     yld.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES,
@@ -985,26 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="watchdog error threshold")
     analyze.set_defaults(fn=_cmd_analyze)
 
-    chaos = sub.add_parser(
-        "chaos", help="link-fault chaos sweep of the transport fabric"
-    )
-    chaos.add_argument("--rates", type=float, nargs="+",
-                       default=[0.0, 0.001, 0.003, 0.01],
-                       help="link bit-flip rates to sweep")
-    chaos.add_argument("--rounds", type=int, nargs="+", default=[1, 3],
-                       help="retransmit budgets (submission rounds) to sweep")
-    chaos.add_argument("--drop-rate", type=float, default=0.0,
-                       help="whole-packet drop probability per link")
-    chaos.add_argument("--stall-rate", type=float, default=0.0,
-                       help="per-cycle link stall probability")
-    chaos.add_argument("--rows", type=int, default=3)
-    chaos.add_argument("--cols", type=int, default=3)
-    chaos.add_argument("--instructions", type=int, default=48)
-    chaos.add_argument("--seed", type=int, default=2004)
-    _add_observability_args(chaos)
-    _add_resilience_args(chaos)
-    _add_backend_arg(chaos)
-    chaos.set_defaults(fn=_cmd_chaos)
+    _add_command(sub, "chaos", _cmd_chaos)
 
     chaos_exec = sub.add_parser(
         "chaos-exec",
@@ -1069,32 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log each HTTP request to stderr")
     serve.set_defaults(fn=_cmd_serve)
 
-    lifecycle = sub.add_parser(
-        "lifecycle",
-        help="self-healing sweep: fault processes x lifecycle policies",
-    )
-    lifecycle.add_argument("--processes", nargs="+", default=None,
-                           choices=("transient", "intermittent", "permanent"),
-                           help="temporal fault processes to sweep "
-                                "(default: one of each class)")
-    lifecycle.add_argument("--rate", type=float, default=0.0015,
-                           help="per-cell per-cycle fault onset rate "
-                                "(stuck-at uses rate/10)")
-    lifecycle.add_argument("--burst-length", type=int, default=5,
-                           help="cycles per intermittent burst")
-    lifecycle.add_argument("--decay", type=float, default=0.1,
-                           help="self-healing heartbeat score decay per cycle")
-    lifecycle.add_argument("--jobs", type=int, default=6,
-                           help="jobs run back-to-back per point")
-    lifecycle.add_argument("--instructions", type=int, default=96,
-                           help="instructions per job")
-    lifecycle.add_argument("--rows", type=int, default=4)
-    lifecycle.add_argument("--cols", type=int, default=4)
-    lifecycle.add_argument("--seed", type=int, default=2004)
-    _add_observability_args(lifecycle)
-    _add_resilience_args(lifecycle)
-    _add_backend_arg(lifecycle)
-    lifecycle.set_defaults(fn=_cmd_lifecycle)
+    _add_command(sub, "lifecycle", _cmd_lifecycle)
 
     bench = sub.add_parser(
         "bench", help="benchmark telemetry: run scripts, compare artifacts"
@@ -1162,15 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="manifest written by --manifest")
     replay.set_defaults(fn=_cmd_replay)
 
-    report = sub.add_parser("report", help="full EXPERIMENTS report")
-    report.add_argument("--quick", action="store_true")
-    report.add_argument("--seed", type=int, default=2004)
-    report.add_argument("--jobs", type=int, default=1,
-                        help="campaign worker processes (1 = serial; "
-                             "any value gives identical output)")
-    report.add_argument("--out", default=None)
-    _add_observability_args(report)
-    report.set_defaults(fn=_cmd_report)
+    _add_command(sub, "report", _cmd_report)
 
     return parser
 
@@ -1180,6 +1234,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_argv = list(argv) if argv is not None else list(sys.argv[1:])
     args = parser.parse_args(run_argv)
     args.run_argv = run_argv
+    if args.command in COMMANDS:
+        _apply_requirements(parser, args)
     if hasattr(args, "obs_report"):
         return _run_with_observability(args)
     return args.fn(args)

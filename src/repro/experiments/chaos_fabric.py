@@ -165,43 +165,20 @@ def chaos_sweep(
     backend: Optional[str] = None,
 ) -> List[ChaosPoint]:
     """Sweep link fault rates x retry budgets, protected and bare."""
-    points: List[ChaosPoint] = []
-    for rate in link_rates:
-        for budget in retry_budgets:
-            for protected in (False, True):
-                points.append(
-                    run_chaos_point(
-                        rate,
-                        protected=protected,
-                        max_rounds=budget,
-                        drop_rate=drop_rate,
-                        stall_rate=stall_rate,
-                        rows=rows,
-                        cols=cols,
-                        n_instructions=n_instructions,
-                        seed=seed,
-                        backend=backend,
-                    )
-                )
-    return points
+    return chaos_sweep_plan(
+        link_rates,
+        retry_budgets,
+        drop_rate=drop_rate,
+        stall_rate=stall_rate,
+        rows=rows,
+        cols=cols,
+        n_instructions=n_instructions,
+        seed=seed,
+        backend=backend,
+    ).run().results
 
 
-def encode_chaos_point(point: ChaosPoint) -> Dict[str, Any]:
-    """Lossless JSON form of one :class:`ChaosPoint`.
-
-    All fields are ints, bools, and floats; JSON round-trips every one
-    exactly, which the byte-identical resume guarantee depends on.
-    """
-    return asdict(point)
-
-
-def decode_chaos_point(payload: Dict[str, Any]) -> ChaosPoint:
-    """Inverse of :func:`encode_chaos_point` (exact round-trip)."""
-    return ChaosPoint(**payload)
-
-
-def chaos_sweep_resilient(
-    runtime,
+def chaos_sweep_plan(
     link_rates: Sequence[float] = DEFAULT_LINK_RATES,
     retry_budgets: Sequence[int] = DEFAULT_RETRY_BUDGETS,
     *,
@@ -213,18 +190,17 @@ def chaos_sweep_resilient(
     seed: int = 2004,
     backend: Optional[str] = None,
 ):
-    """:func:`chaos_sweep` under the crash-safe campaign runtime.
+    """:func:`chaos_sweep` as a :class:`~repro.perf.resilient.TaskPlan`.
 
-    ``runtime`` is a :class:`repro.perf.ResilientRuntime`.  Returns the
-    :class:`~repro.perf.ResilientOutcome` whose ``results`` hold the
-    sweep's :class:`ChaosPoint`\\ s in :func:`chaos_sweep` order (with
-    ``None`` for cells a deadline left uncomputed); a complete outcome's
-    points are identical to an uninterrupted sweep's.
+    ``plan.run(runtime)`` returns a :class:`~repro.perf.ResilientOutcome`
+    whose ``results`` hold the sweep's :class:`ChaosPoint`\\ s in order
+    (``None`` for cells a deadline left uncomputed); a complete
+    outcome's points are identical to an uninterrupted sweep's.
     """
-    from repro.perf.resilient import ResilientRunner
+    from repro.perf.resilient import TaskPlan
 
     tasks = [
-        {"rate": rate, "budget": budget, "protected": protected}
+        (rate, budget, protected)
         for rate in link_rates
         for budget in retry_budgets
         for protected in (False, True)
@@ -241,12 +217,12 @@ def chaos_sweep_resilient(
         "seed": seed,
     }
 
-    def run_chunk(_index: int, chunk: Sequence[Dict[str, Any]]):
+    def run_chunk(_index: int, chunk: Sequence[Tuple[float, int, bool]]):
         return [
             run_chaos_point(
-                task["rate"],
-                protected=task["protected"],
-                max_rounds=task["budget"],
+                rate,
+                protected=protected,
+                max_rounds=budget,
                 drop_rate=drop_rate,
                 stall_rate=stall_rate,
                 rows=rows,
@@ -255,18 +231,31 @@ def chaos_sweep_resilient(
                 seed=seed,
                 backend=backend,
             )
-            for task in chunk
+            for rate, budget, protected in chunk
         ]
 
-    runner = ResilientRunner(
+    return TaskPlan(
+        tasks,
         run_chunk,
-        runtime=runtime,
-        config=config,
+        config,
         kind="chaos-points",
         encode=encode_chaos_point,
         decode=decode_chaos_point,
     )
-    return runner.run(tasks)
+
+
+def encode_chaos_point(point: ChaosPoint) -> Dict[str, Any]:
+    """Lossless JSON form of one :class:`ChaosPoint`.
+
+    All fields are ints, bools, and floats; JSON round-trips every one
+    exactly, which the byte-identical resume guarantee depends on.
+    """
+    return asdict(point)
+
+
+def decode_chaos_point(payload: Dict[str, Any]) -> ChaosPoint:
+    """Inverse of :func:`encode_chaos_point` (exact round-trip)."""
+    return ChaosPoint(**payload)
 
 
 def chaos_table_text(points: Sequence[ChaosPoint]) -> str:

@@ -21,7 +21,13 @@ from repro.alu.variants import build_alu
 from repro.experiments.report import format_series, format_table
 from repro.faults.fit import fit_for_fault_fraction
 from repro.faults.stats import SampleStats
-from repro.perf import ALUSpec, CampaignWorkItem, PolicySpec, run_campaign_items
+from repro.perf import (
+    ALUSpec,
+    CampaignWorkItem,
+    PolicySpec,
+    resilient_campaign_map,
+    run_campaign_items,
+)
 from repro.workloads.bitmap import Bitmap, gradient
 
 #: The eighteen injected fault percentages of Section 4.
@@ -90,31 +96,6 @@ class FigureResult:
         return f"{self.title}\n{body}"
 
 
-def _sweep_points(
-    variants: Sequence[str],
-    fault_percents: Sequence[float],
-    bitmap: Optional[Bitmap],
-    trials_per_workload: int,
-    seed: int,
-    jobs: int,
-    backend: str = "auto",
-) -> List[SeriesPoint]:
-    """Run every (variant, percent) cell and assemble the series points.
-
-    The whole cross product goes to the executor as one flat item list
-    so a parallel run keeps all workers busy across variants; results
-    come back in input order, so the points are identical to a nested
-    serial loop's.
-    """
-    items = _sweep_items(
-        variants, fault_percents, bitmap, trials_per_workload, seed, backend
-    )
-    results = run_campaign_items(items, jobs=jobs)
-    points = _assemble_points(variants, fault_percents, results)
-    assert all(point is not None for point in points)
-    return list(points)  # type: ignore[arg-type]
-
-
 def _sweep_items(
     variants: Sequence[str],
     fault_percents: Sequence[float],
@@ -125,7 +106,9 @@ def _sweep_items(
 ) -> List[CampaignWorkItem]:
     """The flat (variant x percent) work-item list, in sweep order.
 
-    A default-gradient sweep ships ``bitmap=None``: workers rebuild the
+    The whole cross product goes to the executor as one list, so a
+    parallel run keeps every worker busy across variants.  A
+    default-gradient sweep ships ``bitmap=None``: workers rebuild the
     8x8 gradient locally, so each pickled item is O(spec) -- a few
     hundred bytes -- rather than carrying pixel arrays per cell.
     """
@@ -200,10 +183,13 @@ def sweep_variant(
     backend: str = "auto",
 ) -> List[SeriesPoint]:
     """Sweep one ALU variant over the injected fault percentages."""
-    return _sweep_points(
-        (variant,), fault_percents, bitmap, trials_per_workload, seed,
-        jobs, backend,
+    items = _sweep_items(
+        (variant,), fault_percents, bitmap, trials_per_workload, seed, backend
     )
+    points = _assemble_points(
+        (variant,), fault_percents, run_campaign_items(items, jobs=jobs)
+    )
+    return points  # type: ignore[return-value]  # an inline run fills all
 
 
 def run_figure(
@@ -216,32 +202,22 @@ def run_figure(
     backend: str = "auto",
 ) -> FigureResult:
     """Regenerate one of Figures 7, 8, 9 by name."""
-    try:
-        variants = FIGURE_VARIANTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {name!r}; have {sorted(FIGURE_VARIANTS)}"
-        ) from None
-    points = _sweep_points(
-        variants, fault_percents, bitmap, trials_per_workload, seed,
-        jobs, backend,
-    )
-    return FigureResult(
-        name=name,
-        title=FIGURE_TITLES[name],
-        fault_percents=tuple(fault_percents),
-        points=tuple(points),
-    )
+    figure = run_figure_resilient(
+        name, None, fault_percents, bitmap, trials_per_workload, seed, jobs,
+        backend,
+    ).figure
+    assert figure is not None  # an inline run computes every cell
+    return figure
 
 
 @dataclass(frozen=True)
 class ResilientFigureRun:
-    """One checkpointed/budgeted figure run.
+    """One figure run, inline or checkpointed/budgeted.
 
     ``figure`` is set exactly when the run completed; its text rendering
-    is then byte-identical to :func:`run_figure`'s.  ``points`` always
-    holds every cell, with ``None`` in slots the deadline or dead-letter
-    machinery left uncomputed.  ``outcome`` carries the recovery
+    is the same either way.  ``points`` always holds every cell, with
+    ``None`` in slots the deadline or dead-letter machinery left
+    uncomputed.  ``outcome`` carries the recovery
     accounting (reused/computed chunks, retries, dead letters ...).
     """
 
@@ -303,18 +279,17 @@ def run_figure_resilient(
     jobs: int = 1,
     backend: str = "auto",
 ) -> ResilientFigureRun:
-    """:func:`run_figure` under the crash-safe campaign runtime.
+    """:func:`run_figure` under an optional crash-safe campaign runtime.
 
-    ``runtime`` is a :class:`repro.perf.ResilientRuntime`; a completed
-    run's ``figure`` renders byte-identically to an uninterrupted
-    :func:`run_figure` -- checkpoint reuse never perturbs the numbers.
+    ``runtime`` is a :class:`repro.perf.ResilientRuntime`, or None to
+    run every cell once, inline (what :func:`run_figure` does).  A
+    completed run's ``figure`` renders byte-identically either way --
+    checkpoint reuse never perturbs the numbers.
 
     ``backend`` is deliberately *not* part of the checkpoint run key:
     every tier produces bit-identical results, so checkpoints written
     on one tier are valid for a resume on any other.
     """
-    from repro.perf import resilient_campaign_map
-
     try:
         variants = FIGURE_VARIANTS[name]
     except KeyError:

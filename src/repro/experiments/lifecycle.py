@@ -257,29 +257,102 @@ def lifecycle_sweep(
     backend: Optional[str] = None,
 ) -> List[LifecyclePoint]:
     """Sweep fault processes x lifecycle policies."""
-    if processes is None:
-        processes = default_processes()
-    if policies is None:
-        policies = (permanent_policy(), self_healing_policy())
-    points: List[LifecyclePoint] = []
-    for process in processes:
-        for config in policies:
-            points.append(
-                run_lifecycle_point(
-                    process,
-                    config,
-                    jobs=jobs,
-                    n_instructions=n_instructions,
-                    rows=rows,
-                    cols=cols,
-                    n_words=n_words,
-                    error_threshold=error_threshold,
-                    max_rounds=max_rounds,
-                    seed=seed,
-                    backend=backend,
-                )
+    return lifecycle_sweep_plan(
+        processes,
+        policies,
+        jobs=jobs,
+        n_instructions=n_instructions,
+        rows=rows,
+        cols=cols,
+        n_words=n_words,
+        error_threshold=error_threshold,
+        max_rounds=max_rounds,
+        seed=seed,
+        backend=backend,
+    ).run().results
+
+
+def lifecycle_sweep_plan(
+    processes: Optional[Sequence[TemporalFaultProcess]] = None,
+    policies: Optional[Sequence[PolicyConfig]] = None,
+    *,
+    jobs: int = 6,
+    n_instructions: int = 96,
+    rows: int = 4,
+    cols: int = 4,
+    n_words: int = 8,
+    error_threshold: int = 8,
+    max_rounds: int = 3,
+    seed: int = 2004,
+    backend: Optional[str] = None,
+):
+    """:func:`lifecycle_sweep` as a :class:`~repro.perf.resilient.TaskPlan`.
+
+    ``plan.run(runtime)`` returns a :class:`~repro.perf.ResilientOutcome`
+    whose ``results`` hold the sweep's :class:`LifecyclePoint`\\ s in
+    order (``None`` for deadline-skipped cells); a complete outcome's
+    points equal an uninterrupted sweep's.
+    """
+    from repro.perf.resilient import TaskPlan
+
+    processes = list(default_processes() if processes is None else processes)
+    policies = list(
+        (permanent_policy(), self_healing_policy())
+        if policies is None
+        else policies
+    )
+    tasks = [
+        (process, policy) for process in processes for policy in policies
+    ]
+    config = {
+        "experiment": "lifecycle-sweep",
+        "processes": [process.describe() for process in processes],
+        "policies": [
+            {
+                "name": policy.name,
+                "heartbeat_decay": policy.heartbeat_decay,
+                "policy": asdict(policy.policy),
+            }
+            for policy in policies
+        ],
+        "jobs": jobs,
+        "n_instructions": n_instructions,
+        "rows": rows,
+        "cols": cols,
+        "n_words": n_words,
+        "error_threshold": error_threshold,
+        "max_rounds": max_rounds,
+        "seed": seed,
+    }
+
+    def run_chunk(
+        _index: int, chunk: Sequence[Tuple[TemporalFaultProcess, PolicyConfig]]
+    ):
+        return [
+            run_lifecycle_point(
+                process,
+                policy,
+                jobs=jobs,
+                n_instructions=n_instructions,
+                rows=rows,
+                cols=cols,
+                n_words=n_words,
+                error_threshold=error_threshold,
+                max_rounds=max_rounds,
+                seed=seed,
+                backend=backend,
             )
-    return points
+            for process, policy in chunk
+        ]
+
+    return TaskPlan(
+        tasks,
+        run_chunk,
+        config,
+        kind="lifecycle-points",
+        encode=encode_lifecycle_point,
+        decode=decode_lifecycle_point,
+    )
 
 
 def encode_lifecycle_point(point: LifecyclePoint) -> Dict[str, Any]:
@@ -294,92 +367,6 @@ def encode_lifecycle_point(point: LifecyclePoint) -> Dict[str, Any]:
 def decode_lifecycle_point(payload: Dict[str, Any]) -> LifecyclePoint:
     """Inverse of :func:`encode_lifecycle_point` (exact round-trip)."""
     return LifecyclePoint(**payload)
-
-
-def lifecycle_sweep_resilient(
-    runtime,
-    processes: Optional[Sequence[TemporalFaultProcess]] = None,
-    policies: Optional[Sequence[PolicyConfig]] = None,
-    *,
-    jobs: int = 6,
-    n_instructions: int = 96,
-    rows: int = 4,
-    cols: int = 4,
-    n_words: int = 8,
-    error_threshold: int = 8,
-    max_rounds: int = 3,
-    seed: int = 2004,
-    backend: Optional[str] = None,
-):
-    """:func:`lifecycle_sweep` under the crash-safe campaign runtime.
-
-    ``runtime`` is a :class:`repro.perf.ResilientRuntime`.  Returns the
-    :class:`~repro.perf.ResilientOutcome` whose ``results`` hold the
-    sweep's :class:`LifecyclePoint`\\ s in :func:`lifecycle_sweep` order
-    (``None`` for deadline-skipped cells); a complete outcome's points
-    equal an uninterrupted sweep's.
-    """
-    from repro.perf.resilient import ResilientRunner
-
-    if processes is None:
-        processes = default_processes()
-    if policies is None:
-        policies = (permanent_policy(), self_healing_policy())
-    processes = list(processes)
-    policies = list(policies)
-    tasks = [
-        (process_index, policy_index)
-        for process_index in range(len(processes))
-        for policy_index in range(len(policies))
-    ]
-    config = {
-        "experiment": "lifecycle-sweep",
-        "processes": [process.describe() for process in processes],
-        "policies": [
-            {
-                "name": config_.name,
-                "heartbeat_decay": config_.heartbeat_decay,
-                "policy": asdict(config_.policy),
-            }
-            for config_ in policies
-        ],
-        "jobs": jobs,
-        "n_instructions": n_instructions,
-        "rows": rows,
-        "cols": cols,
-        "n_words": n_words,
-        "error_threshold": error_threshold,
-        "max_rounds": max_rounds,
-        "seed": seed,
-    }
-
-    def run_chunk(_index: int, chunk: Sequence[Tuple[int, int]]):
-        return [
-            run_lifecycle_point(
-                processes[process_index],
-                policies[policy_index],
-                jobs=jobs,
-                n_instructions=n_instructions,
-                rows=rows,
-                cols=cols,
-                n_words=n_words,
-                error_threshold=error_threshold,
-                max_rounds=max_rounds,
-                seed=seed,
-                backend=backend,
-            )
-            for process_index, policy_index in chunk
-        ]
-
-    runner = ResilientRunner(
-        run_chunk,
-        runtime=runtime,
-        config=config,
-        kind="lifecycle-points",
-        encode=encode_lifecycle_point,
-        decode=decode_lifecycle_point,
-    )
-    return runner.run(tasks)
 
 
 def lifecycle_table_text(points: Sequence[LifecyclePoint]) -> str:

@@ -1,6 +1,6 @@
 """Regenerate every paper table and figure and print/save the report.
 
-Usage::
+Usage (the same command as ``nanobox-repro report``)::
 
     python -m repro.experiments.run_all [--quick] [--jobs N] [--out FILE]
 
@@ -13,7 +13,6 @@ serial run (campaign streams are seed-derived, never order-derived).
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List, Optional, Sequence
 
@@ -141,25 +140,10 @@ def _design_space_section() -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced trials / sweep points"
-    )
-    parser.add_argument("--seed", type=int, default=2004)
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="campaign worker processes (1 = serial; output is identical)",
-    )
-    parser.add_argument("--out", type=str, default=None, help="also write to file")
-    args = parser.parse_args(argv)
+    """Run ``nanobox-repro report`` with these arguments."""
+    from repro.cli import main as cli_main
 
-    report = build_report(quick=args.quick, seed=args.seed, jobs=args.jobs)
-    sys.stdout.write(report)
-    if args.out:
-        from repro.ioutil import atomic_write_text
-
-        atomic_write_text(args.out, report)
-    return 0
+    return cli_main(["report", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

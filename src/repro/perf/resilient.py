@@ -42,11 +42,12 @@ re-raises so the shell sees a real SIGINT death.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
@@ -62,7 +63,11 @@ from typing import (
 from repro.faults.campaign import CampaignResult, TrialResult
 from repro.obs import get_observer
 from repro.perf.checkpoint import CheckpointStore, run_key_for
-from repro.perf.executor import CampaignExecutor, CampaignWorkItem
+from repro.perf.executor import (
+    CampaignExecutor,
+    CampaignWorkItem,
+    run_campaign_items,
+)
 
 __all__ = [
     "CHAOS_KILL_ENV",
@@ -72,6 +77,7 @@ __all__ = [
     "ResilientOutcome",
     "ResilientRunner",
     "ResilientRuntime",
+    "TaskPlan",
     "decode_campaign_result",
     "encode_campaign_result",
     "resilience_note",
@@ -225,6 +231,10 @@ class ResilientOutcome:
         return [i for i, r in enumerate(self.results) if r is None]
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
 class ResilientRunner:
     """Drives ordered task chunks through the recovery state machine.
 
@@ -248,8 +258,8 @@ class ResilientRunner:
         runtime: ResilientRuntime,
         config: Dict[str, Any],
         kind: str = "chunk",
-        encode: Callable[[Any], Any] = lambda result: result,
-        decode: Callable[[Any], Any] = lambda payload: payload,
+        encode: Callable[[Any], Any] = _same,
+        decode: Callable[[Any], Any] = _same,
         clock: Callable[[], float] = time.monotonic,
         sleep_fn: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -495,6 +505,48 @@ class ResilientRunner:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
 
 
+@dataclass(frozen=True)
+class TaskPlan:
+    """An ordered list of pure tasks, the function that computes a chunk
+    of them, and the configuration that keys their checkpoints.
+
+    ``chunk_size`` fixes the chunking whatever the runtime asks for (a
+    one-task plan checkpoints as one chunk).
+    """
+
+    tasks: Sequence[Any]
+    run_chunk: Callable[[int, Sequence[Any]], List[Any]]
+    config: Dict[str, Any]
+    kind: str
+    encode: Callable[[Any], Any] = _same
+    decode: Callable[[Any], Any] = _same
+    chunk_size: Optional[int] = None
+
+    def run(
+        self, runtime: Optional[ResilientRuntime] = None
+    ) -> ResilientOutcome:
+        """Compute every task.
+
+        Without a ``runtime`` the whole list runs once, inline: no run
+        key, store, chunking, retries or ``resilient.*`` counters, and
+        errors propagate.  With one it runs through a
+        :class:`ResilientRunner`.
+        """
+        if runtime is None:
+            return ResilientOutcome(list(self.run_chunk(0, self.tasks)))
+        if self.chunk_size is not None:
+            runtime = replace(runtime, chunk_size=self.chunk_size)
+        runner = ResilientRunner(
+            self.run_chunk,
+            runtime=runtime,
+            config=self.config,
+            kind=self.kind,
+            encode=self.encode,
+            decode=self.decode,
+        )
+        return runner.run(self.tasks)
+
+
 # -- campaign glue ----------------------------------------------------
 
 
@@ -530,34 +582,34 @@ def resilient_campaign_map(
     items: Sequence[CampaignWorkItem],
     *,
     jobs: int = 1,
-    runtime: ResilientRuntime,
+    runtime: Optional[ResilientRuntime],
     config: Dict[str, Any],
-    clock: Callable[[], float] = time.monotonic,
-    sleep_fn: Callable[[float], None] = time.sleep,
 ) -> ResilientOutcome:
-    """Run campaign work items with checkpoints/deadline/breaker.
+    """Run campaign work items, checkpointed when ``runtime`` is given.
 
-    The chunk runner is a :class:`CampaignExecutor` (serial for
-    ``jobs=1``, process pool otherwise, with its own worker-death
-    recovery inside each chunk), so a fully completed resilient run
-    yields results identical to :func:`~repro.perf.executor.
-    run_campaign_items` -- checkpointing and recovery never perturb
-    the numbers.
+    Without a runtime this is one :func:`~repro.perf.executor.
+    run_campaign_items` call.  With one, each chunk runs on a
+    :class:`CampaignExecutor` (serial for ``jobs=1``, process pool
+    otherwise, with its own worker-death recovery inside each chunk),
+    so a fully completed run yields identical results --
+    checkpointing and recovery never perturb the numbers.
     """
-    executor = CampaignExecutor(
-        jobs=jobs, chunk_timeout=runtime.chunk_timeout
-    )
-    runner = ResilientRunner(
-        lambda _index, chunk: executor.run(chunk),
-        runtime=runtime,
-        config=config,
+    execute: Callable[[Sequence[CampaignWorkItem]], List[CampaignResult]]
+    if runtime is None:
+        execute = functools.partial(run_campaign_items, jobs=jobs)
+    else:
+        execute = CampaignExecutor(
+            jobs=jobs, chunk_timeout=runtime.chunk_timeout
+        ).run
+    plan = TaskPlan(
+        items,
+        lambda _index, chunk: execute(chunk),
+        config,
         kind="campaign-results",
         encode=encode_campaign_result,
         decode=decode_campaign_result,
-        clock=clock,
-        sleep_fn=sleep_fn,
     )
-    return runner.run(items)
+    return plan.run(runtime)
 
 
 def resilience_note(outcome: ResilientOutcome) -> str:

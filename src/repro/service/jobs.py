@@ -3,10 +3,12 @@
 A :class:`JobSpec` is a *validated, whitelisted* description of one
 CLI-equivalent run -- kind (``sweep``/``grid``/``chaos``/``lifecycle``)
 plus parameters.  The whitelist matters: the HTTP boundary must never
-let a client smuggle arbitrary argv into a child process, so every
-parameter is declared in :data:`PARAM_SPECS` with a type, an optional
-value domain, and the exact flag it lowers to.  Anything else is a
-validation error (HTTP 400), not a shell opportunity.
+let a client smuggle arbitrary argv into a child process.  Every
+parameter's flag, type, value domain and dependencies come from the
+one declaration the CLI builds its parser from,
+:data:`repro.cli.COMMANDS`; :data:`SERVICE_PARAMS` only names which of
+them the service exposes and its own caps on resource size.  Anything
+else is a validation error (HTTP 400), not a shell opportunity.
 
 The **cache key** is the canonical :func:`repro.obs.provenance.
 config_hash` of ``{"service-job": kind, "argv": spec.to_argv()}`` --
@@ -25,148 +27,94 @@ checkpoint run keys.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+import argparse
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.cli import Param, command_params, unmet_requirement
 from repro.obs.provenance import config_hash
 
 __all__ = [
     "JOB_KINDS",
-    "PARAM_SPECS",
+    "SERVICE_PARAMS",
     "JobRecord",
     "JobSpec",
     "JobState",
     "job_cache_key",
 ]
 
-#: Job kinds the service accepts, in documentation order.  Each maps to
-#: the CLI subcommand of the same name (all four are crash-safe: they
-#: accept ``--checkpoint-dir/--resume/--deadline``).
-JOB_KINDS = ("sweep", "grid", "chaos", "lifecycle")
-
-_KILL_RE = re.compile(r"^\d+,\d+@\d+$")
-
-
-def _int(minimum: Optional[int] = None, maximum: Optional[int] = None):
-    def convert(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValueError(f"must be <= {maximum}, got {value}")
-        return value
-
-    return convert
-
-
-def _float(minimum: Optional[float] = None):
-    def convert(value: Any) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"expected a number, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be >= {minimum}, got {value}")
-        return float(value)
-
-    return convert
-
-
-def _bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return value
-
-
-def _choice(*allowed: str):
-    def convert(value: Any) -> str:
-        if value not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {value!r}")
-        return str(value)
-
-    return convert
-
-
-def _list_of(item: Callable[[Any], Any], max_items: int = 32):
-    def convert(value: Any) -> List[Any]:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ValueError(f"expected a non-empty list, got {value!r}")
-        if len(value) > max_items:
-            raise ValueError(f"at most {max_items} items, got {len(value)}")
-        return [item(v) for v in value]
-
-    return convert
-
-
-def _kill_spec(value: Any) -> str:
-    if not isinstance(value, str) or not _KILL_RE.match(value):
-        raise ValueError(
-            f"expected 'row,col@cycle' (e.g. '1,1@40'), got {value!r}"
-        )
-    return value
-
-
-_BACKEND = _choice("scalar", "batched", "compiled", "auto")
-
-#: ``kind -> (param -> (flag, converter, multivalue))``, in the fixed
-#: order the canonical argv is assembled.  ``multivalue`` flags take a
-#: list and lower to ``--flag v1 v2 ...``; boolean params lower to the
-#: bare flag when true and nothing when false.
-PARAM_SPECS: Dict[str, Dict[str, Tuple[str, Callable[[Any], Any], bool]]] = {
+#: ``kind -> parameter -> cap``: the CLI parameters each job kind
+#: exposes, in the fixed order the canonical argv is assembled, with the
+#: service's own upper bound on resource size (None: the CLI's domain is
+#: the whole check).  A list parameter's cap bounds each item.
+SERVICE_PARAMS: Dict[str, Dict[str, Optional[int]]] = {
     "sweep": {
-        "figure": ("--figure", _int(7, 9), False),
-        "quick": ("--quick", _bool, False),
-        "trials": ("--trials", _int(1, 100), False),
-        "seed": ("--seed", _int(), False),
-        "jobs": ("--jobs", _int(1, 64), False),
-        "backend": ("--backend", _BACKEND, False),
+        "figure": None, "quick": None, "trials": 100, "seed": None,
+        "jobs": 64, "backend": None,
     },
     "grid": {
-        "rows": ("--rows", _int(1, 64), False),
-        "cols": ("--cols", _int(1, 64), False),
-        "scheme": ("--scheme", _choice(
-            "none", "parity", "hamming", "hsiao", "tmr", "5mr", "7mr"
-        ), False),
-        "workload": ("--workload", _choice(
-            "reverse_video", "hue_shift", "brightness_boost", "threshold_mask"
-        ), False),
-        "image_size": ("--image-size", _int(1, 64), False),
-        "fault_percent": ("--fault-percent", _float(0.0), False),
-        "kill": ("--kill", _kill_spec, True),
-        "adaptive": ("--adaptive", _bool, False),
-        "rounds": ("--rounds", _int(1, 100), False),
-        "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
+        "rows": 64, "cols": 64, "scheme": None, "workload": None,
+        "image_size": 64, "fault_percent": None, "kill": None,
+        "adaptive": None, "rounds": 100, "seed": None, "backend": None,
     },
     "chaos": {
-        "rates": ("--rates", _list_of(_float(0.0)), False),
-        "rounds": ("--rounds", _list_of(_int(1, 16)), False),
-        "drop_rate": ("--drop-rate", _float(0.0), False),
-        "stall_rate": ("--stall-rate", _float(0.0), False),
-        "rows": ("--rows", _int(1, 64), False),
-        "cols": ("--cols", _int(1, 64), False),
-        "instructions": ("--instructions", _int(1, 10000), False),
-        "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
+        "rates": None, "rounds": 16, "drop_rate": None, "stall_rate": None,
+        "rows": 64, "cols": 64, "instructions": 10000, "seed": None,
+        "backend": None,
     },
     "lifecycle": {
-        "processes": ("--processes", _list_of(_choice(
-            "transient", "intermittent", "permanent"
-        )), False),
-        "rate": ("--rate", _float(0.0), False),
-        "burst_length": ("--burst-length", _int(1, 1000), False),
-        "decay": ("--decay", _float(0.0), False),
-        "jobs": ("--jobs", _int(1, 64), False),
-        "instructions": ("--instructions", _int(1, 10000), False),
-        "rows": ("--rows", _int(1, 64), False),
-        "cols": ("--cols", _int(1, 64), False),
-        "seed": ("--seed", _int(), False),
-        "backend": ("--backend", _BACKEND, False),
+        "processes": None, "rate": None, "burst_length": 1000,
+        "decay": None, "jobs": 64, "instructions": 10000, "rows": 64,
+        "cols": 64, "seed": None, "backend": None,
     },
 }
 
-#: The ``--kill`` flag repeats per occurrence rather than taking a list.
-_REPEATED_FLAGS = {"--kill"}
+#: Job kinds the service accepts, in documentation order.  Each is the
+#: CLI subcommand of the same name (all four are crash-safe: they
+#: accept ``--checkpoint-dir/--resume/--deadline``).
+JOB_KINDS = tuple(SERVICE_PARAMS)
+
+#: Most values one list parameter may carry.
+MAX_LIST_ITEMS = 32
+
+#: The JSON types a request may use for a flag by the type of the value
+#: the flag parses to (anything not numeric is sent as a string).
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def _validated(param: Param, raw: Any, cap: Optional[int]) -> Any:
+    """One request value, checked against its flag and the service cap."""
+    if param.action == "store_true":
+        if not isinstance(raw, bool):
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return raw
+    if param.nargs is None and param.action is None:
+        return _validated_item(param, raw, cap)
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ValueError(f"expected a non-empty list, got {raw!r}")
+    if len(raw) > MAX_LIST_ITEMS:
+        raise ValueError(f"at most {MAX_LIST_ITEMS} items, got {len(raw)}")
+    return tuple(_validated_item(param, item, cap) for item in raw)
+
+
+def _validated_item(param: Param, raw: Any, cap: Optional[int]) -> Any:
+    """One scalar value: the flag's own type parses its argv form, so
+    the service admits exactly what the child's parser will."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ValueError(f"expected a single value, got {raw!r}")
+    try:
+        value = (param.type or str)(_argv_str(raw))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ValueError(str(exc)) from None
+    accepted, noun = _JSON_TYPES.get(type(value), (str, "a string"))
+    if not isinstance(raw, accepted):
+        raise ValueError(f"expected {noun}, got {raw!r}")
+    if param.choices is not None and value not in param.choices:
+        choices = ", ".join(repr(choice) for choice in param.choices)
+        raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
+    if cap is not None and value > cap:
+        raise ValueError(f"must be <= {cap}, got {raw}")
+    return float(raw) if isinstance(value, float) else raw
 
 
 @dataclass(frozen=True)
@@ -189,31 +137,28 @@ class JobSpec:
             raise ValueError(
                 f"unknown job kind {kind!r}; valid kinds: {list(JOB_KINDS)}"
             )
-        specs = PARAM_SPECS[kind]
+        exposed = SERVICE_PARAMS[kind]
+        flags = command_params(kind)
         params = dict(params or {})
+        unknown = sorted(set(params) - set(exposed))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) for {kind!r}: {unknown}; "
+                f"allowed: {sorted(exposed)}"
+            )
         normalized: List[Tuple[str, Any]] = []
-        for name in specs:  # fixed declaration order => canonical argv
+        for name, cap in exposed.items():  # fixed order => canonical argv
             if name not in params:
                 continue
-            _, convert, multivalue = specs[name]
-            raw = params.pop(name)
             try:
-                if multivalue:
-                    value = _list_of(convert)(raw)
-                else:
-                    value = convert(raw)
+                value = _validated(flags[name], params[name], cap)
             except ValueError as exc:
                 raise ValueError(f"parameter {name!r}: {exc}") from None
-            if value is False:
-                continue  # an absent boolean flag, canonically
-            if isinstance(value, list):
-                value = tuple(value)
-            normalized.append((name, value))
-        if params:
-            raise ValueError(
-                f"unknown parameter(s) for {kind!r}: {sorted(params)}; "
-                f"allowed: {sorted(specs)}"
-            )
+            if value is not False:  # an absent boolean flag, canonically
+                normalized.append((name, value))
+        error = unmet_requirement(kind, (name for name, _ in normalized))
+        if error:
+            raise ValueError(error)
         return cls(kind=kind, params=tuple(normalized))
 
     def param_dict(self) -> Dict[str, Any]:
@@ -225,20 +170,19 @@ class JobSpec:
     def to_argv(self) -> List[str]:
         """The exact child CLI argv this spec lowers to (canonical)."""
         argv: List[str] = [self.kind]
-        specs = PARAM_SPECS[self.kind]
+        flags = command_params(self.kind)
         for name, value in self.params:
-            flag = specs[name][0]
+            param = flags[name]
             if value is True:
-                argv.append(flag)
+                argv.append(param.flag)
+            elif param.action == "append":  # the flag repeats per item
+                for item in value:
+                    argv.extend((param.flag, _argv_str(item)))
             elif isinstance(value, tuple):
-                if flag in _REPEATED_FLAGS:
-                    for item in value:
-                        argv.extend((flag, _argv_str(item)))
-                else:
-                    argv.append(flag)
-                    argv.extend(_argv_str(item) for item in value)
+                argv.append(param.flag)
+                argv.extend(_argv_str(item) for item in value)
             else:
-                argv.extend((flag, _argv_str(value)))
+                argv.extend((param.flag, _argv_str(value)))
         return argv
 
     @property
@@ -349,8 +293,13 @@ class JobRecord:
         return document
 
     @classmethod
-    def from_json(cls, document: Mapping[str, Any]) -> "JobRecord":
-        spec = JobSpec.from_json(document["spec"])
+    def from_json(
+        cls, document: Mapping[str, Any], spec: Optional[JobSpec] = None
+    ) -> "JobRecord":
+        """Load a journaled record; ``spec`` replaces the validated
+        spec (recovery passes the raw one when validation fails)."""
+        if spec is None:
+            spec = JobSpec.from_json(document["spec"])
         record = cls(
             id=str(document["id"]),
             spec=spec,

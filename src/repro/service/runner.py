@@ -357,15 +357,29 @@ class JobManager:
             return
         recovered: List[JobRecord] = []
         for path in sorted(self._jobs_dir.glob("*.json")):
+            # An entry's id is never reused, even when the entry does not
+            # load (say, it is torn): a new job would overwrite it.
+            if path.stem.startswith("j") and path.stem[1:].isdigit():
+                self._seq = max(self._seq, int(path.stem[1:]))
             try:
                 import json
 
-                record = JobRecord.from_json(json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError):
-                continue  # an unreadable journal entry is not a job
+                document = json.loads(path.read_text())
+                try:
+                    record = JobRecord.from_json(document)
+                except ValueError as exc:
+                    record = self._retire_invalid_spec(document, exc)
+            except (
+                OSError, ValueError, KeyError, TypeError, AttributeError
+            ) as exc:
+                # An unreadable journal entry is not a job.
+                self.metrics.counter("service.journal_skipped").inc()
+                print(
+                    f"service: skipped journal entry {path.name}: {exc}",
+                    file=sys.stderr,
+                )
+                continue
             self._records[record.id] = record
-            if record.id.startswith("j") and record.id[1:].isdigit():
-                self._seq = max(self._seq, int(record.id[1:]))
             recovered.append(record)
         resumable = [
             record
@@ -383,6 +397,30 @@ class JobManager:
         # the queue in original submission order.
         for record in sorted(resumable, key=lambda r: r.id, reverse=True):
             self.queue.requeue(record)
+
+    def _retire_invalid_spec(
+        self, document: Dict[str, Any], error: ValueError
+    ) -> JobRecord:
+        """A journaled job whose spec this version no longer admits (an
+        older service accepted it before the parameter domains
+        tightened).  It keeps its raw spec and, if it had not finished,
+        becomes FAILED with the validation message, so a client polling
+        it sees a terminal state instead of a 404; it never runs."""
+        raw = document["spec"]
+        spec = JobSpec(
+            kind=str(raw["kind"]),
+            params=tuple(sorted(dict(raw.get("params") or {}).items())),
+        )
+        record = JobRecord.from_json(document, spec=spec)
+        print(
+            f"service: journal entry {record.id} has a spec this version "
+            f"rejects: {error}",
+            file=sys.stderr,
+        )
+        if record.state in JobState.RESUMABLE:
+            record.error = f"spec rejected on recovery: {error}"
+            self._finish(record, JobState.FAILED)
+        return record
 
     # -- submission ----------------------------------------------------
 

@@ -399,6 +399,50 @@ class TestDrainAndRecovery:
         finally:
             revived.drain(grace=0.0)
 
+    def test_unloadable_journal_entry_keeps_its_id(self, tmp_path):
+        manager = JobManager(tmp_path, execute=CountingExecutor(), workers=1)
+        manager.submit(_spec(1))
+        old = manager.submit(_spec(2)).record.id
+        # Recovery skips an entry it cannot load (torn, or a spec an
+        # older service admitted and this one rejects)...
+        entry = tmp_path / "jobs" / f"{old}.json"
+        torn = entry.read_text()[:40]
+        entry.write_text(torn)
+        revived = JobManager(tmp_path, execute=CountingExecutor(), workers=1)
+        # ...but a new job must not take its id and overwrite it.
+        assert revived.submit(_spec(3)).record.id != old
+        assert entry.read_text() == torn
+        assert revived.metrics.counter("service.journal_skipped").value == 1
+
+    def test_journaled_spec_now_rejected_fails_instead_of_vanishing(
+        self, tmp_path
+    ):
+        import json
+
+        manager = JobManager(tmp_path, execute=CountingExecutor(), workers=1)
+        job_id = manager.submit(_spec(1)).record.id
+        # An older service admitted lifecycle ``rate`` without
+        # ``processes``; this one rejects it.
+        entry = tmp_path / "jobs" / f"{job_id}.json"
+        document = json.loads(entry.read_text())
+        document["spec"] = {"kind": "lifecycle", "params": {"rate": 0.002}}
+        entry.write_text(json.dumps(document))
+        executor = CountingExecutor()
+        revived = JobManager(tmp_path, execute=executor, workers=1)
+        revived.start()
+        try:
+            record = revived.get(job_id)
+            assert record is not None
+            assert record.state == JobState.FAILED
+            assert "--rate requires --processes" in record.error
+            assert record.spec.param_dict() == {"rate": 0.002}
+            assert revived.status(job_id)["state"] == JobState.FAILED
+            assert revived.metrics.counter("service.jobs_failed").value == 1
+            assert json.loads(entry.read_text())["state"] == JobState.FAILED
+            assert executor.calls == {}
+        finally:
+            revived.drain(grace=0.0)
+
     def test_drain_sheds_new_submissions(self, tmp_path):
         manager = JobManager(tmp_path, execute=CountingExecutor(), workers=1)
         manager.start()

@@ -177,6 +177,14 @@ class TestValidation:
         assert status == 400
         assert "scheme" in document["error"]
 
+    @pytest.mark.parametrize("kind, params", [
+        ("chaos", {"rates": [1.5]}),
+        ("lifecycle", {"rate": 0.002}),
+    ])
+    def test_out_of_domain_400(self, base, kind, params):
+        status, _, _ = _submit(base, {"kind": kind, "params": params})
+        assert status == 400
+
     def test_bad_deadline_400(self, base):
         for deadline in (0, -3, "soon", True):
             status, _, document = _submit(

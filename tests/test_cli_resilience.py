@@ -8,6 +8,7 @@ status 3.
 """
 
 import json
+import re
 
 import pytest
 
@@ -66,30 +67,30 @@ class TestResumeByteIdentity:
 
 
 class TestDeadline:
+    @pytest.mark.parametrize(
+        "argv, partial_marker",
+        (
+            (SWEEP, "[partial]"),  # the figure's partial table
+            (GRID, None),  # one task: nothing to show but the banner
+            (CHAOS, "Link-fault chaos sweep"),
+            (LIFECYCLE, "Cell health lifecycle sweep"),
+        ),
+        ids=("sweep", "grid", "chaos", "lifecycle"),
+    )
     def test_expired_deadline_reports_explicit_partial(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, argv, partial_marker
     ):
         ck = ["--checkpoint-dir", str(tmp_path / "ck")]
-        status, out, err = _run(
-            capsys, SWEEP + ck + ["--deadline", "0.000001"]
-        )
+        status, out, err = _run(capsys, argv + ck + ["--deadline", "0.000001"])
         assert status == EXIT_INCOMPLETE
         assert "INCOMPLETE" in out
-        assert "[partial]" in out
+        if partial_marker is not None:
+            assert partial_marker in out
         assert "deadline hit" in err
         # The partial run is a valid launchpad: resume completes it.
-        _, plain_out, _ = _run(capsys, SWEEP)
-        resumed_status, resumed_out, _ = _run(capsys, SWEEP + ck + ["--resume"])
-        assert resumed_status == 0
-        assert resumed_out == plain_out
-
-    def test_deadline_applies_to_grid_single_chunk(self, capsys, tmp_path):
-        ck = ["--checkpoint-dir", str(tmp_path / "ck")]
-        status, out, _ = _run(capsys, GRID + ck + ["--deadline", "0.000001"])
-        assert status == EXIT_INCOMPLETE
-        assert "INCOMPLETE" in out
-        _, plain_out, _ = _run(capsys, GRID)
-        resumed_status, resumed_out, _ = _run(capsys, GRID + ck + ["--resume"])
+        _, plain_out, plain_err = _run(capsys, argv)
+        assert "checkpoint[" not in plain_err
+        resumed_status, resumed_out, _ = _run(capsys, argv + ck + ["--resume"])
         assert resumed_status == 0
         assert resumed_out == plain_out
 
@@ -132,3 +133,27 @@ class TestObservabilityIntegration:
         counters2 = json.loads(metrics_path2.read_text())["counters"]
         assert counters2["checkpoint.hits"] > 0
         assert counters2["resilient.chunks_reused"] > 0
+
+
+#: Each command's checkpoint run key at its defaults, captured before
+#: the plain and checkpointed paths merged: a service restarted on new
+#: code must still find the checkpoints an old child wrote.
+DEFAULT_RUN_KEYS = {
+    "sweep": "79736ca5eaa44e1d",
+    "grid": "0b45e186ab47d304",
+    "chaos": "dc46a375c97e9b4b",
+    "lifecycle": "8072ed365c749863",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_RUN_KEYS))
+def test_default_run_key_is_pinned(capsys, tmp_path, command):
+    # An already-expired deadline schedules no chunk, so the run only
+    # derives its key.
+    status, _, err = _run(capsys, [
+        command, "--checkpoint-dir", str(tmp_path), "--deadline", "0.000001",
+    ])
+    assert status == EXIT_INCOMPLETE
+    assert re.search(r"checkpoint\[(\w+)\]", err).group(1) == (
+        DEFAULT_RUN_KEYS[command]
+    )
