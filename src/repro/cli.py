@@ -51,6 +51,13 @@ status 3) that a later ``--resume`` finishes::
                                                        # faults against runs
                                                        # and the service
 
+Every subcommand, ``serve`` and the ``bench`` pair included, is declared
+once in :data:`COMMANDS`: each argument's flag, domain type, default and
+help.  ``build_parser`` builds the parser from that table alone, so an
+out-of-domain value is a usage error (exit 2) on every command; the
+campaign service validates job requests and takes its ``ServiceConfig``
+defaults from the same entries.
+
 Also available as ``python -m repro.cli``.
 """
 
@@ -103,6 +110,12 @@ BACKEND_CHOICES = ("scalar", "batched", "compiled", "auto")
 SCHEME_CHOICES = (
     "none", "hamming", "hamming-sec", "hamming-fp", "hsiao", "parity",
     "tmr", "tmr-interleaved", "5mr", "7mr",
+)
+#: Mirrors ``repro.perf.chaos_exec.CHAOS_MODES``, so that the parser
+#: builds without importing the harness.
+CHAOS_MODE_CHOICES = (
+    "kill", "hang", "corrupt", "disk-full", "deadline",
+    "overload", "dup-storm", "sigterm", "kill9", "tamper",
 )
 
 
@@ -168,8 +181,18 @@ _positive_int = _in_range(int, 1)
 _seed = _in_range(int, 0)
 _probability = _in_range(float, 0, 1)
 _rate = _in_range(float, 0, 1, high_open=True)
+_percent = _in_range(float, 0, 100)
 _non_negative = _in_range(float, 0)
 _seconds = _in_range(float, 0, low_open=True)
+_ratio = _in_range(float, 0, low_open=True)
+
+
+def _glob_ratio(spec: str) -> Tuple[str, float]:
+    """Parse ``GLOB=RATIO`` into ``(glob, ratio)``, the ratio above 0."""
+    pattern, equals, ratio = spec.partition("=")
+    if not equals:
+        raise argparse.ArgumentTypeError(f"expected GLOB=RATIO, got {spec!r}")
+    return pattern, _ratio(ratio)
 
 
 def _parse_kill(spec: str) -> Tuple[int, Tuple[int, int]]:
@@ -184,7 +207,8 @@ def _parse_kill(spec: str) -> Tuple[int, Tuple[int, int]]:
 
 
 class Param(NamedTuple):
-    """One flag of a table-built command.
+    """One argument of a command: a ``--flag``, or a positional when
+    ``flag`` has no leading dashes.
 
     ``type`` parses one value and enforces its domain, so an
     out-of-range value is a usage error on the command line and a
@@ -202,11 +226,12 @@ class Param(NamedTuple):
     nargs: Optional[str] = None
     action: Optional[str] = None
     metavar: Optional[str] = None
+    required: Optional[bool] = None
     requires: Optional[str] = None
 
     @property
     def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
+        return self.flag.lstrip("-").replace("-", "_")
 
     def add_to(self, parser) -> None:
         options = {
@@ -272,11 +297,25 @@ _JOBS_HELP = (
     "campaign worker processes (1 = serial; any value gives identical output)"
 )
 
-#: The experiment-running commands, declared once: ``name -> (help,
-#: own flags in --help order, flag families)``.  ``build_parser`` builds
-#: their subparsers from it and the campaign service validates job
-#: requests and lowers them to argv with it.
+#: Every subcommand, declared once: ``name -> (help, own arguments in
+#: --help order, flag families)``.  ``build_parser`` builds one
+#: subparser per entry, in this order; a name with a space (``bench
+#: run``) is a subcommand of the entry it extends, and a leaf command
+#: runs ``_cmd_<name>`` (spaces and hyphens read as underscores).  The
+#: campaign service validates job requests and lowers them to argv with
+#: the same entries, and ``ServiceConfig`` takes its defaults from
+#: ``serve``'s.
 COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
+    "table1": ("print the ISA table", (), ()),
+    "table2": ("print variants and fault-site counts", (), ()),
+    "area": ("print the area-overhead table", (), ()),
+    "fit": ("percent -> FIT translation", (
+        Param("--variant", choices=VARIANT_CHOICES, default="aluss",
+              metavar="VARIANT"),
+    ), ()),
+    "describe": ("show a variant's hierarchy", (
+        Param("variant", choices=VARIANT_CHOICES, metavar="VARIANT"),
+    ), ()),
     "sweep": ("regenerate Figure 7, 8, or 9", (
         Param("--figure", type=int, choices=(7, 8, 9), default=7),
         Param("--trials", type=_positive_int, default=5,
@@ -297,8 +336,7 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
               choices=("reverse_video", "hue_shift", "brightness_boost",
                        "threshold_mask")),
         Param("--image-size", type=_positive_int, default=8),
-        Param("--fault-percent", type=_in_range(float, 0, 100),
-              default=0.0),
+        Param("--fault-percent", type=_percent, default=0.0),
         Param("--kill", type=_parse_kill, action="append",
               metavar="ROW,COL@CYCLE"),
         Param("--adaptive", action="store_true",
@@ -308,6 +346,21 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
         Param("--show-grid", action="store_true",
               help="render the final fabric state"),
     ), ("observability", "resilience", "backend")),
+    "yield": ("manufacturing-yield table", (
+        Param("--variants", nargs="+", choices=VARIANT_CHOICES,
+              default=("alunn", "aluns"), metavar="VARIANT"),
+        Param("--density", type=_probability, nargs="+", default=(1e-3,)),
+        Param("--parts", type=_positive_int, default=10),
+        Param("--seed", type=_seed, default=0),
+    ), ()),
+    "analyze": ("closed-form budgets and horizons", (
+        Param("--target", type=_in_range(float, 0, 100, low_open=True),
+              default=98.0, help="target percent-correct"),
+        Param("--fault-percent", type=_percent, default=1.0,
+              help="operating injected-fault percentage"),
+        Param("--threshold", type=_in_range(int, 0), default=8,
+              help="watchdog error threshold"),
+    ), ()),
     "chaos": ("link-fault chaos sweep of the transport fabric", (
         Param("--rates", type=_probability, nargs="+",
               default=(0.0, 0.001, 0.003, 0.01),
@@ -323,6 +376,59 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
         Param("--instructions", type=_positive_int, default=48),
         Param("--seed", type=_seed, default=2004),
     ), ("observability", "resilience", "backend")),
+    "chaos-exec": (
+        "process-level chaos harness: inject crashes, hangs, corruption, "
+        "overload and restarts into real child runs and a real server; "
+        "assert the recovery invariants", (
+            Param("--modes", nargs="+", choices=CHAOS_MODE_CHOICES,
+                  default=CHAOS_MODE_CHOICES,
+                  help="fault modes to inject (default: all)"),
+            Param("--workdir", metavar="DIR",
+                  help="working directory for child runs and server state "
+                       "(default: a fresh temp directory)"),
+            Param("--seed", type=_seed, default=2004,
+                  help="seed for the target sweep and jobs"),
+            Param("--timeout", type=_seconds, default=300.0,
+                  help="per-child wall-clock ceiling in seconds"),
+        ), ()),
+    # These defaults are ServiceConfig's.  --chunk-size and
+    # --chunk-timeout take the domains of the child flags they feed.
+    "serve": (
+        "long-running HTTP job service: POST sweeps/grids/chaos/lifecycle "
+        "runs, cached + crash-safe", (
+            Param("--state-dir", required=True, metavar="DIR",
+                  help="service identity: journal, result cache, and "
+                       "checkpoints live here across restarts"),
+            Param("--host", default="127.0.0.1"),
+            Param("--port", type=_in_range(int, 0, 65535), default=0,
+                  help="0 binds an ephemeral port, reported on stdout"),
+            Param("--workers", type=_positive_int, default=2,
+                  help="supervised worker threads (one child job each)"),
+            Param("--queue-capacity", type=_positive_int, default=16,
+                  help="bounded admission depth; beyond it submissions are "
+                       "shed with 429 + Retry-After"),
+            Param("--cache-budget", type=_in_range(int, 0), metavar="BYTES",
+                  help="result-cache byte budget (LRU eviction beyond it; "
+                       "default: unbounded)"),
+            Param("--max-attempts", type=_positive_int, default=3,
+                  help="execution attempts per job before it fails"),
+            Param("--breaker-threshold", type=_positive_int, default=3,
+                  help="consecutive same-kind failures that trip the "
+                       "job-class circuit breaker"),
+            Param("--chunk-size", type=_positive_int, default=4,
+                  help="checkpoint chunk size passed to job children"),
+            Param("--chunk-timeout", type=_seconds,
+                  help="per-chunk hang budget passed to job children"),
+            Param("--job-timeout", type=_seconds, default=900.0,
+                  help="wall-clock ceiling per job child"),
+            Param("--default-deadline", type=_seconds,
+                  help="deadline applied to jobs that do not set one"),
+            Param("--drain-grace", type=_non_negative, default=30.0,
+                  help="seconds running jobs get to finish on SIGTERM "
+                       "before a checkpoint-flushing interrupt"),
+            Param("--verbose", action="store_true", default=False,
+                  help="log each HTTP request to stderr"),
+        ), ()),
     "lifecycle": ("self-healing sweep: fault processes x lifecycle policies", (
         Param("--processes", nargs="+",
               choices=("transient", "intermittent", "permanent"),
@@ -343,6 +449,52 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
         Param("--cols", type=_positive_int, default=4),
         Param("--seed", type=_seed, default=2004),
     ), ("observability", "resilience", "backend")),
+    "bench": ("benchmark telemetry: run scripts, compare artifacts", (), ()),
+    "bench run": (
+        "run benchmarks/bench_*.py and emit BENCH_<name>.json artifacts", (
+            Param("--smoke", action="store_true",
+                  help="export REPRO_BENCH_SMOKE=1: shrunken workloads, "
+                       "CI-fast"),
+            Param("--filter", metavar="GLOB",
+                  help="only scripts whose name matches (e.g. 'perf_*', "
+                       "'bench_fig7*')"),
+            Param("--out", metavar="DIR",
+                  help="artifact directory (default: results/bench)"),
+            Param("--seed", type=_seed,
+                  help="harness-level seed recorded in provenance"),
+            Param("--timeout", type=_seconds, default=900.0,
+                  help="per-script wall-clock ceiling in seconds"),
+        ), ()),
+    "bench compare": (
+        "diff two BENCH_*.json artifacts (or directories); exits non-zero "
+        "on regression", (
+            Param("baseline", help="baseline artifact file or directory"),
+            Param("current", help="current artifact file or directory"),
+            Param("--only", metavar="GLOB",
+                  help="restrict to benchmarks matching GLOB"),
+            Param("--threshold", type=_ratio, default=1.5,
+                  help="default regression ratio (current/baseline mean)"),
+            Param("--threshold-for", type=_glob_ratio, action="append",
+                  default=[], metavar="GLOB=RATIO",
+                  help="per-metric threshold override (repeatable, first "
+                       "match wins)"),
+            Param("--min-time", type=_non_negative, default=1e-3,
+                  help="ignore timers under this many seconds in both runs "
+                       "(noise floor)"),
+            Param("--speedup-floor", type=_glob_ratio, action="append",
+                  default=[], metavar="GLOB=RATIO",
+                  help="minimum value for derived speedups in the CURRENT "
+                       "artifact (repeatable); a matching speedup below "
+                       "RATIO fails the comparison"),
+            Param("--require-complete", action="store_true",
+                  help="fail (exit non-zero) when the current run is missing "
+                       "artifacts the baseline has, instead of warning"),
+        ), ()),
+    "replay": (
+        "re-run a recorded manifest and assert byte-identical output", (
+            Param("manifest_path", metavar="MANIFEST",
+                  help="manifest written by --manifest"),
+        ), ()),
     "report": ("full EXPERIMENTS report", (
         Param("--quick", action="store_true"),
         Param("--seed", type=_seed, default=2004),
@@ -851,20 +1003,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import CampaignService, ServiceConfig
 
     config = ServiceConfig(
-        state_dir=args.state_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        cache_budget=args.cache_budget,
-        max_attempts=args.max_attempts,
-        breaker_threshold=args.breaker_threshold,
-        chunk_size=args.chunk_size,
-        chunk_timeout=args.chunk_timeout,
-        job_timeout=args.job_timeout,
-        default_deadline=args.default_deadline,
-        drain_grace=args.drain_grace,
-        verbose=args.verbose,
+        **{dest: getattr(args, dest) for dest in command_params("serve")}
     )
     return CampaignService(config).serve()
 
@@ -902,28 +1041,14 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
 
     from repro.obs.compare import compare_paths
 
-    def parse_specs(specs: List[str], flag: str) -> Dict[str, float]:
-        parsed: Dict[str, float] = {}
-        for spec in specs or []:
-            try:
-                pattern, _, ratio = spec.partition("=")
-                parsed[pattern] = float(ratio)
-            except ValueError:
-                raise argparse.ArgumentTypeError(
-                    f"bad {flag} spec {spec!r}; expected GLOB=RATIO"
-                ) from None
-        return parsed
-
-    thresholds = parse_specs(args.threshold_for, "--threshold-for")
-    speedup_floors = parse_specs(args.speedup_floor, "--speedup-floor")
     comparisons, warnings, errors = compare_paths(
         Path(args.baseline),
         Path(args.current),
         only=args.only,
         threshold=args.threshold,
-        thresholds=thresholds or None,
+        thresholds=dict(args.threshold_for) or None,
         min_time=args.min_time,
-        speedup_floors=speedup_floors or None,
+        speedup_floors=dict(args.speedup_floor) or None,
         require_complete=args.require_complete,
     )
     for comparison in comparisons:
@@ -1001,10 +1126,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_command(sub, name: str, fn) -> None:
-    """Build one table-declared subcommand (see :data:`COMMANDS`)."""
+def _add_command(subparsers: Dict[str, Any], name: str) -> None:
+    """Build one :data:`COMMANDS` entry under its parent's subparsers
+    (keyed by command name, ``""`` for the top level); a command that
+    others extend gets subparsers of its own instead of a handler."""
     help_text, own, families = COMMANDS[name]
-    parser = sub.add_parser(name, help=help_text)
+    parent, _, leaf = name.rpartition(" ")
+    parser = subparsers[parent].add_parser(leaf, help=help_text)
     for param in own:
         param.add_to(parser)
     for family in families:
@@ -1014,7 +1142,12 @@ def _add_command(sub, name: str, fn) -> None:
             param.add_to(group)
     if "backend" in families:
         parser.set_defaults(backend=_backend_from_env("auto"))
-    parser.set_defaults(fn=fn)
+    if any(other.startswith(name + " ") for other in COMMANDS):
+        subparsers[name] = parser.add_subparsers(
+            dest=f"{leaf}_command", required=True
+        )
+    else:
+        parser.set_defaults(fn=globals()["_cmd_" + re.sub("[ -]", "_", name)])
 
 
 def _apply_requirements(
@@ -1034,7 +1167,8 @@ def _apply_requirements(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser.
+    """The full command-line parser, one subparser per :data:`COMMANDS`
+    entry.
 
     A table flag that ``requires`` another (``lifecycle --rate``,
     ``--resume``, ...) parses to None when absent; :func:`main` rejects
@@ -1048,184 +1182,9 @@ def build_parser() -> argparse.ArgumentParser:
         _backend_from_env()
     except ValueError as exc:
         parser.error(str(exc))  # a usage error (exit 2), not a traceback
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("table1", help="print the ISA table").set_defaults(
-        fn=_cmd_table1
-    )
-    sub.add_parser(
-        "table2", help="print variants and fault-site counts"
-    ).set_defaults(fn=_cmd_table2)
-    sub.add_parser("area", help="print the area-overhead table").set_defaults(
-        fn=_cmd_area
-    )
-
-    fit = sub.add_parser("fit", help="percent -> FIT translation")
-    fit.add_argument("--variant", choices=VARIANT_CHOICES, default="aluss",
-                     metavar="VARIANT")
-    fit.set_defaults(fn=_cmd_fit)
-
-    describe = sub.add_parser("describe", help="show a variant's hierarchy")
-    describe.add_argument("variant", choices=VARIANT_CHOICES, metavar="VARIANT")
-    describe.set_defaults(fn=_cmd_describe)
-
-    _add_command(sub, "sweep", _cmd_sweep)
-    _add_command(sub, "grid", _cmd_grid)
-
-    yld = sub.add_parser("yield", help="manufacturing-yield table")
-    yld.add_argument("--variants", nargs="+", choices=VARIANT_CHOICES,
-                     default=["alunn", "aluns"], metavar="VARIANT")
-    yld.add_argument("--density", type=_probability, nargs="+",
-                     default=[1e-3])
-    yld.add_argument("--parts", type=_positive_int, default=10)
-    yld.add_argument("--seed", type=int, default=0)
-    yld.set_defaults(fn=_cmd_yield)
-
-    analyze = sub.add_parser("analyze",
-                             help="closed-form budgets and horizons")
-    analyze.add_argument("--target", type=float, default=98.0,
-                         help="target percent-correct")
-    analyze.add_argument("--fault-percent", type=float, default=1.0,
-                         help="operating injected-fault percentage")
-    analyze.add_argument("--threshold", type=int, default=8,
-                         help="watchdog error threshold")
-    analyze.set_defaults(fn=_cmd_analyze)
-
-    _add_command(sub, "chaos", _cmd_chaos)
-
-    chaos_exec = sub.add_parser(
-        "chaos-exec",
-        help="process-level chaos harness: inject crashes, hangs, "
-             "corruption, overload and restarts into real child runs and "
-             "a real server; assert the recovery invariants",
-    )
-    # mirrors repro.perf.chaos_exec.CHAOS_MODES (kept literal so the
-    # parser builds without importing the harness)
-    chaos_modes = ("kill", "hang", "corrupt", "disk-full", "deadline",
-                   "overload", "dup-storm", "sigterm", "kill9", "tamper")
-    chaos_exec.add_argument("--modes", nargs="+", choices=chaos_modes,
-                            default=list(chaos_modes),
-                            help="fault modes to inject (default: all)")
-    chaos_exec.add_argument("--workdir", default=None, metavar="DIR",
-                            help="working directory for child runs and "
-                                 "server state (default: a fresh temp "
-                                 "directory)")
-    chaos_exec.add_argument("--seed", type=int, default=2004,
-                            help="seed for the target sweep and jobs")
-    chaos_exec.add_argument("--timeout", type=float, default=300.0,
-                            help="per-child wall-clock ceiling in seconds")
-    chaos_exec.set_defaults(fn=_cmd_chaos_exec)
-
-    serve = sub.add_parser(
-        "serve",
-        help="long-running HTTP job service: POST sweeps/grids/chaos/"
-             "lifecycle runs, cached + crash-safe",
-    )
-    serve.add_argument("--state-dir", required=True, metavar="DIR",
-                       help="service identity: journal, result cache, and "
-                            "checkpoints live here across restarts")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="0 binds an ephemeral port, reported on stdout")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="supervised worker threads (one child job each)")
-    serve.add_argument("--queue-capacity", type=int, default=16,
-                       help="bounded admission depth; beyond it submissions "
-                            "are shed with 429 + Retry-After")
-    serve.add_argument("--cache-budget", type=int, default=None,
-                       metavar="BYTES",
-                       help="result-cache byte budget (LRU eviction beyond "
-                            "it; default: unbounded)")
-    serve.add_argument("--max-attempts", type=int, default=3,
-                       help="execution attempts per job before it fails")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive same-kind failures that trip the "
-                            "job-class circuit breaker")
-    serve.add_argument("--chunk-size", type=int, default=4,
-                       help="checkpoint chunk size passed to job children")
-    serve.add_argument("--chunk-timeout", type=float, default=None,
-                       help="per-chunk hang budget passed to job children")
-    serve.add_argument("--job-timeout", type=float, default=900.0,
-                       help="wall-clock ceiling per job child")
-    serve.add_argument("--default-deadline", type=float, default=None,
-                       help="deadline applied to jobs that do not set one")
-    serve.add_argument("--drain-grace", type=float, default=30.0,
-                       help="seconds running jobs get to finish on SIGTERM "
-                            "before a checkpoint-flushing interrupt")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log each HTTP request to stderr")
-    serve.set_defaults(fn=_cmd_serve)
-
-    _add_command(sub, "lifecycle", _cmd_lifecycle)
-
-    bench = sub.add_parser(
-        "bench", help="benchmark telemetry: run scripts, compare artifacts"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run",
-        help="run benchmarks/bench_*.py and emit BENCH_<name>.json "
-             "artifacts",
-    )
-    bench_run.add_argument("--smoke", action="store_true",
-                           help="export REPRO_BENCH_SMOKE=1: shrunken "
-                                "workloads, CI-fast")
-    bench_run.add_argument("--filter", default=None, metavar="GLOB",
-                           help="only scripts whose name matches "
-                                "(e.g. 'perf_*', 'bench_fig7*')")
-    bench_run.add_argument("--out", default=None, metavar="DIR",
-                           help="artifact directory "
-                                "(default: results/bench)")
-    bench_run.add_argument("--seed", type=int, default=None,
-                           help="harness-level seed recorded in provenance")
-    bench_run.add_argument("--timeout", type=float, default=900.0,
-                           help="per-script wall-clock ceiling in seconds")
-    bench_run.set_defaults(fn=_cmd_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff two BENCH_*.json artifacts (or directories); exits "
-             "non-zero on regression",
-    )
-    bench_compare.add_argument("baseline",
-                               help="baseline artifact file or directory")
-    bench_compare.add_argument("current",
-                               help="current artifact file or directory")
-    bench_compare.add_argument("--only", default=None, metavar="GLOB",
-                               help="restrict to benchmarks matching GLOB")
-    bench_compare.add_argument("--threshold", type=float, default=1.5,
-                               help="default regression ratio "
-                                    "(current/baseline mean)")
-    bench_compare.add_argument("--threshold-for", action="append",
-                               default=[], metavar="GLOB=RATIO",
-                               help="per-metric threshold override "
-                                    "(repeatable, first match wins)")
-    bench_compare.add_argument("--min-time", type=float, default=1e-3,
-                               help="ignore timers under this many "
-                                    "seconds in both runs (noise floor)")
-    bench_compare.add_argument("--speedup-floor", action="append",
-                               default=[], metavar="GLOB=RATIO",
-                               help="minimum value for derived speedups in "
-                                    "the CURRENT artifact (repeatable); a "
-                                    "matching speedup below RATIO fails the "
-                                    "comparison")
-    bench_compare.add_argument("--require-complete", action="store_true",
-                               help="fail (exit non-zero) when the current "
-                                    "run is missing artifacts the baseline "
-                                    "has, instead of warning")
-    bench_compare.set_defaults(fn=_cmd_bench_compare)
-
-    replay = sub.add_parser(
-        "replay",
-        help="re-run a recorded manifest and assert byte-identical output",
-    )
-    replay.add_argument("manifest_path", metavar="MANIFEST",
-                        help="manifest written by --manifest")
-    replay.set_defaults(fn=_cmd_replay)
-
-    _add_command(sub, "report", _cmd_report)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name in COMMANDS:
+        _add_command(subparsers, name)
     return parser
 
 
@@ -1234,8 +1193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_argv = list(argv) if argv is not None else list(sys.argv[1:])
     args = parser.parse_args(run_argv)
     args.run_argv = run_argv
-    if args.command in COMMANDS:
-        _apply_requirements(parser, args)
+    _apply_requirements(parser, args)
     if hasattr(args, "obs_report"):
         return _run_with_observability(args)
     return args.fn(args)

@@ -17,7 +17,9 @@ checkpoint run keys.  Because the argv is derived in a fixed parameter
 order with defaults elided, two requests that mean the same run hash
 identically regardless of JSON key order or explicit-vs-default
 booleans, which is what makes result caching and single-flight
-deduplication collapse them.
+deduplication collapse them.  A float lowers to a string that parses
+back to the same float, so two requests that differ in any digit never
+share a key, and the child runs the value the journal records.
 
 Resilience flags (checkpoint dir, resume, deadline) are deliberately
 *not* part of the spec or its key: they change how a run executes, not
@@ -200,9 +202,13 @@ class JobSpec:
 
 
 def _argv_str(value: Any) -> str:
-    """Canonical string form of one argv value (floats via ``repr``-g)."""
+    """Canonical string form of one argv value.  A float takes its short
+    ``:g`` form when that parses back to the same float, else its
+    ``repr`` (the shortest string that does), so the child runs exactly
+    the requested value and distinct values never share a cache key."""
     if isinstance(value, float):
-        return f"{value:g}"
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
     return str(value)
 
 

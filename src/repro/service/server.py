@@ -43,6 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.cli import command_params
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import JobSpec
 from repro.service.runner import ChildCliExecutor, JobManager
@@ -55,24 +56,35 @@ _CANCEL_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_-]+)/cancel$")
 _MAX_BODY = 1 << 20  # a job request is a small JSON document
 
 
+def _serve_defaults(cls):
+    """Give each field the default of its ``serve`` flag, declared once
+    in :data:`repro.cli.COMMANDS`; a required flag's field has none."""
+    for name, param in command_params("serve").items():
+        if not param.required:
+            setattr(cls, name, param.default)
+    return cls
+
+
 @dataclass(frozen=True)
+@_serve_defaults
 class ServiceConfig:
-    """Everything ``serve`` needs to stand up one service instance."""
+    """Everything ``serve`` needs to stand up one service instance: one
+    field per ``serve`` flag, with that flag's default."""
 
     state_dir: Union[str, Path]
-    host: str = "127.0.0.1"
-    port: int = 0  # 0: ephemeral, reported on stdout
-    workers: int = 2
-    queue_capacity: int = 16
-    cache_budget: Optional[int] = None
-    max_attempts: int = 3
-    breaker_threshold: int = 3
-    chunk_size: int = 4
-    chunk_timeout: Optional[float] = None
-    job_timeout: float = 900.0
-    default_deadline: Optional[float] = None
-    drain_grace: float = 30.0
-    verbose: bool = False
+    host: str
+    port: int  # 0: ephemeral, reported on stdout
+    workers: int
+    queue_capacity: int
+    cache_budget: Optional[int]
+    max_attempts: int
+    breaker_threshold: int
+    chunk_size: int
+    chunk_timeout: Optional[float]
+    job_timeout: float
+    default_deadline: Optional[float]
+    drain_grace: float
+    verbose: bool
 
 
 class CampaignService:

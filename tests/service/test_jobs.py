@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import SCHEME_CHOICES, command_params
+from repro.cli import SCHEME_CHOICES, build_parser, command_params
 from tests.test_cli import OUT_OF_DOMAIN
 from repro.service.jobs import (
     JOB_KINDS,
@@ -136,6 +136,15 @@ class TestCacheKey:
         b = JobSpec.from_request("chaos", {"seed": 7})
         assert a.cache_key != b.cache_key
 
+    def test_float_keeps_every_digit(self):
+        """Floats that agree to six significant digits are still two
+        runs: distinct keys, and each child parses the requested value."""
+        rates = (0.0012345678, 0.0012345679)
+        specs = [JobSpec.from_request("chaos", {"rates": [r]}) for r in rates]
+        assert specs[0].cache_key != specs[1].cache_key
+        for spec, rate in zip(specs, rates):
+            assert build_parser().parse_args(spec.to_argv()).rates == [rate]
+
     def test_key_is_a_16_hex_config_hash(self):
         key = job_cache_key(JobSpec.from_request("sweep", {"figure": 7}))
         assert len(key) == 16
@@ -182,7 +191,8 @@ class TestRoundTrips:
 #: when the service declared its own parameter table.  Together the
 #: requests set every parameter of the four kinds; a changed argv or
 #: key would orphan every cached result and checkpoint a running
-#: service already holds.
+#: service already holds.  The one float with more than six significant
+#: digits lowers in full: its ``:g`` form ran a different run.
 PINNED_REQUESTS = [
     ("sweep", {}, ["sweep"], "9e32eeb434359f1f"),
     ("sweep",
@@ -211,11 +221,11 @@ PINNED_REQUESTS = [
      {"backend": "compiled", "seed": 3, "instructions": 32, "cols": 5,
       "rows": 4, "stall_rate": 0.001, "drop_rate": 0.01,
       "rounds": [1, 3, 16], "rates": [0, 0.001, 1e-05, 0.0012345678]},
-     ["chaos", "--rates", "0", "0.001", "1e-05", "0.00123457", "--rounds",
-      "1", "3", "16", "--drop-rate", "0.01", "--stall-rate", "0.001",
-      "--rows", "4", "--cols", "5", "--instructions", "32", "--seed", "3",
-      "--backend", "compiled"],
-     "5eb3c43047a6f399"),
+     ["chaos", "--rates", "0", "0.001", "1e-05", "0.0012345678",
+      "--rounds", "1", "3", "16", "--drop-rate", "0.01", "--stall-rate",
+      "0.001", "--rows", "4", "--cols", "5", "--instructions", "32",
+      "--seed", "3", "--backend", "compiled"],
+     "d8265c8c5cf6434e"),
     ("lifecycle", {}, ["lifecycle"], "ecf6b9813c2fe729"),
     ("lifecycle",
      {"seed": 11, "cols": 3, "rows": 3, "instructions": 24, "jobs": 2,

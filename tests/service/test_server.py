@@ -4,6 +4,7 @@ A fake executor keeps these fast and deterministic; the full child
 process path over HTTP is covered by ``test_service_e2e``.
 """
 
+import dataclasses
 import json
 import threading
 import time
@@ -12,6 +13,7 @@ import urllib.request
 
 import pytest
 
+from repro.cli import main
 from repro.service.runner import JobOutput
 from repro.service.server import CampaignService, ServiceConfig
 
@@ -271,3 +273,47 @@ class TestDraining:
             assert _request(base, "GET", "/v1/jobs")[0] == 200
         finally:
             service.drain_and_stop(grace=0.0)
+
+
+class TestServeCommand:
+    """``serve`` hands the service exactly the settings it was given,
+    and its defaults are the ``ServiceConfig`` defaults (one source)."""
+
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(
+            CampaignService, "serve",
+            lambda service: configs.append(service.config) or 0,
+        )
+        return configs
+
+    def test_every_flag_reaches_the_config(self, served, tmp_path):
+        state = str(tmp_path / "state")
+        assert main([
+            "serve", "--state-dir", state, "--host", "0.0.0.0",
+            "--port", "8123", "--workers", "3", "--queue-capacity", "5",
+            "--cache-budget", "1024", "--max-attempts", "4",
+            "--breaker-threshold", "2", "--chunk-size", "7",
+            "--chunk-timeout", "12.5", "--job-timeout", "60",
+            "--default-deadline", "30", "--drain-grace", "0", "--verbose",
+        ]) == 0
+        expected = ServiceConfig(
+            state_dir=state, host="0.0.0.0", port=8123, workers=3,
+            queue_capacity=5, cache_budget=1024, max_attempts=4,
+            breaker_threshold=2, chunk_size=7, chunk_timeout=12.5,
+            job_timeout=60.0, default_deadline=30.0, drain_grace=0.0,
+            verbose=True,
+        )
+        assert served == [expected]
+        defaults = ServiceConfig(state_dir=state)
+        assert all(
+            getattr(expected, field.name) != getattr(defaults, field.name)
+            for field in dataclasses.fields(ServiceConfig)
+            if field.name != "state_dir"
+        )
+
+    def test_defaults_match_the_dataclass(self, served, tmp_path):
+        state = str(tmp_path / "state")
+        assert main(["serve", "--state-dir", state]) == 0
+        assert served == [ServiceConfig(state_dir=state)]

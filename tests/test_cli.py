@@ -52,6 +52,35 @@ OUT_OF_DOMAIN = [
     (["yield", "--density", "-0.1"], None,
      "--density: must be within [0, 1]"),
     (["yield", "--variants", "nosuch"], None, "--variants: invalid choice"),
+    (["yield", "--seed", "-1"], None, "--seed: must be at least 0, got -1"),
+    (["analyze", "--target", "150"], None,
+     "--target: must be within (0, 100], got 150"),
+    (["analyze", "--target", "0"], None,
+     "--target: must be within (0, 100], got 0"),
+    (["analyze", "--fault-percent", "-5"], None,
+     "--fault-percent: must be within [0, 100], got -5"),
+    (["analyze", "--threshold", "-1"], None,
+     "--threshold: must be at least 0, got -1"),
+    (["chaos-exec", "--timeout", "0"], None,
+     "--timeout: must be greater than 0, got 0"),
+    (["chaos-exec", "--seed", "-1"], None,
+     "--seed: must be at least 0, got -1"),
+    (["serve", "--state-dir", "d", "--workers", "0"], None,
+     "--workers: must be at least 1, got 0"),
+    (["serve", "--state-dir", "d", "--port", "70000"], None,
+     "--port: must be within [0, 65535], got 70000"),
+    (["serve", "--state-dir", "d", "--chunk-size", "0"], None,
+     "--chunk-size: must be at least 1, got 0"),
+    (["serve", "--state-dir", "d", "--chunk-timeout", "0"], None,
+     "--chunk-timeout: must be greater than 0, got 0"),
+    (["serve", "--state-dir", "d", "--default-deadline", "0"], None,
+     "--default-deadline: must be greater than 0, got 0"),
+    (["bench", "run", "--timeout", "0"], None,
+     "--timeout: must be greater than 0, got 0"),
+    (["bench", "compare", "a", "b", "--threshold-for", "bogus"], None,
+     "--threshold-for: expected GLOB=RATIO, got 'bogus'"),
+    (["bench", "compare", "a", "b", "--speedup-floor", "x=abc"], None,
+     "--speedup-floor: not a number: 'abc'"),
 ]
 
 
@@ -265,11 +294,15 @@ class TestParser:
         "argv, _job, message", OUT_OF_DOMAIN,
         ids=[" ".join(case[0]) for case in OUT_OF_DOMAIN],
     )
-    def test_bad_input_is_a_usage_error(self, capsys, argv, _job, message):
+    def test_bad_input_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, argv, _job, message
+    ):
+        monkeypatch.chdir(tmp_path)  # a usage error writes no state
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_default_taxonomy_without_processes(self, capsys):
         argv = ["lifecycle", "--jobs", "1", "--instructions", "8",

@@ -58,7 +58,8 @@ class TestPublicSurface:
     )
     def test_cli_start_up_loads_no_numeric_stack(self, statement):
         """The parser's choices are literal and Table 1 is static text, so
-        none of these loads NumPy or the ALU, fault or kernel code."""
+        none of these loads NumPy, the ALU, fault or kernel code, or the
+        campaign service."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -74,7 +75,10 @@ class TestPublicSurface:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.split("MODULES", 1)[1].split()
-        for package in ("numpy", "repro.alu", "repro.faults", "repro.kernels"):
+        for package in (
+            "numpy", "repro.alu", "repro.faults", "repro.kernels",
+            "repro.service",
+        ):
             assert not any(
                 m == package or m.startswith(package + ".") for m in loaded
             ), (package, loaded)
