@@ -14,8 +14,8 @@ def run_ablation():
     return hamming_block_size_ablation(trials_per_workload=scaled(3, 1))
 
 
-def test_bench_hamming_block_size(benchmark):
-    series = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_bench_hamming_block_size():
+    series = run_ablation()
     print_series("Hamming block size (paper uses 16)", ABLATION_PERCENTS,
                  series)
     if not SMOKE:

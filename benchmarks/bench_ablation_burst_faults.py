@@ -44,8 +44,8 @@ def run_matrix():
     return results
 
 
-def test_bench_burst_faults_vs_layout(benchmark):
-    results = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+def test_bench_burst_faults_vs_layout():
+    results = run_matrix()
     print()
     print(f"  {'layout':>18}  {'uniform':>8}  {'burst(4)':>8}")
     for scheme in ("tmr", "tmr-interleaved"):

@@ -26,8 +26,8 @@ def run_comparison():
     return series
 
 
-def test_bench_faulty_decoder(benchmark):
-    series = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_bench_faulty_decoder():
+    series = run_comparison()
     print_series("Hamming LUT: ideal vs fault-prone decoder logic",
                  PERCENTS, series)
     gate_alu = SimplexALU(NanoBoxALU(scheme="hamming-gate"))

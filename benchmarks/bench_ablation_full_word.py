@@ -59,8 +59,8 @@ def corruption_rates():
     return rows
 
 
-def test_bench_full_word_tmr(benchmark):
-    rows = benchmark.pedantic(corruption_rates, rounds=1, iterations=1)
+def test_bench_full_word_tmr():
+    rows = corruption_rates()
     print()
     print(f"  {'upset p':>8}  {'paper layout':>12}  {'full TMR':>9}")
     for p, paper, full in rows:

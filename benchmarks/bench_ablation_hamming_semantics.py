@@ -19,8 +19,8 @@ def run_ablation():
     return hamming_semantics_ablation(trials_per_workload=scaled(3, 1))
 
 
-def test_bench_hamming_semantics(benchmark):
-    series = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_bench_hamming_semantics():
+    series = run_ablation()
     print_series("Hamming decoder semantics", ABLATION_PERCENTS, series)
     if SMOKE:
         return

@@ -26,8 +26,8 @@ def run_comparison():
     return series
 
 
-def test_bench_hsiao_information_code(benchmark):
-    series = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_bench_hsiao_information_code():
+    series = run_comparison()
     print_series("Information codes: Hsiao SEC-DED vs paper Hamming",
                  PERCENTS, series)
     if not SMOKE:

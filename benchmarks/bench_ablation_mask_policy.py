@@ -14,8 +14,8 @@ def run_ablation():
     return mask_policy_ablation(trials_per_workload=scaled(4, 1))
 
 
-def test_bench_mask_policy(benchmark):
-    series = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_bench_mask_policy():
+    series = run_ablation()
     print_series("Mask policy (TMR ALU)", ABLATION_PERCENTS, series)
     tolerance = 25.0 if SMOKE else 10.0
     for i, pct in enumerate(ABLATION_PERCENTS):

@@ -13,8 +13,8 @@ def run_ablation():
     return redundancy_order_ablation(trials_per_workload=scaled(3, 1))
 
 
-def test_bench_redundancy_order(benchmark):
-    series = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_bench_redundancy_order():
+    series = run_ablation()
     print_series("Bit-level replication order", ABLATION_PERCENTS, series)
     if SMOKE:
         return

@@ -15,8 +15,8 @@ def run_ablation():
     return voter_coding_ablation(trials_per_workload=scaled(3, 1))
 
 
-def test_bench_voter_coding(benchmark):
-    series = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_bench_voter_coding():
+    series = run_ablation()
     print_series("Module-voter construction (TMR cores)", ABLATION_PERCENTS,
                  series)
     if not SMOKE:

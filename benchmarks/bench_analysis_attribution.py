@@ -17,8 +17,8 @@ def run_study():
     )
 
 
-def test_bench_fault_attribution(benchmark):
-    report = benchmark.pedantic(run_study, rounds=1, iterations=1)
+def test_bench_fault_attribution():
+    report = run_study()
     print()
     print(attribution_table_text(report))
     coverage = report.coverage_by_count

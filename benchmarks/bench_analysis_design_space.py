@@ -25,9 +25,8 @@ def run_analysis():
     return budgets, tradeoffs
 
 
-def test_bench_design_space(benchmark):
-    budgets, tradeoffs = benchmark.pedantic(run_analysis, rounds=1,
-                                            iterations=1)
+def test_bench_design_space():
+    budgets, tradeoffs = run_analysis()
     print()
     rows = [
         (scheme, f"{frac * 100:.3f}%", f"{fit:.2e}")

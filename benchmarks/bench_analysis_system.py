@@ -37,8 +37,8 @@ def run_analysis():
     return rows
 
 
-def test_bench_watchdog_horizons(benchmark):
-    rows = benchmark.pedantic(run_analysis, rounds=1, iterations=1)
+def test_bench_watchdog_horizons():
+    rows = run_analysis()
     print()
     rendered = [
         (scheme, f"{p:g}", f"{d:.4f}", f"{mean:.0f}", f"{alive:.1f}/64",

@@ -33,10 +33,8 @@ def run(adaptive: bool):
     return outcome, reachable
 
 
-def test_bench_adaptive_routing(benchmark):
-    (adaptive_outcome, adaptive_reach) = benchmark.pedantic(
-        run, args=(True,), rounds=1, iterations=1
-    )
+def test_bench_adaptive_routing():
+    (adaptive_outcome, adaptive_reach) = run(True)
     deterministic_outcome, deterministic_reach = run(False)
 
     print()

@@ -37,8 +37,8 @@ def run_sweep():
     )
 
 
-def test_bench_chaos_fabric_sweep(benchmark):
-    points = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_chaos_fabric_sweep():
+    points = run_sweep()
     print()
     print(chaos_table_text(points))
 

@@ -27,10 +27,8 @@ def run_checksum_tree():
     return sim, program, outcome
 
 
-def test_bench_dataflow_checksum_tree(benchmark):
-    sim, program, outcome = benchmark.pedantic(
-        run_checksum_tree, rounds=1, iterations=1
-    )
+def test_bench_dataflow_checksum_tree():
+    sim, program, outcome = run_checksum_tree()
     print()
     print(f"  {len(program)} nodes in {program.depth} waves, "
           f"{sim.grid.cycle} total fabric cycles")
@@ -46,8 +44,8 @@ def run_fir():
     return program, outcome
 
 
-def test_bench_dataflow_fir(benchmark):
-    program, outcome = benchmark.pedantic(run_fir, rounds=1, iterations=1)
+def test_bench_dataflow_fir():
+    program, outcome = run_fir()
     print()
     print(f"  FIR: {len(program)} nodes, depth {program.depth}, "
           f"complete={outcome.complete}")

@@ -21,8 +21,8 @@ def run_sweep():
     )
 
 
-def test_bench_defect_yield(benchmark):
-    points = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_defect_yield():
+    points = run_sweep()
     print()
     print(yield_table_text(points))
 

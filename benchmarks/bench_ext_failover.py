@@ -28,8 +28,8 @@ def run_failover_job():
     return sim.run_image_job(gradient(*SIZE), hue_shift(), max_rounds=4)
 
 
-def test_bench_failover_recovery(benchmark):
-    outcome = benchmark.pedantic(run_failover_job, rounds=1, iterations=1)
+def test_bench_failover_recovery():
+    outcome = run_failover_job()
     stats = outcome.stats
     print()
     print(f"  failed cells : {stats.failed_cells}")
@@ -52,10 +52,10 @@ def run_unsalvageable_job():
     return sim.run_image_job(gradient(*SIZE), hue_shift(), max_rounds=4)
 
 
-def test_bench_failover_without_salvage(benchmark):
+def test_bench_failover_without_salvage():
     """When the dead cell's memory is gone too, only the control
     processor's retry protocol recovers -- at a cycle cost."""
-    outcome = benchmark.pedantic(run_unsalvageable_job, rounds=1, iterations=1)
+    outcome = run_unsalvageable_job()
     print()
     print(f"  rounds={outcome.job.rounds} cycles={outcome.stats.cycles} "
           f"accuracy={outcome.pixel_accuracy:.3f}")

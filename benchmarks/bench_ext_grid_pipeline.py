@@ -1,12 +1,11 @@
 """Extension (paper Section 7): cycle-based full-system simulation.
 
-Times a complete shift-in / compute / shift-out image job on the grid --
+Runs a complete shift-in / compute / shift-out image job on the grid --
 the paper's envisioned deployment -- and reports the per-phase cycle
 budget, which is dominated by serialising 8-flit instruction packets over
 the 8-bit edge buses exactly as the paper's bus math predicts.
 """
 
-from benchmarks.conftest import scaled
 from repro.grid.simulator import GridSimulator
 from repro.workloads.bitmap import gradient
 from repro.workloads.imaging import reverse_video
@@ -17,9 +16,8 @@ def run_pipeline():
     return sim.run_image_job(gradient(8, 8), reverse_video())
 
 
-def test_bench_grid_image_pipeline(benchmark):
-    outcome = benchmark.pedantic(run_pipeline, rounds=scaled(2, 1),
-                                 iterations=1)
+def test_bench_grid_image_pipeline():
+    outcome = run_pipeline()
     cycles = outcome.job.cycles
     print()
     print(f"  shift-in {cycles.shift_in} + compute {cycles.compute} + "

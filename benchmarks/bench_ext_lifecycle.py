@@ -40,8 +40,8 @@ def run_sweep():
     )
 
 
-def test_bench_lifecycle_sweep(benchmark):
-    points = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_bench_lifecycle_sweep():
+    points = run_sweep()
     print()
     print(lifecycle_table_text(points))
 

@@ -37,19 +37,15 @@ def misclassification_rate(scheme: str, fault_fraction: float,
     return wrong / trials
 
 
-def test_bench_lut_control_uncoded(benchmark):
-    rate = benchmark.pedantic(
-        misclassification_rate, args=("none", 0.05), rounds=1, iterations=1
-    )
+def test_bench_lut_control_uncoded():
+    rate = misclassification_rate("none", 0.05)
     print(f"\n  uncoded control-flag voter @5% faults: "
           f"{100 * rate:.1f}% words misclassified")
     assert rate > 0.0
 
 
-def test_bench_lut_control_tmr(benchmark):
-    rate_tmr = benchmark.pedantic(
-        misclassification_rate, args=("tmr", 0.05), rounds=1, iterations=1
-    )
+def test_bench_lut_control_tmr():
+    rate_tmr = misclassification_rate("tmr", 0.05)
     rate_none = misclassification_rate("none", 0.05)
     print(f"\n  TMR control-flag voter @5% faults: "
           f"{100 * rate_tmr:.2f}% vs uncoded {100 * rate_none:.2f}%")

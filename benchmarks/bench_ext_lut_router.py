@@ -41,8 +41,8 @@ def run_comparison():
     return {scheme: misroute_rates(scheme) for scheme in ("none", "tmr")}
 
 
-def test_bench_lut_router(benchmark):
-    results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_bench_lut_router():
+    results = run_comparison()
     print()
     print(f"  {'fault %':>8}  {'uncoded':>9}  {'tmr':>9}")
     for i, percent in enumerate(PERCENTS):
@@ -83,10 +83,8 @@ def run_fabric_job(scheme: str):
     return grid, result
 
 
-def test_bench_lut_router_in_fabric(benchmark):
-    grid_none, result_none = benchmark.pedantic(
-        run_fabric_job, args=("none",), rounds=1, iterations=1
-    )
+def test_bench_lut_router_in_fabric():
+    grid_none, result_none = run_fabric_job("none")
     grid_tmr, result_tmr = run_fabric_job("tmr")
     print()
     for label, grid, result in (("uncoded", grid_none, result_none),

@@ -30,8 +30,8 @@ def run_detection():
     return detection_latency(sizes=SIZES, trials=scaled(60, 20), seed=2004)
 
 
-def test_bench_detection_latency(benchmark):
-    points = benchmark.pedantic(run_detection, rounds=1, iterations=1)
+def test_bench_detection_latency():
+    points = run_detection()
     print()
     print(detection_table_text(points))
     # Watchdog latency is flat; external latency scales with cell count.
@@ -45,8 +45,8 @@ def run_pipeline():
     return pipeline_scaling(sizes=((2, 2), (2, 4), (4, 4), (4, 8)), seed=0)
 
 
-def test_bench_pipeline_scaling(benchmark):
-    points = benchmark.pedantic(run_pipeline, rounds=1, iterations=1)
+def test_bench_pipeline_scaling():
+    points = run_pipeline()
     print()
     print(pipeline_table_text(points))
     by_shape = {(p.rows, p.cols): p for p in points}
@@ -109,10 +109,8 @@ def run_engine_scaling():
     return dense, grid, fleet
 
 
-def test_bench_engine_scaling(benchmark):
-    dense, grid, fleet = benchmark.pedantic(
-        run_engine_scaling, rounds=1, iterations=1
-    )
+def test_bench_engine_scaling():
+    dense, grid, fleet = run_engine_scaling()
     rows, cols = ENGINE_COMMON
     speedup = dense[0] / grid[0] if grid[0] else float("inf")
     print()

@@ -41,9 +41,8 @@ def run_sequence(scrub_interval: int):
     return accuracies, len(sim.grid.alive_cells()), sim.scrub_corrections
 
 
-def test_bench_soak_sequence(benchmark):
-    scrubbed = benchmark.pedantic(run_sequence, args=(8,), rounds=1,
-                                  iterations=1)
+def test_bench_soak_sequence():
+    scrubbed = run_sequence(8)
     plain = run_sequence(0)
     print()
     print(f"  {'job':>4}  {'no scrub':>9}  {'scrub/8':>9}")
@@ -101,8 +100,8 @@ def run_fleet_wave():
     )
 
 
-def test_bench_fleet_wave_soak(benchmark):
-    report = benchmark.pedantic(run_fleet_wave, rounds=1, iterations=1)
+def test_bench_fleet_wave_soak():
+    report = run_fleet_wave()
     rows, cols = FLEET_SHAPE
     print()
     print(f"  fleet {rows}x{cols} ({report.cells} cells), "

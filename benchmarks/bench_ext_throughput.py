@@ -41,9 +41,8 @@ def run_sweep(scheme: str):
     return rows
 
 
-def test_bench_throughput_vs_fault_rate(benchmark):
-    uncoded = benchmark.pedantic(run_sweep, args=("none",), rounds=1,
-                                 iterations=1)
+def test_bench_throughput_vs_fault_rate():
+    uncoded = run_sweep("none")
     tmr = run_sweep("tmr")
     print()
     for scheme, rows in (("none", uncoded), ("tmr", tmr)):

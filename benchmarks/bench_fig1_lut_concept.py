@@ -74,8 +74,8 @@ def run_comparison():
     return results
 
 
-def test_bench_figure1_concept(benchmark):
-    results = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_bench_figure1_concept():
+    results = run_comparison()
     print()
     header = "  ".join(f"{k:>12}" for k in results)
     print(f"  {'fault %':>8}  {header}")

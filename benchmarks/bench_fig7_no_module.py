@@ -19,8 +19,8 @@ def run_figure7():
                    trials_per_workload=BENCH_TRIALS, seed=2004)
 
 
-def test_bench_figure7(benchmark):
-    result = benchmark.pedantic(run_figure7, rounds=1, iterations=1)
+def test_bench_figure7():
+    result = run_figure7()
     series = result.series()
     print_series(result.title, BENCH_PERCENTS, series)
 

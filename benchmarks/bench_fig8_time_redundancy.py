@@ -16,8 +16,8 @@ def run_figure8():
                    trials_per_workload=BENCH_TRIALS, seed=2004)
 
 
-def test_bench_figure8(benchmark):
-    result = benchmark.pedantic(run_figure8, rounds=1, iterations=1)
+def test_bench_figure8():
+    result = run_figure8()
     series = result.series()
     print_series(result.title, BENCH_PERCENTS, series)
 

@@ -15,8 +15,8 @@ def run_figure9():
                    trials_per_workload=BENCH_TRIALS, seed=2004)
 
 
-def test_bench_figure9(benchmark):
-    result = benchmark.pedantic(run_figure9, rounds=1, iterations=1)
+def test_bench_figure9():
+    result = run_figure9()
     series = result.series()
     print_series(result.title, BENCH_PERCENTS, series)
 

@@ -45,7 +45,7 @@ def _resilient_sweep(tmp_path, resume):
     )
 
 
-def test_bench_checkpoint_save_load_roundtrip(benchmark, tmp_path):
+def test_bench_checkpoint_save_load_roundtrip(tmp_path):
     payloads = [
         [{"total": i, "correct": i, "injected_faults": i * 3}] * 4
         for i in range(CHUNKS_PAYLOADS)
@@ -58,35 +58,25 @@ def test_bench_checkpoint_save_load_roundtrip(benchmark, tmp_path):
         loaded = [store.load(index)[0] for index in range(len(payloads))]
         return store, loaded
 
-    store, loaded = benchmark.pedantic(
-        save_and_load, rounds=1 if SMOKE else 3, iterations=1
-    )
+    store, loaded = save_and_load()
     assert loaded == payloads
     assert store.stats.hits == CHUNKS_PAYLOADS
     assert store.stats.corruptions == 0
 
 
-def test_bench_resilient_sweep_cold(benchmark, tmp_path):
+def test_bench_resilient_sweep_cold(tmp_path):
     plain = _plain_sweep()
-    run = benchmark.pedantic(
-        lambda: _resilient_sweep(tmp_path, resume=False),
-        rounds=1 if SMOKE else 3,
-        iterations=1,
-    )
+    run = _resilient_sweep(tmp_path, resume=False)
     # Checkpointing must never perturb the numbers.
     assert run.figure is not None
     assert run.figure.to_text() == plain.to_text()
     assert run.outcome.computed_chunks == run.outcome.chunks
 
 
-def test_bench_resilient_sweep_resume(benchmark, tmp_path):
+def test_bench_resilient_sweep_resume(tmp_path):
     plain = _plain_sweep()
     _resilient_sweep(tmp_path, resume=False)  # populate the store
-    run = benchmark.pedantic(
-        lambda: _resilient_sweep(tmp_path, resume=True),
-        rounds=1 if SMOKE else 3,
-        iterations=1,
-    )
+    run = _resilient_sweep(tmp_path, resume=True)
     assert run.figure is not None
     assert run.figure.to_text() == plain.to_text()
     assert run.outcome.reused_chunks == run.outcome.chunks

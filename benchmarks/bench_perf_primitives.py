@@ -1,8 +1,7 @@
 """Performance baselines for the simulation primitives.
 
-Not a paper experiment: these benchmarks track the cost of the hot
-operations every sweep is built from, so performance regressions in the
-substrate show up directly in CI history.
+Not a paper experiment: these checks exercise the hot operations every
+sweep is built from and pin each one's result.
 """
 
 import numpy as np
@@ -21,39 +20,39 @@ def rng():
     return np.random.default_rng(0)
 
 
-def test_bench_lut_read_tmr(benchmark):
+def test_bench_lut_read_tmr():
     lut = CodedLUT(TruthTable.from_function(5, lambda *b: sum(b) % 2), "tmr")
-    result = benchmark(lut.read, 13, 1 << 45)
+    result = lut.read(13, 1 << 45)
     assert result in (0, 1)
 
 
-def test_bench_lut_read_hamming(benchmark):
+def test_bench_lut_read_hamming():
     lut = CodedLUT(
         TruthTable.from_function(5, lambda *b: sum(b) % 2), "hamming"
     )
-    result = benchmark(lut.read, 13, 1 << 20)
+    result = lut.read(13, 1 << 20)
     assert result in (0, 1)
 
 
-def test_bench_mask_generation_aluss(benchmark, rng):
+def test_bench_mask_generation_aluss(rng):
     policy = ExactFractionMask(0.03)
-    mask = benchmark(policy.generate, 5040, rng)
+    mask = policy.generate(5040, rng)
     assert mask >= 0
 
 
-def test_bench_nanobox_compute(benchmark):
+def test_bench_nanobox_compute():
     alu = NanoBoxALU(scheme="tmr")
-    result = benchmark(alu.compute, 0b111, 0xC8, 0x64)
+    result = alu.compute(0b111, 0xC8, 0x64)
     assert result.value == (0xC8 + 0x64) & 0xFF
 
 
-def test_bench_cmos_compute(benchmark):
+def test_bench_cmos_compute():
     alu = CMOSALU()
-    result = benchmark(alu.compute, 0b111, 0xC8, 0x64)
+    result = alu.compute(0b111, 0xC8, 0x64)
     assert result.value == (0xC8 + 0x64) & 0xFF
 
 
-def test_bench_aluss_full_computation(benchmark, rng):
+def test_bench_aluss_full_computation(rng):
     """One instruction on the paper's headline config with a 3% mask --
     the inner loop of every Figure 9 data point."""
     alu = build_alu("aluss")
@@ -63,5 +62,5 @@ def test_bench_aluss_full_computation(benchmark, rng):
         mask = policy.generate(alu.site_count, rng)
         return alu.compute(0b010, 0xAA, 0x55, fault_mask=mask)
 
-    result = benchmark(one_instruction)
+    result = one_instruction()
     assert 0 <= result.value <= 255

@@ -25,7 +25,7 @@ from repro.service.runner import JobManager, JobOutput
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Entries per cache round-trip round, and payload size in bytes.
+#: Entries per cache round trip, and payload size in bytes.
 CACHE_ENTRIES = 8 if SMOKE else 64
 PAYLOAD_BYTES = 1 << 12 if SMOKE else 1 << 16
 
@@ -34,7 +34,7 @@ STORM_SUBMISSIONS = 24 if SMOKE else 240
 STORM_DISTINCT = 3 if SMOKE else 12
 
 
-def test_bench_result_cache_roundtrip(benchmark, tmp_path):
+def test_bench_result_cache_roundtrip(tmp_path):
     payloads = {
         f"key{index:04x}": bytes([index % 251]) * PAYLOAD_BYTES
         for index in range(CACHE_ENTRIES)
@@ -47,9 +47,7 @@ def test_bench_result_cache_roundtrip(benchmark, tmp_path):
         loaded = {key: cache.get(key) for key in payloads}
         return cache, loaded
 
-    cache, loaded = benchmark.pedantic(
-        put_and_get, rounds=1 if SMOKE else 3, iterations=1
-    )
+    cache, loaded = put_and_get()
     assert loaded == payloads
     assert cache.stats.hits == CACHE_ENTRIES
     assert cache.stats.corruptions == 0
@@ -77,17 +75,16 @@ class _InProcessExecutor:
         )
 
 
-def test_bench_single_flight_dedup_storm(benchmark, tmp_path):
+def test_bench_single_flight_dedup_storm(tmp_path):
     specs = [
         JobSpec.from_request("grid", {"rows": 4, "cols": 4, "seed": index})
         for index in range(STORM_DISTINCT)
     ]
 
-    def storm(round_index=[0]):
-        round_index[0] += 1
+    def storm():
         executor = _InProcessExecutor()
         manager = JobManager(
-            tmp_path / f"state{round_index[0]}",
+            tmp_path / "state",
             execute=executor,
             workers=4,
             queue_capacity=STORM_SUBMISSIONS,
@@ -107,9 +104,7 @@ def test_bench_single_flight_dedup_storm(benchmark, tmp_path):
         manager.drain(grace=0.0)
         return executor, outcomes, responses
 
-    executor, outcomes, responses = benchmark.pedantic(
-        storm, rounds=1 if SMOKE else 3, iterations=1
-    )
+    executor, outcomes, responses = storm()
     # The dup-storm invariant, measured: one computation per distinct
     # spec, every response present and byte-identical to it.
     assert executor.calls == {spec.cache_key: 1 for spec in specs}

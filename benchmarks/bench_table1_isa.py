@@ -1,6 +1,6 @@
 """Table 1: the processor-cell ALU instruction set.
 
-Times single-instruction execution on the NanoBox lookup-table ALU per
+Runs single-instruction execution on the NanoBox lookup-table ALU per
 opcode and asserts the ISA semantics the table defines.
 """
 
@@ -18,16 +18,16 @@ def alu():
 
 
 @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda o: o.name)
-def test_bench_instruction(benchmark, alu, opcode):
+def test_bench_instruction(alu, opcode):
     """One fault-free instruction through the TMR-coded LUT datapath."""
-    result = benchmark(alu.compute, int(opcode), 0xC8, 0x64)
+    result = alu.compute(int(opcode), 0xC8, 0x64)
     want = reference_compute(int(opcode), 0xC8, 0x64)
     assert (result.value, result.carry) == (want.value, want.carry)
 
 
-def test_bench_table1_render(benchmark):
+def test_bench_table1_render():
     """Regenerate the table itself."""
-    text = benchmark(table1_text)
+    text = table1_text()
     print()
     print(text)
     for row in ("000  AND", "001  OR", "010  XOR", "111  ADD"):

@@ -9,8 +9,8 @@ import pytest
 from repro.experiments.area import area_rows, area_table_text, headline_overhead
 
 
-def test_bench_area_overhead(benchmark):
-    rows = benchmark(area_rows)
+def test_bench_area_overhead():
+    rows = area_rows()
     print()
     print(area_table_text())
     ratios = {name: ratio for name, _, ratio, _ in rows}

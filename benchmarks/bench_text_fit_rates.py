@@ -12,8 +12,8 @@ from benchmarks.conftest import scaled
 from repro.experiments.fit_table import fit_rows, fit_table_text, headline_claims
 
 
-def test_bench_fit_translation(benchmark):
-    rows = benchmark(fit_rows, "aluss")
+def test_bench_fit_translation():
+    rows = fit_rows("aluss")
     print()
     print(fit_table_text("aluss"))
     table = {pct: (faults, fit) for pct, faults, fit in rows}
@@ -22,11 +22,8 @@ def test_bench_fit_translation(benchmark):
     assert table[3][1] > 1e24
 
 
-def test_bench_headline_claims(benchmark):
-    claims = benchmark.pedantic(
-        headline_claims, kwargs=dict(trials_per_workload=scaled(5, 2), seed=2004),
-        rounds=1, iterations=1,
-    )
+def test_bench_headline_claims():
+    claims = headline_claims(trials_per_workload=scaled(5, 2), seed=2004)
     print()
     for claim in claims:
         status = "OK" if claim.holds else "FAIL"

@@ -31,14 +31,6 @@ Observability never changes results: the command's primary output is
 bit-identical with or without these flags, which is exactly what
 ``replay`` asserts (byte-for-byte) against a recorded manifest.
 
-The benchmark harness lives under ``bench``::
-
-    nanobox-repro bench run --smoke --filter 'perf_*'
-    nanobox-repro bench compare results/bench_baseline results/bench
-
-emitting one schema-versioned ``BENCH_<name>.json`` per benchmark script
-and diffing two artifact sets with per-metric regression thresholds.
-
 ``sweep``/``grid``/``chaos``/``lifecycle`` are additionally
 crash-safe: ``--checkpoint-dir`` stores completed work chunks durably,
 ``--resume`` completes an interrupted run with byte-identical stdout,
@@ -51,12 +43,12 @@ status 3) that a later ``--resume`` finishes::
                                                        # faults against runs
                                                        # and the service
 
-Every subcommand, ``serve`` and the ``bench`` pair included, is declared
-once in :data:`COMMANDS`: each argument's flag, domain type, default and
-help.  ``build_parser`` builds the parser from that table alone, so an
+Every subcommand, ``serve`` included, is declared once in
+:data:`COMMANDS`: each argument's flag, domain type, default and help.
+``build_parser`` builds the parser from that table alone, so an
 out-of-domain value is a usage error (exit 2) on every command; the
 campaign service validates job requests and takes its ``ServiceConfig``
-defaults from the same entries.
+defaults and domains from the same entries.
 
 Also available as ``python -m repro.cli``.
 """
@@ -184,15 +176,6 @@ _rate = _in_range(float, 0, 1, high_open=True)
 _percent = _in_range(float, 0, 100)
 _non_negative = _in_range(float, 0)
 _seconds = _in_range(float, 0, low_open=True)
-_ratio = _in_range(float, 0, low_open=True)
-
-
-def _glob_ratio(spec: str) -> Tuple[str, float]:
-    """Parse ``GLOB=RATIO`` into ``(glob, ratio)``, the ratio above 0."""
-    pattern, equals, ratio = spec.partition("=")
-    if not equals:
-        raise argparse.ArgumentTypeError(f"expected GLOB=RATIO, got {spec!r}")
-    return pattern, _ratio(ratio)
 
 
 def _parse_kill(spec: str) -> Tuple[int, Tuple[int, int]]:
@@ -299,12 +282,10 @@ _JOBS_HELP = (
 
 #: Every subcommand, declared once: ``name -> (help, own arguments in
 #: --help order, flag families)``.  ``build_parser`` builds one
-#: subparser per entry, in this order; a name with a space (``bench
-#: run``) is a subcommand of the entry it extends, and a leaf command
-#: runs ``_cmd_<name>`` (spaces and hyphens read as underscores).  The
-#: campaign service validates job requests and lowers them to argv with
-#: the same entries, and ``ServiceConfig`` takes its defaults from
-#: ``serve``'s.
+#: subparser per entry, in this order, and each runs ``_cmd_<name>``
+#: (hyphens read as underscores).  The campaign service validates job
+#: requests and lowers them to argv with the same entries, and
+#: ``ServiceConfig`` takes its defaults and domains from ``serve``'s.
 COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
     "table1": ("print the ISA table", (), ()),
     "table2": ("print variants and fault-site counts", (), ()),
@@ -449,47 +430,6 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
         Param("--cols", type=_positive_int, default=4),
         Param("--seed", type=_seed, default=2004),
     ), ("observability", "resilience", "backend")),
-    "bench": ("benchmark telemetry: run scripts, compare artifacts", (), ()),
-    "bench run": (
-        "run benchmarks/bench_*.py and emit BENCH_<name>.json artifacts", (
-            Param("--smoke", action="store_true",
-                  help="export REPRO_BENCH_SMOKE=1: shrunken workloads, "
-                       "CI-fast"),
-            Param("--filter", metavar="GLOB",
-                  help="only scripts whose name matches (e.g. 'perf_*', "
-                       "'bench_fig7*')"),
-            Param("--out", metavar="DIR",
-                  help="artifact directory (default: results/bench)"),
-            Param("--seed", type=_seed,
-                  help="harness-level seed recorded in provenance"),
-            Param("--timeout", type=_seconds, default=900.0,
-                  help="per-script wall-clock ceiling in seconds"),
-        ), ()),
-    "bench compare": (
-        "diff two BENCH_*.json artifacts (or directories); exits non-zero "
-        "on regression", (
-            Param("baseline", help="baseline artifact file or directory"),
-            Param("current", help="current artifact file or directory"),
-            Param("--only", metavar="GLOB",
-                  help="restrict to benchmarks matching GLOB"),
-            Param("--threshold", type=_ratio, default=1.5,
-                  help="default regression ratio (current/baseline mean)"),
-            Param("--threshold-for", type=_glob_ratio, action="append",
-                  default=[], metavar="GLOB=RATIO",
-                  help="per-metric threshold override (repeatable, first "
-                       "match wins)"),
-            Param("--min-time", type=_non_negative, default=1e-3,
-                  help="ignore timers under this many seconds in both runs "
-                       "(noise floor)"),
-            Param("--speedup-floor", type=_glob_ratio, action="append",
-                  default=[], metavar="GLOB=RATIO",
-                  help="minimum value for derived speedups in the CURRENT "
-                       "artifact (repeatable); a matching speedup below "
-                       "RATIO fails the comparison"),
-            Param("--require-complete", action="store_true",
-                  help="fail (exit non-zero) when the current run is missing "
-                       "artifacts the baseline has, instead of warning"),
-        ), ()),
     "replay": (
         "re-run a recorded manifest and assert byte-identical output", (
             Param("manifest_path", metavar="MANIFEST",
@@ -1008,72 +948,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return CampaignService(config).serve()
 
 
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.bench import run_benchmarks
-
-    out_dir = Path(args.out) if args.out else None
-    runs = run_benchmarks(
-        filter_glob=args.filter,
-        smoke=args.smoke,
-        out_dir=out_dir,
-        seed=args.seed,
-        timeout=args.timeout,
-        echo=print,
-    )
-    if not runs:
-        print(f"no benchmarks match {args.filter!r}", file=sys.stderr)
-        return 1
-    failed = [run.name for run in runs if not run.passed]
-    total = sum(run.wall_clock for run in runs)
-    print(
-        f"{len(runs)} benchmark(s), {len(failed)} failed, "
-        f"{total:.1f}s total"
-    )
-    if failed:
-        print(f"failed: {', '.join(failed)}", file=sys.stderr)
-    return 1 if failed else 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.obs.compare import compare_paths
-
-    comparisons, warnings, errors = compare_paths(
-        Path(args.baseline),
-        Path(args.current),
-        only=args.only,
-        threshold=args.threshold,
-        thresholds=dict(args.threshold_for) or None,
-        min_time=args.min_time,
-        speedup_floors=dict(args.speedup_floor) or None,
-        require_complete=args.require_complete,
-    )
-    for comparison in comparisons:
-        print(comparison.table_text())
-        print()
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    for error in errors:
-        print(f"error: {error}", file=sys.stderr)
-    regressions = [d for c in comparisons for d in c.regressions]
-    improvements = [d for c in comparisons for d in c.improvements]
-    print(
-        f"{len(comparisons)} benchmark(s) compared: "
-        f"{len(regressions)} regression(s), "
-        f"{len(improvements)} improvement(s)"
-    )
-    for delta in regressions:
-        print(
-            f"REGRESSION: {delta.name} {delta.ratio:.2f}x "
-            f"(limit {delta.threshold:.2f}x)",
-            file=sys.stderr,
-        )
-    return 1 if (regressions or errors or not comparisons) else 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
@@ -1126,13 +1000,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_command(subparsers: Dict[str, Any], name: str) -> None:
-    """Build one :data:`COMMANDS` entry under its parent's subparsers
-    (keyed by command name, ``""`` for the top level); a command that
-    others extend gets subparsers of its own instead of a handler."""
+def _add_command(subparsers, name: str) -> None:
+    """Build one :data:`COMMANDS` entry as a subparser that runs
+    ``_cmd_<name>``."""
     help_text, own, families = COMMANDS[name]
-    parent, _, leaf = name.rpartition(" ")
-    parser = subparsers[parent].add_parser(leaf, help=help_text)
+    parser = subparsers.add_parser(name, help=help_text)
     for param in own:
         param.add_to(parser)
     for family in families:
@@ -1142,12 +1014,7 @@ def _add_command(subparsers: Dict[str, Any], name: str) -> None:
             param.add_to(group)
     if "backend" in families:
         parser.set_defaults(backend=_backend_from_env("auto"))
-    if any(other.startswith(name + " ") for other in COMMANDS):
-        subparsers[name] = parser.add_subparsers(
-            dest=f"{leaf}_command", required=True
-        )
-    else:
-        parser.set_defaults(fn=globals()["_cmd_" + re.sub("[ -]", "_", name)])
+    parser.set_defaults(fn=globals()["_cmd_" + name.replace("-", "_")])
 
 
 def _apply_requirements(
@@ -1182,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
         _backend_from_env()
     except ValueError as exc:
         parser.error(str(exc))  # a usage error (exit 2), not a traceback
-    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    subparsers = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         _add_command(subparsers, name)
     return parser

@@ -1,11 +1,11 @@
 """Crash-consistent file writes shared by every durable-artifact layer.
 
 The paper's thesis -- reliable systems out of unreliable parts -- applies
-to our own infrastructure too: a benchmark artifact, replay manifest, or
+to our own infrastructure too: a metrics export, replay manifest, or
 campaign checkpoint that a crash leaves half-written is worse than one
-that was never written, because downstream consumers (``bench compare``,
-``replay``, checkpoint resume) would read a torn document and either
-choke or, worse, trust it.  Every durable write in this repository
+that was never written, because downstream consumers (``replay``,
+checkpoint resume, the service's result cache) would read a torn
+document and either choke or, worse, trust it.  Every durable write in this repository
 therefore goes through one primitive:
 
     write to a temp file in the same directory

@@ -4,18 +4,13 @@ The observability layer underneath the campaign, executor, grid, and
 lifecycle instrumentation:
 
 * :class:`MetricsRegistry` -- named counters, gauges, and histogram
-  timers (injected monotonic clock; mergeable across worker processes;
-  :meth:`~MetricsRegistry.from_snapshot` round-trips a snapshot back
-  into live instruments);
+  timers (injected monotonic clock; mergeable across worker processes);
 * :class:`TraceLog` -- a typed event bus with ring-buffer retention,
   JSONL export, and :meth:`~TraceLog.to_chrome_trace` Perfetto export;
 * :class:`Observer` / :func:`observing` / :func:`get_observer` -- the
   per-run handle instrumented code reads (a shared no-op by default);
 * :func:`report_metrics` -- the ASCII summary behind the CLI's
   ``--obs-report``;
-* :mod:`repro.obs.bench` / :mod:`repro.obs.compare` -- the benchmark
-  harness emitting schema-versioned ``BENCH_*.json`` artifacts and the
-  regression comparison engine behind ``nanobox-repro bench``;
 * :mod:`repro.obs.provenance` / :mod:`repro.obs.manifest` -- run
   provenance blocks and exact-replay manifests
   (``--manifest`` / ``nanobox-repro replay``).

@@ -188,11 +188,6 @@ class Histogram:
         )
 
 
-#: Default registry clock, aliased so methods named ``time`` inside the
-#: class body cannot shadow the module during default-argument binding.
-_PERF_COUNTER = time.perf_counter
-
-
 class _TimerContext:
     """Reusable ``with registry.time(name):`` context manager."""
 
@@ -345,33 +340,6 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (see :meth:`merge_snapshot`)."""
         self.merge_snapshot(other.snapshot())
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Mapping[str, object],
-        clock: Callable[[], float] = _PERF_COUNTER,
-    ) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` / :meth:`to_json` dump.
-
-        The inverse of :meth:`snapshot` up to sample retention:
-        ``MetricsRegistry.from_snapshot(r.snapshot()).snapshot()
-        == r.snapshot()`` holds exactly (property-tested), which is what
-        offline analysis and ``bench compare`` rely on to reload a
-        ``BENCH_*.json``'s metrics section as live instruments.
-        """
-        registry = MetricsRegistry(clock=clock)
-        registry.merge_snapshot(snapshot)
-        return registry
-
-    @classmethod
-    def from_json(
-        cls,
-        text: str,
-        clock: Callable[[], float] = _PERF_COUNTER,
-    ) -> "MetricsRegistry":
-        """Rebuild a registry from its :meth:`to_json` serialisation."""
-        return cls.from_snapshot(json.loads(text), clock=clock)
 
 
 class _NullCounter(Counter):

@@ -1,13 +1,11 @@
 """Run provenance: who/what/where produced an artifact.
 
-Every durable artifact this layer emits -- ``BENCH_*.json`` benchmark
-documents and ``replay`` manifests -- embeds one :func:`collect_provenance`
-block so a number archived today can be interrogated months later: which
-commit produced it, on what interpreter and NumPy, on what class of
-machine, from which seed and configuration.  This is the same discipline
-the paper's own Monte Carlo tables need (five trials per point mean
-nothing without the seed and variant roster that produced them), applied
-to our performance numbers.
+Every ``replay`` manifest embeds one :func:`collect_provenance` block so
+a run recorded today can be interrogated months later: which commit
+produced it, on what interpreter and NumPy, on what class of machine,
+from which seed and configuration.  This is the same discipline the
+paper's own Monte Carlo tables need (five trials per point mean nothing
+without the seed and variant roster that produced them).
 
 Nothing here perturbs an experiment: provenance is collected *around*
 runs (before/after), never inside instrumented code, and the only
@@ -81,7 +79,7 @@ def git_revision(cwd: Optional[str] = None) -> Dict[str, Any]:
 def package_versions() -> Dict[str, Optional[str]]:
     """Versions of the packages whose behaviour shapes the numbers."""
     versions: Dict[str, Optional[str]] = {}
-    for name in ("repro", "numpy", "pytest", "pytest_benchmark"):
+    for name in ("repro", "numpy"):
         try:
             module = __import__(name)
             versions[name] = getattr(module, "__version__", None)

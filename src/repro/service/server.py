@@ -33,6 +33,7 @@ keeping the artifact-bytes-on-stdout convention of the rest of the CLI.
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import signal
@@ -85,6 +86,18 @@ class ServiceConfig:
     default_deadline: Optional[float]
     drain_grace: float
     verbose: bool
+
+    def __post_init__(self) -> None:
+        """Reject an out-of-domain value as ``serve`` would, so that a
+        library caller cannot start a service whose every job fails."""
+        for name, param in command_params("serve").items():
+            value = getattr(self, name)
+            if param.type is None or value is None:
+                continue
+            try:
+                param.type(str(value))
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 class CampaignService:

@@ -9,11 +9,12 @@ Three contracts the instrumentation relies on:
   order -- and report identical totals;
 * trace events are totally ordered per source, and that order survives
   the extend-merge of worker shards into the parent log;
-* ``MetricsRegistry.from_snapshot`` is a right inverse of
-  ``snapshot()``: rehydrating a snapshot yields a registry whose own
-  snapshot is identical, so archived ``BENCH_*.json`` metrics blocks
-  load back into live instruments without loss.
+* merging a snapshot into an empty registry is lossless: the new
+  registry's own snapshot is identical, so a worker's metrics reach the
+  parent exactly.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,7 +158,7 @@ registry_contents = st.tuples(
 )
 
 
-class TestFromSnapshotRoundTrip:
+class TestSnapshotRoundTrip:
     @staticmethod
     def build(contents):
         counters, gauges, samples = contents
@@ -172,22 +173,28 @@ class TestFromSnapshotRoundTrip:
                 histogram.observe(value)
         return registry
 
+    @staticmethod
+    def rehydrate(snapshot):
+        registry = MetricsRegistry()
+        registry.merge_snapshot(snapshot)
+        return registry
+
     @given(contents=registry_contents)
-    def test_from_snapshot_of_snapshot_is_identity(self, contents):
+    def test_merge_into_empty_registry_is_identity(self, contents):
         registry = self.build(contents)
-        rehydrated = MetricsRegistry.from_snapshot(registry.snapshot())
+        rehydrated = self.rehydrate(registry.snapshot())
         assert rehydrated.snapshot() == registry.snapshot()
 
     @given(contents=registry_contents)
-    def test_from_json_round_trips_the_serialised_form(self, contents):
+    def test_json_form_round_trips(self, contents):
         registry = self.build(contents)
-        rehydrated = MetricsRegistry.from_json(registry.to_json())
+        rehydrated = self.rehydrate(json.loads(registry.to_json()))
         assert rehydrated.to_json() == registry.to_json()
 
     @given(contents=registry_contents)
     def test_rehydrated_instruments_are_live(self, contents):
         registry = self.build(contents)
-        rehydrated = MetricsRegistry.from_snapshot(registry.snapshot())
+        rehydrated = self.rehydrate(registry.snapshot())
         rehydrated.counter("campaign.trials").inc(3)
         baseline = registry.counter("campaign.trials").value
         assert rehydrated.counter("campaign.trials").value == baseline + 3

@@ -1,7 +1,11 @@
 """Tests for run-provenance collection."""
 
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.obs.provenance import (
     PROVENANCE_KEYS,
@@ -11,6 +15,8 @@ from repro.obs.provenance import (
     machine_fingerprint,
     package_versions,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestCollectProvenance:
@@ -48,10 +54,24 @@ class TestGitRevision:
 class TestPackageVersions:
     def test_tracks_the_packages_that_shape_the_numbers(self):
         versions = package_versions()
-        assert set(versions) == {
-            "repro", "numpy", "pytest", "pytest_benchmark"
-        }
+        assert set(versions) == {"repro", "numpy"}
         assert versions["numpy"]  # installed in every supported env
+
+    def test_loads_no_test_tooling(self):
+        """A ``--manifest`` run must not pay for importing pytest."""
+        probe = (
+            "import sys\n"
+            "from repro.obs.provenance import package_versions\n"
+            "package_versions()\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(('pytest', '_pytest'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestMachineFingerprint:

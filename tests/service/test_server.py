@@ -317,3 +317,36 @@ class TestServeCommand:
         state = str(tmp_path / "state")
         assert main(["serve", "--state-dir", state]) == 0
         assert served == [ServiceConfig(state_dir=state)]
+
+
+class TestServiceConfigDomains:
+    """A library caller gets the ``serve`` flags' domains too: an
+    out-of-range setting is refused before any service state exists,
+    not run, retried and failed in every job's child."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("chunk_size", 0, "chunk_size: must be at least 1, got 0"),
+        ("workers", 0, "workers: must be at least 1, got 0"),
+        ("port", 70000, "port: must be within [0, 65535], got 70000"),
+        ("cache_budget", -1, "cache_budget: must be at least 0, got -1"),
+        ("job_timeout", 0, "job_timeout: must be greater than 0, got 0"),
+        ("chunk_timeout", -2.5,
+         "chunk_timeout: must be greater than 0, got -2.5"),
+        ("drain_grace", -1.0, "drain_grace: must be at least 0, got -1.0"),
+        ("max_attempts", 1.5, "max_attempts: not an integer: '1.5'"),
+    ])
+    def test_out_of_domain_setting_is_refused(
+        self, tmp_path, field, value, message
+    ):
+        state = tmp_path / "state"
+        with pytest.raises(ValueError) as exc:
+            ServiceConfig(state_dir=state, **{field: value})
+        assert str(exc.value) == message
+        assert not state.exists()
+
+    def test_in_domain_settings_are_kept(self, tmp_path):
+        config = ServiceConfig(
+            state_dir=tmp_path, port=65535, cache_budget=0, job_timeout=5,
+            chunk_timeout=None, drain_grace=0.0,
+        )
+        assert (config.port, config.job_timeout) == (65535, 5)

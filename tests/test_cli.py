@@ -75,12 +75,6 @@ OUT_OF_DOMAIN = [
      "--chunk-timeout: must be greater than 0, got 0"),
     (["serve", "--state-dir", "d", "--default-deadline", "0"], None,
      "--default-deadline: must be greater than 0, got 0"),
-    (["bench", "run", "--timeout", "0"], None,
-     "--timeout: must be greater than 0, got 0"),
-    (["bench", "compare", "a", "b", "--threshold-for", "bogus"], None,
-     "--threshold-for: expected GLOB=RATIO, got 'bogus'"),
-    (["bench", "compare", "a", "b", "--speedup-floor", "x=abc"], None,
-     "--speedup-floor: not a number: 'abc'"),
 ]
 
 
@@ -335,6 +329,18 @@ class TestParser:
         assert exc.value.code == 2
         assert "--grid-engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bench"], ["bench", "run", "--smoke"],
+        ["bench", "compare", "a", "b"],
+    ])
+    def test_bench_command_is_gone(self, capsys, argv):
+        """The bench scripts run as plain pytest; there is no harness
+        subcommand to reach them through."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_grid_engine_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_GRID_ENGINE", "bogus")
         assert not hasattr(build_parser().parse_args(["grid"]), "grid_engine")
@@ -353,7 +359,7 @@ class TestParser:
 #: when each command still declared its flags by hand; the parameter
 #: table must reproduce them byte for byte.
 HELP_SHA256 = {
-    "": "4478108553ed8df2ac222ef369d94d073de0a34d9773b8726f2708a5e67ce547",
+    "": "17691faf0856cfc0ec7949f791ba1e62d150c3a5b861a02ece1d4ebb63ceb039",
     "table1": "af93ecb3b85459ecc44992e0b3afe90d2ab5ae048a106591bf99a22606559994",
     "table2": "2b0ecbc53cdd80d8ec3c266d2637b4da0042deae2f9458a0fe2a6730095cd4e4",
     "area": "4dfd91c0bf13d7cf3f56e7f0df51f4b519dfd53d355ad92b87c538a028979892",
@@ -367,9 +373,6 @@ HELP_SHA256 = {
     "chaos-exec": "3097e76b4142ea9681fc6d42a0bfcd1155b0a2550ca6b4b9f4d72a1cd2dbcda4",
     "serve": "4854d26d33943e13f80bae69efc04fa8e3cd4a1b69f2be188d25c269c5c725ef",
     "lifecycle": "ad86da9f5b7856f9b3fb966b4d45a66aac51c05ac27388cb1783f5e55143a065",
-    "bench": "008fdfe68c3c6f1efb27cae436e732e6a3caa29f44f4d045ec0076689b54049c",
-    "bench run": "0c7360eee6bc0eccdb5fb7cc18e6641e987a738467ba37cd748c5c63fb30b022",
-    "bench compare": "fd99ad60abe3e7ebf96585a599d0ed5b08bc94729a5956142f178ca3fc15a915",
     "replay": "1032f91cde8cc904d28dc4cfe7cf311269c7ffc03ec1333f5f25cb8304d18c94",
     "report": "57bcc0fe974bb3273e20e971ac8c1b2a6f6455c1c48c4287fe714bee0eb247ac",
 }

@@ -1,4 +1,4 @@
-"""CLI tests for manifests, replay, chrome traces, and ``bench``.
+"""CLI tests for manifests, replay, and chrome traces.
 
 These run the real subcommands in-process via ``main(argv)`` -- the same
 entry point the console script uses -- with the smallest workloads each
@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs.manifest import load_manifest
-from tests.obs.test_bench_harness import canned_artifact
 
 #: Smallest-workload argv for every manifest-recording command family.
 REPLAYABLE = {
@@ -106,101 +105,3 @@ class TestChromeTraceFlag:
         # The command's own output is a prefix: identical, with only the
         # export confirmations appended.
         assert instrumented.startswith(bare)
-
-
-class TestBenchCompareCLI:
-    def write(self, directory, artifact):
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"BENCH_{artifact['name']}.json").write_text(
-            json.dumps(artifact)
-        )
-
-    def test_identical_dirs_pass(self, tmp_path, capsys):
-        artifact = canned_artifact()
-        self.write(tmp_path / "base", artifact)
-        self.write(tmp_path / "curr", artifact)
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"),
-             str(tmp_path / "curr")]
-        ) == 0
-        assert "timer (mean)" in capsys.readouterr().out
-
-    def test_2x_slowdown_fails_with_regression_lines(self, tmp_path, capsys):
-        import copy
-
-        artifact = canned_artifact()
-        slowed = copy.deepcopy(artifact)
-        for stats in slowed["timers"].values():
-            stats["mean"] *= 2.0
-        self.write(tmp_path / "base", artifact)
-        self.write(tmp_path / "curr", slowed)
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"),
-             str(tmp_path / "curr")]
-        ) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out + captured.err
-
-    def test_threshold_for_overrides_per_glob(self, tmp_path):
-        import copy
-
-        artifact = canned_artifact()
-        slowed = copy.deepcopy(artifact)
-        for stats in slowed["timers"].values():
-            stats["mean"] *= 2.0
-        self.write(tmp_path / "base", artifact)
-        self.write(tmp_path / "curr", slowed)
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"),
-             str(tmp_path / "curr"), "--threshold-for", "bench.*=3.0"]
-        ) == 0
-
-    def test_empty_comparison_fails(self, tmp_path):
-        (tmp_path / "base").mkdir()
-        (tmp_path / "curr").mkdir()
-        assert main(
-            ["bench", "compare", str(tmp_path / "base"),
-             str(tmp_path / "curr")]
-        ) == 1
-
-    def test_require_complete_fails_on_skipped_benchmark(
-        self, tmp_path, capsys
-    ):
-        import copy
-
-        artifact = canned_artifact()
-        extra = copy.deepcopy(artifact)
-        extra["name"] = artifact["name"] + "_extra"
-        self.write(tmp_path / "base", artifact)
-        self.write(tmp_path / "base", extra)
-        self.write(tmp_path / "curr", artifact)
-        argv = ["bench", "compare", str(tmp_path / "base"),
-                str(tmp_path / "curr")]
-        assert main(argv) == 0  # advisory warning only
-        capsys.readouterr()
-        assert main(argv + ["--require-complete"]) == 1
-        assert "in baseline but not in current run" in capsys.readouterr().err
-
-
-class TestBenchRunCLI:
-    def test_no_matching_benchmark_fails(self, tmp_path):
-        assert main(
-            ["bench", "run", "--filter", "no_such_bench",
-             "--out", str(tmp_path)]
-        ) == 1
-
-    def test_smoke_run_emits_a_valid_artifact(self, tmp_path, capsys):
-        """End to end through the child pytest process: the cheapest
-        benchmark, in smoke mode, must yield a loadable artifact."""
-        from repro.obs.bench import load_artifact
-
-        assert main(
-            ["bench", "run", "--smoke", "--filter", "text_area_overhead",
-             "--out", str(tmp_path)]
-        ) == 0
-        assert "passed" in capsys.readouterr().out
-        artifact = load_artifact(tmp_path / "BENCH_text_area_overhead.json")
-        assert artifact["smoke"] is True
-        assert artifact["status"] == "passed"
-        assert artifact["timers"]["bench.run"]["count"] == 1
-        assert artifact["provenance"]["config"]["smoke"] is True
