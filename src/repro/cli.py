@@ -392,7 +392,8 @@ COMMANDS: Dict[str, Tuple[str, Tuple[Param, ...], Tuple[str, ...]]] = {
                   help="result-cache byte budget (LRU eviction beyond it; "
                        "default: unbounded)"),
             Param("--max-attempts", type=_positive_int, default=3,
-                  help="execution attempts per job before it fails"),
+                  help="runs per job while its child keeps dying by a "
+                       "signal; any other failed exit fails it at once"),
             Param("--breaker-threshold", type=_positive_int, default=3,
                   help="consecutive same-kind failures that trip the "
                        "job-class circuit breaker"),

@@ -273,7 +273,12 @@ class TemporalScheduler:
         entries = self._buckets.pop(self._inv, None)
         if entries is None:
             return 0
-        cells = np.unique(np.concatenate(entries))
+        # Sorted and deduplicated, as ``np.unique`` would give, without
+        # the ``numpy.ma`` import that its first call costs.
+        cells = np.sort(np.concatenate(entries))
+        keep = np.ones(cells.size, dtype=bool)
+        keep[1:] = cells[1:] != cells[:-1]
+        cells = cells[keep]
         cells = cells[self._due[cells] == self._inv]
         self._due[cells] = -1
         fires = self._fires[cells]

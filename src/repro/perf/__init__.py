@@ -17,7 +17,6 @@ from repro.perf.executor import (
     run_campaign_items,
 )
 from repro.perf.resilient import (
-    BackoffPolicy,
     DeadLetter,
     ResilientOutcome,
     ResilientRunner,
@@ -29,7 +28,6 @@ from repro.perf.spec import ALUSpec, PolicySpec
 
 __all__ = [
     "ALUSpec",
-    "BackoffPolicy",
     "CampaignExecutionError",
     "CampaignExecutor",
     "CampaignWorkItem",

@@ -1,4 +1,4 @@
-"""Resilient chunked execution: checkpoints, deadlines, circuit breaking.
+"""Resilient chunked execution: checkpoints, deadlines, dead letters.
 
 :class:`~repro.perf.executor.CampaignExecutor` already survives a worker
 dying; this layer makes whole *runs* survive the process itself dying.
@@ -11,11 +11,14 @@ chunk through a recovery state machine::
         │
         └─ miss/corrupt ─► RUN ─ ok ─────► DONE    (checkpointed)
                             │
-                            └ fail ─► backoff+jitter, retry
-                                       │ (attempts exhausted, or
-                                       ▼  breaker open)
-                                     DEAD-LETTERED (recorded, pool
-                                                    keeps moving)
+                            └ raises ────► DEAD-LETTERED (recorded, the
+                                                          run moves on)
+
+A chunk runs once.  Its tasks are pure, so a chunk that raises would
+raise again; the one failure that can heal -- a pool worker dying or
+hanging -- is retried inside the executor, which sees the process and
+rebuilds its pool.  By the time a chunk raises here that budget is
+spent.
 
 Guarantees:
 
@@ -24,16 +27,11 @@ Guarantees:
   round-trip losslessly through JSON, and the run key covers the chunk
   partitioning -- so a run interrupted at *any* chunk boundary and
   resumed produces exactly the results of an uninterrupted run.
-* **Honest partial results.**  A ``--deadline`` that expires, or chunks
-  that exhaust their retry budget, never abort the run: the outcome
-  reports exactly which chunks completed, which were dead-lettered and
-  why, and whether the deadline was hit, so callers emit a well-formed
-  partial report with explicit ``incomplete`` provenance.
-* **No stalls.**  Per-chunk exponential backoff is jittered
-  (deterministically, from the run key) to avoid thundering retries,
-  and a circuit breaker trips after consecutive chunk failures so a
-  systematically broken run fails fast instead of burning the full
-  backoff schedule on every remaining chunk.
+* **Honest partial results.**  A ``--deadline`` that expires, or a
+  chunk that fails, never aborts the run: the outcome reports exactly
+  which chunks completed, which were dead-lettered and why, and
+  whether the deadline was hit, so callers emit a well-formed partial
+  report with explicit ``incomplete`` provenance.
 
 Ctrl-C is honoured everywhere: completed chunks are already durable, a
 final ``state.json`` flush records progress, and the interrupt
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import os
-import random
 import signal
 import time
 from dataclasses import dataclass, replace
@@ -71,8 +68,6 @@ from repro.perf.executor import (
 
 __all__ = [
     "CHAOS_KILL_ENV",
-    "BackoffPolicy",
-    "CircuitBreaker",
     "DeadLetter",
     "ResilientOutcome",
     "ResilientRunner",
@@ -92,64 +87,6 @@ CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_AFTER_CHUNK"
 
 
 @dataclass(frozen=True)
-class BackoffPolicy:
-    """Exponential backoff with deterministic jitter.
-
-    ``delay(key, attempt)`` grows ``base * factor**attempt`` capped at
-    ``max_delay``, scaled by a jitter factor drawn uniformly from
-    ``[1 - jitter, 1 + jitter]`` with a PRNG seeded from ``key`` and
-    ``attempt`` -- reproducible for tests, decorrelated across chunks.
-    """
-
-    base: float = 0.05
-    factor: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.factor < 1 or self.max_delay < 0:
-            raise ValueError(f"invalid backoff parameters: {self}")
-        if not 0 <= self.jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-
-    def delay(self, key: str, attempt: int) -> float:
-        raw = min(self.base * (self.factor ** attempt), self.max_delay)
-        rng = random.Random(f"{key}:{attempt}")
-        return raw * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-
-
-@dataclass
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a half-open fast fail.
-
-    ``threshold`` consecutive failures open it; while open, each unit of
-    work gets one fast-fail attempt instead of its retry budget, and the
-    first success closes it.  The resilient runner keeps one per run,
-    the service's job manager one per job kind.
-    """
-
-    threshold: int
-    failures: int = 0
-    is_open: bool = False
-
-    def attempts(self, budget: int) -> int:
-        """Attempts the next unit of work gets: ``budget``, or 1 if open."""
-        return 1 if self.is_open else budget
-
-    def record_success(self) -> None:
-        self.failures = 0
-        self.is_open = False
-
-    def record_failure(self) -> bool:
-        """Count one failure; True when this failure tripped the breaker."""
-        self.failures += 1
-        if self.is_open or self.failures < self.threshold:
-            return False
-        self.is_open = True
-        return True
-
-
-@dataclass(frozen=True)
 class ResilientRuntime:
     """Operator-facing knobs for one resilient run (all optional).
 
@@ -163,9 +100,6 @@ class ResilientRuntime:
         chunk_size: tasks per checkpointed chunk.
         chunk_timeout: per-chunk timeout handed to the campaign
             executor's hung-worker recovery (parallel runs only).
-        max_attempts: tries per chunk before it is dead-lettered.
-        breaker_threshold: consecutive dead-lettered chunks that trip
-            the run's :class:`CircuitBreaker`.
     """
 
     checkpoint_dir: Optional[Path] = None
@@ -173,33 +107,21 @@ class ResilientRuntime:
     deadline: Optional[float] = None
     chunk_size: int = 4
     chunk_timeout: Optional[float] = None
-    max_attempts: int = 3
-    breaker_threshold: int = 3
-    backoff: BackoffPolicy = BackoffPolicy()
 
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
         if self.resume and self.checkpoint_dir is None:
             raise ValueError("resume=True requires a checkpoint_dir")
 
 
 @dataclass(frozen=True)
 class DeadLetter:
-    """One chunk retired by the circuit breaker / retry budget."""
+    """One chunk whose computation raised: its slots stay empty."""
 
     chunk: int
-    attempts: int
     error: str
 
 
@@ -214,8 +136,6 @@ class ResilientOutcome:
     computed_chunks: int = 0
     skipped_chunks: int = 0
     deadline_hit: bool = False
-    retries: int = 0
-    breaker_trips: int = 0
     dead_letters: Tuple[DeadLetter, ...] = ()
     run_key: Optional[str] = None
     checkpoint_stats: Optional[Any] = None  # CheckpointStats when stored
@@ -248,7 +168,7 @@ class ResilientRunner:
             with the chunk partitioning it forms the store's run key.
         kind: payload kind tag for the checkpoint records.
         encode/decode: lossless JSON codec for one task result.
-        clock/sleep_fn: injectable monotonic clock and sleeper (tests).
+        clock: injectable monotonic clock (tests).
     """
 
     def __init__(
@@ -261,14 +181,12 @@ class ResilientRunner:
         encode: Callable[[Any], Any] = _same,
         decode: Callable[[Any], Any] = _same,
         clock: Callable[[], float] = time.monotonic,
-        sleep_fn: Callable[[float], None] = time.sleep,
     ) -> None:
         self._run_chunk = run_chunk
         self._runtime = runtime
         self._encode = encode
         self._decode = decode
         self._clock = clock
-        self._sleep = sleep_fn
         self._config = {
             "run": dict(config),
             "checkpoint": {
@@ -319,7 +237,6 @@ class ResilientRunner:
                 }
             )
         dead: List[DeadLetter] = []
-        breaker = CircuitBreaker(self._runtime.breaker_threshold)
         try:
             for index, chunk in enumerate(chunks):
                 if self._deadline_expired(start):
@@ -335,13 +252,10 @@ class ResilientRunner:
                             total=len(chunks),
                         )
                     break
-                attempts = breaker.attempts(self._runtime.max_attempts)
-                reused = self._try_reuse(index, chunk, outcome, size)
-                error = None if reused else self._compute_chunk(
-                    index, chunk, outcome, size, attempts, start, obs
-                )
+                if self._try_reuse(index, chunk, outcome, size):
+                    continue
+                error = self._compute_chunk(index, chunk, outcome, size)
                 if error is None:
-                    breaker.record_success()
                     continue
                 dead.append(error)
                 obs.metrics.counter("resilient.dead_letters").inc()
@@ -350,19 +264,8 @@ class ResilientRunner:
                         "chunk_dead_letter",
                         source="resilient",
                         chunk=error.chunk,
-                        attempts=error.attempts,
                         error=error.error,
                     )
-                if breaker.record_failure():
-                    outcome.breaker_trips += 1
-                    obs.metrics.counter("resilient.breaker_trips").inc()
-                    if obs.enabled:
-                        obs.trace.emit(
-                            "breaker_open",
-                            source="resilient",
-                            chunk=index,
-                            consecutive_failures=breaker.failures,
-                        )
         except KeyboardInterrupt:
             self._flush_state(outcome, "interrupted")
             obs.metrics.counter("resilient.interrupts").inc()
@@ -427,53 +330,26 @@ class ResilientRunner:
         chunk: Sequence[Any],
         outcome: ResilientOutcome,
         size: int,
-        attempts_allowed: int,
-        start: float,
-        obs,
     ) -> Optional[DeadLetter]:
-        """Run one chunk with retries; a DeadLetter when it never ran."""
-        last_error = "unknown"
-        attempt = 0
-        while attempt < attempts_allowed:
-            try:
-                results = self._run_chunk(index, chunk)
-            except Exception as exc:  # noqa: BLE001 - fault boundary
-                last_error = repr(exc)
-                attempt += 1
-                obs.metrics.counter("resilient.retries").inc()
-                if obs.enabled:
-                    obs.trace.emit(
-                        "chunk_retry",
-                        source="resilient",
-                        chunk=index,
-                        attempt=attempt,
-                        error=last_error,
-                    )
-                if attempt >= attempts_allowed or self._deadline_expired(start):
-                    break
-                self._sleep(
-                    self._runtime.backoff.delay(
-                        f"{self._run_key}:{index}", attempt - 1
-                    )
-                )
-                continue
-            if len(results) != len(chunk):
-                raise RuntimeError(
-                    f"chunk runner returned {len(results)} results for "
-                    f"{len(chunk)} tasks (chunk {index})"
-                )
-            for offset, result in enumerate(results):
-                outcome.results[index * size + offset] = result
-            outcome.computed_chunks += 1
-            outcome.retries += max(0, attempt)
-            if self._store is not None:
-                self._store.save(
-                    index, [self._encode(result) for result in results]
-                )
-                self._maybe_chaos_kill(index)
-            return None
-        outcome.retries += attempt
-        return DeadLetter(chunk=index, attempts=attempt, error=last_error)
+        """Run one chunk once; a DeadLetter when it raised."""
+        try:
+            results = self._run_chunk(index, chunk)
+        except Exception as exc:  # noqa: BLE001 - fault boundary
+            return DeadLetter(chunk=index, error=repr(exc))
+        if len(results) != len(chunk):
+            raise RuntimeError(
+                f"chunk runner returned {len(results)} results for "
+                f"{len(chunk)} tasks (chunk {index})"
+            )
+        for offset, result in enumerate(results):
+            outcome.results[index * size + offset] = result
+        outcome.computed_chunks += 1
+        if self._store is not None:
+            self._store.save(
+                index, [self._encode(result) for result in results]
+            )
+            self._maybe_chaos_kill(index)
+        return None
 
     def _flush_state(self, outcome: ResilientOutcome, status: str) -> None:
         if self._store is None:
@@ -486,11 +362,7 @@ class ResilientRunner:
                     outcome.reused_chunks + outcome.computed_chunks
                 ),
                 "dead_letters": [
-                    {
-                        "chunk": letter.chunk,
-                        "attempts": letter.attempts,
-                        "error": letter.error,
-                    }
+                    {"chunk": letter.chunk, "error": letter.error}
                     for letter in outcome.dead_letters
                 ],
                 "status": status,
@@ -528,8 +400,8 @@ class TaskPlan:
         """Compute every task.
 
         Without a ``runtime`` the whole list runs once, inline: no run
-        key, store, chunking, retries or ``resilient.*`` counters, and
-        errors propagate.  With one it runs through a
+        key, store, chunking, dead letters or ``resilient.*`` counters,
+        and errors propagate.  With one it runs through a
         :class:`ResilientRunner`.
         """
         if runtime is None:
@@ -590,8 +462,9 @@ def resilient_campaign_map(
     Without a runtime this is one :func:`~repro.perf.executor.
     run_campaign_items` call.  With one, each chunk runs on a
     :class:`CampaignExecutor` (serial for ``jobs=1``, process pool
-    otherwise, with its own worker-death recovery inside each chunk),
-    so a fully completed run yields identical results --
+    otherwise, with its own worker-death recovery inside each chunk;
+    a chunk whose workers die past that budget is dead-lettered), so a
+    fully completed run yields identical results --
     checkpointing and recovery never perturb the numbers.
     """
     execute: Callable[[Sequence[CampaignWorkItem]], List[CampaignResult]]
@@ -627,12 +500,8 @@ def resilience_note(outcome: ResilientOutcome) -> str:
             f"degraded: {stats.write_errors} checkpoint write(s) failed "
             f"(disk full?)"
         )
-    if outcome.retries:
-        parts.append(f"{outcome.retries} retry(ies)")
     if outcome.dead_letters:
         parts.append(f"{len(outcome.dead_letters)} dead-lettered chunk(s)")
-    if outcome.breaker_trips:
-        parts.append(f"breaker tripped {outcome.breaker_trips}x")
     if outcome.deadline_hit:
         parts.append(f"deadline hit ({outcome.skipped_chunks} chunk(s) left)")
     return "; ".join(parts)

@@ -17,8 +17,9 @@ gracefully the way a NanoBox cell does:
 * **Single-flight deduplication** (:mod:`repro.service.runner`):
   N identical concurrent submissions collapse onto one computation.
 * **Worker supervision**: jobs run as supervised child processes under
-  the PR 6 crash-safe runtime (``--checkpoint-dir --resume``); a dead
-  worker is requeued and resumed, a consecutively failing job class
+  the crash-safe runtime (``--checkpoint-dir --resume``); a child killed
+  by a signal is run again and resumes from its checkpoints, any other
+  failed exit fails the job, and a consecutively failing job class
   trips a circuit breaker.
 * **Graceful drain**: SIGTERM stops admission, finishes or checkpoints
   in-flight jobs, and exits clean; a restarted server resumes them from

@@ -228,8 +228,8 @@ class JobState:
 
         QUEUED ──► RUNNING ──► DONE       (artifact cached)
            │          │  ├───► PARTIAL    (deadline; artifact job-local)
-           │          │  ├───► FAILED     (attempts exhausted / breaker)
-           │          │  └───► QUEUED     (drain / worker death: requeued)
+           │          │  ├───► FAILED     (failed exit / deaths exhausted)
+           │          │  └───► QUEUED     (drain: requeued)
            └──────────┴──────► CANCELLED
     """
 

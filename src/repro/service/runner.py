@@ -1,4 +1,4 @@
-"""Supervised job execution: single-flight, retries, breaker, drain.
+"""Supervised job execution: single-flight, restarts, breaker, drain.
 
 :class:`JobManager` is the service's engine room, deliberately free of
 any HTTP so the concurrency invariants are testable in-process:
@@ -11,13 +11,15 @@ any HTTP so the concurrency invariants are testable in-process:
   under *any* interleaving (property-tested).
 * **Worker supervision.**  Jobs execute through an injected executor
   (production: :class:`ChildCliExecutor`, a real ``nanobox-repro``
-  child under the PR 6 crash-safe runtime).  A worker that dies by
-  signal or wedges past its timeout is counted, and the job retried --
-  its checkpoints make the retry a cheap resume.  A job class failing
-  ``breaker_threshold`` consecutive times trips its
-  :class:`~repro.perf.resilient.CircuitBreaker` (the resilient
-  runner's): further jobs of that class get a single fast-fail attempt
-  until one succeeds.
+  child under the crash-safe runtime).  This is the one layer that
+  re-runs a whole job, and it re-runs only a child that died by signal
+  (an OOM kill, a segfault, or the job-timeout kill), up to
+  ``max_attempts`` runs: its checkpoints make the re-run a cheap
+  resume.  Any other failed exit is deterministic -- the same argv
+  fails the same way -- so it fails the job on its first run.  A job
+  class failing ``breaker_threshold`` consecutive times trips its
+  :class:`CircuitBreaker`: further jobs of that class get a single
+  fast-fail run until one succeeds.
 * **Deadlines and cancellation.**  A per-job deadline rides into the
   child as ``--deadline`` and reuses the resilient runner's machinery
   wholesale: expiry yields the explicit partial report (exit 3), which
@@ -53,7 +55,6 @@ from repro.cli import EXIT_INCOMPLETE
 from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.checkpoint import scan_run_states
-from repro.perf.resilient import CircuitBreaker
 from repro.service.admission import AdmissionQueue
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobRecord, JobSpec, JobState
@@ -82,6 +83,36 @@ def child_env(extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:
     if extra:
         env.update(extra)
     return env
+
+
+@dataclass
+class CircuitBreaker:
+    """Consecutive-failure circuit breaker with a half-open fast fail.
+
+    ``threshold`` consecutive failures open it; while open, each job
+    gets one fast-fail run instead of its budget, and the first success
+    closes it.  The job manager keeps one per job kind.
+    """
+
+    threshold: int
+    failures: int = 0
+    is_open: bool = False
+
+    def attempts(self, budget: int) -> int:
+        """Runs the next job gets: ``budget``, or 1 if open."""
+        return 1 if self.is_open else budget
+
+    def record_success(self) -> None:
+        self.failures = 0
+        self.is_open = False
+
+    def record_failure(self) -> bool:
+        """Count one failure; True when this failure tripped the breaker."""
+        self.failures += 1
+        if self.is_open or self.failures < self.threshold:
+            return False
+        self.is_open = True
+        return True
 
 
 @dataclass(frozen=True)
@@ -117,8 +148,8 @@ class ChildCliExecutor:
 
     The child always gets ``--checkpoint-dir <root>/<cache_key>
     --resume``: a first attempt finds no records and computes, any
-    retry/restart resumes from whatever chunks survived, and stdout is
-    byte-identical either way (the PR 6 guarantee).  The child's pid is
+    re-run or restart resumes from whatever chunks survived, and stdout
+    is byte-identical either way.  The child's pid is
     journaled to ``<job_dir>/child.pid`` so a supervisor -- or the
     chaos harness simulating power loss -- can find it.
     """
@@ -222,7 +253,8 @@ class JobManager:
         workers: supervised worker thread count.
         queue_capacity: bounded admission depth (beyond it: shed).
         cache_budget: result-cache byte budget (None: unbounded).
-        max_attempts: execution attempts per job before it fails.
+        max_attempts: runs per job while its child keeps dying by
+            signal; any other failed exit fails the job at once.
         breaker_threshold: consecutive same-kind failures that trip the
             class circuit breaker.
         metrics: the service :class:`MetricsRegistry` (owns one by
@@ -249,6 +281,10 @@ class JobManager:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        if breaker_threshold < 1:
+            raise ValueError(
+                f"breaker_threshold must be >= 1, got {breaker_threshold}"
+            )
         self._state_dir = Path(state_dir)
         self._jobs_dir = self._state_dir / "jobs"
         self._checkpoint_root = self._state_dir / "checkpoints"
@@ -642,9 +678,13 @@ class JobManager:
             with self._lock:
                 self._running.pop(record.id, None)
 
-    def _attempt_loop(self, record: JobRecord, attempts_allowed: int) -> None:
-        last_output: Optional[JobOutput] = None
-        while record.attempts < attempts_allowed:
+    def _attempt_loop(self, record: JobRecord, runs_allowed: int) -> None:
+        """Run the job until it settles.  ``runs_allowed`` counts runs in
+        this call only, so drain interruptions journaled in
+        ``record.attempts`` by earlier incarnations never use it up."""
+        runs = 0
+        while True:
+            runs += 1
             record.attempts += 1
             started = self._clock()
             self.metrics.counter("service.executions").inc()
@@ -655,17 +695,20 @@ class JobManager:
                     self.checkpoint_dir(record.cache_key),
                 )
             self.queue.note_duration(self._clock() - started)
-            last_output = output
             record.exit_status = output.exit_status
             record.stderr_tail = output.stderr[-_STDERR_TAIL:]
             if self._settle_attempt(record, output):
                 return
-        # Attempts exhausted: the job failed, and its class inches the
-        # breaker toward open.
+            if output.exit_status >= 0 or runs >= runs_allowed:
+                break
+            # The worker died under the job (OOM kill, segfault, job
+            # timeout): run it again, and its checkpoints make it a resume.
+            self.metrics.counter("service.worker_restarts").inc()
+        # The job failed, and its class inches the breaker toward open.
         with self._lock:
             record.error = (
-                f"failed after {record.attempts} attempt(s); last exit "
-                f"{last_output.exit_status if last_output else '?'}"
+                f"failed after {runs} attempt(s); last exit "
+                f"{output.exit_status}"
             )
             self._finish(record, JobState.FAILED)
             if self._breakers[record.spec.kind].record_failure():
@@ -720,10 +763,6 @@ class JobManager:
                 self.queue.requeue(record)
             self.metrics.counter("service.jobs_requeued").inc()
             return True
-        if output.exit_status < 0:
-            # The worker died under the job (OOM kill, segfault ...):
-            # supervision retries, and the checkpoints make it a resume.
-            self.metrics.counter("service.worker_restarts").inc()
         return False
 
     def _finish(self, record: JobRecord, state: str) -> None:

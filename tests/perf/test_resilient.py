@@ -7,14 +7,16 @@ interrupt point.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import EXIT_INCOMPLETE, _finish
+from repro.perf import CampaignExecutor
 from repro.perf.resilient import (
-    BackoffPolicy,
-    CircuitBreaker,
     ResilientRunner,
     ResilientRuntime,
     decode_campaign_result,
@@ -22,6 +24,19 @@ from repro.perf.resilient import (
     resilience_note,
     resilient_campaign_map,
 )
+
+
+#: Attempt log of the dying pool worker below; set per-test, inherited
+#: by forked pool workers.
+_ATTEMPT_LOG = None
+
+
+def _die_logging_attempt(items):
+    """Pool worker fn that appends one byte per attempt, then dies."""
+    fd = os.open(_ATTEMPT_LOG, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    os.write(fd, b".")
+    os.close(fd)
+    os._exit(1)
 
 
 def _double(_index, chunk):
@@ -34,44 +49,13 @@ def _runner(run_chunk=_double, **kwargs):
         key: kwargs.pop(key)
         for key in (
             "checkpoint_dir", "resume", "deadline", "chunk_size",
-            "max_attempts", "breaker_threshold", "backoff",
         )
         if key in kwargs
     }
     runtime = ResilientRuntime(**runtime_kwargs)
-    kwargs.setdefault("sleep_fn", lambda _delay: None)  # tests never sleep
     return ResilientRunner(
         run_chunk, runtime=runtime, config={"test": "resilient"}, **kwargs
     )
-
-
-class TestBackoffPolicy:
-    def test_deterministic_for_same_key_and_attempt(self):
-        policy = BackoffPolicy()
-        assert policy.delay("k", 2) == policy.delay("k", 2)
-
-    def test_decorrelated_across_keys(self):
-        policy = BackoffPolicy()
-        assert policy.delay("k1", 0) != policy.delay("k2", 0)
-
-    def test_exponential_growth_capped(self):
-        policy = BackoffPolicy(base=0.1, factor=2.0, max_delay=0.3, jitter=0.0)
-        assert policy.delay("k", 0) == pytest.approx(0.1)
-        assert policy.delay("k", 1) == pytest.approx(0.2)
-        assert policy.delay("k", 5) == pytest.approx(0.3)  # capped
-
-    def test_jitter_bounds(self):
-        policy = BackoffPolicy(base=1.0, factor=1.0, max_delay=1.0, jitter=0.5)
-        for attempt in range(32):
-            assert 0.5 <= policy.delay("k", attempt) <= 1.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(base=-1)
-        with pytest.raises(ValueError):
-            BackoffPolicy(factor=0.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy(jitter=1.0)
 
 
 class TestRuntimeValidation:
@@ -82,14 +66,6 @@ class TestRuntimeValidation:
     def test_deadline_positive(self):
         with pytest.raises(ValueError):
             ResilientRuntime(deadline=0)
-
-    def test_max_attempts_positive(self):
-        with pytest.raises(ValueError):
-            ResilientRuntime(max_attempts=0)
-
-    def test_breaker_threshold_positive(self):
-        with pytest.raises(ValueError):
-            ResilientRuntime(breaker_threshold=0)
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ValueError):
@@ -215,46 +191,53 @@ class TestDeadline:
         assert resumed.results == _double(0, list(range(6)))
 
 
-class TestRetriesAndBackoff:
-    def test_flaky_chunk_retried_with_backoff(self):
-        failures = {"left": 2}
-        sleeps = []
+class TestDeadLetters:
+    def test_failing_chunk_runs_once_and_the_run_moves_on(self):
+        calls = {}
 
-        def flaky(_index, chunk):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise RuntimeError("transient")
-            return _double(_index, chunk)
-
-        policy = BackoffPolicy(base=0.01, jitter=0.5)
-        runner = _runner(
-            flaky, chunk_size=4, max_attempts=3, backoff=policy,
-            sleep_fn=sleeps.append,
-        )
-        outcome = runner.run(list(range(4)))
-        assert outcome.complete
-        assert outcome.retries == 2
-        key = f"{runner.run_key}:0"
-        assert sleeps == [policy.delay(key, 0), policy.delay(key, 1)]
-
-    def test_exhausted_retries_dead_letter_without_aborting(self):
         def broken_first_chunk(index, chunk):
+            calls[index] = calls.get(index, 0) + 1
             if index == 0:
                 raise RuntimeError("permanently broken")
             return _double(index, chunk)
 
-        outcome = _runner(
-            broken_first_chunk, chunk_size=2, max_attempts=2
-        ).run(list(range(6)))
+        outcome = _runner(broken_first_chunk, chunk_size=2).run(
+            list(range(6))
+        )
         assert not outcome.complete
+        # One run per chunk: the runner never re-runs a chunk.
+        assert calls == {0: 1, 1: 1, 2: 1}
         assert len(outcome.dead_letters) == 1
         letter = outcome.dead_letters[0]
         assert letter.chunk == 0
-        assert letter.attempts == 2
         assert "permanently broken" in letter.error
-        # The pool kept moving: later chunks completed.
+        # Later chunks completed.
         assert outcome.missing_tasks == [0, 1]
         assert outcome.results[2:] == _double(0, list(range(2, 6)))
+
+    def test_dead_letter_is_recomputed_on_resume(self, tmp_path):
+        def broken_middle(index, chunk):
+            if index == 1:
+                raise RuntimeError("transient")
+            return _double(index, chunk)
+
+        first = _runner(
+            broken_middle, chunk_size=2, checkpoint_dir=tmp_path
+        ).run(list(range(6)))
+        assert [letter.chunk for letter in first.dead_letters] == [1]
+        state = json.loads(
+            next(tmp_path.glob("*/state.json")).read_text()
+        )
+        assert state["status"] == "partial"
+        assert state["dead_letters"] == [
+            {"chunk": 1, "error": "RuntimeError('transient')"}
+        ]
+        resumed = _runner(
+            chunk_size=2, checkpoint_dir=tmp_path, resume=True
+        ).run(list(range(6)))
+        assert resumed.complete
+        assert (resumed.reused_chunks, resumed.computed_chunks) == (2, 1)
+        assert resumed.results == _double(0, list(range(6)))
 
     def test_keyboard_interrupt_propagates(self, tmp_path):
         def interrupted(index, chunk):
@@ -272,53 +255,6 @@ class TestRetriesAndBackoff:
         # ... and the state file records the interruption.
         state = json.loads((runner.store.directory / "state.json").read_text())
         assert state["status"] == "interrupted"
-
-
-class TestCircuitBreaker:
-    def test_breaker_trips_and_fast_fails(self):
-        attempts = {}
-
-        def always_broken(index, chunk):
-            attempts[index] = attempts.get(index, 0) + 1
-            raise RuntimeError("down")
-
-        outcome = _runner(
-            always_broken, chunk_size=1, max_attempts=3, breaker_threshold=2
-        ).run(list(range(5)))
-        assert outcome.breaker_trips == 1
-        assert len(outcome.dead_letters) == 5
-        # Full retry budget until the breaker opens, a single fast-fail
-        # attempt afterwards.
-        assert attempts == {0: 3, 1: 3, 2: 1, 3: 1, 4: 1}
-
-    def test_success_closes_the_breaker(self):
-        attempts = {}
-
-        def flaky_region(index, chunk):
-            attempts[index] = attempts.get(index, 0) + 1
-            if index in (0, 1, 3):
-                raise RuntimeError("down")
-            return _double(index, chunk)
-
-        outcome = _runner(
-            flaky_region, chunk_size=1, max_attempts=2, breaker_threshold=2
-        ).run(list(range(5)))
-        # chunks 0,1 exhaust retries and trip the breaker; chunk 2
-        # succeeds (closing it); chunk 3 gets its full budget again.
-        assert attempts == {0: 2, 1: 2, 2: 1, 3: 2, 4: 1}
-        assert outcome.breaker_trips == 1
-
-    def test_breaker_reopens_after_closing(self):
-        """The shared type: trips once per open spell, and a success
-        resets the count, so the next spell needs ``threshold`` more."""
-        breaker = CircuitBreaker(threshold=2)
-        assert [breaker.record_failure() for _ in range(3)] == [
-            False, True, False,
-        ]
-        assert breaker.attempts(5) == 1
-        breaker.record_success()
-        assert breaker.attempts(5) == 5
-        assert [breaker.record_failure() for _ in range(2)] == [False, True]
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,6 +349,36 @@ class TestCampaignGlue:
         )
         assert resumed.reused_chunks == 2
         assert resumed.results == plain
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the dying worker relies on fork inheriting the log path",
+    )
+    def test_dying_worker_is_retried_by_the_executor_alone(
+        self, tmp_path, capsys
+    ):
+        """One retry layer: an always-dying pool worker's chunk is tried
+        ``max_retries + 1`` times, all inside the executor, and the
+        runner dead-letters it on that one failure -- a partial run,
+        exit 3 -- instead of multiplying the executor's attempts."""
+        global _ATTEMPT_LOG
+        _ATTEMPT_LOG = str(tmp_path / "attempts")
+        executor = CampaignExecutor(jobs=2, chunk_size=2)
+        executor._chunk_fn = _die_logging_attempt
+        runner = ResilientRunner(
+            lambda _index, chunk: executor.run(chunk),
+            runtime=ResilientRuntime(
+                checkpoint_dir=tmp_path / "ck", chunk_size=2
+            ),
+            config={"t": "dying-worker"},
+        )
+        outcome = runner.run(self._items())
+        assert os.path.getsize(_ATTEMPT_LOG) == 3  # executor max_retries + 1
+        assert executor.last_stats.retries == 3
+        assert [letter.chunk for letter in outcome.dead_letters] == [0]
+        assert "CampaignExecutionError" in outcome.dead_letters[0].error
+        assert _finish(outcome) == EXIT_INCOMPLETE
+        assert "1 chunk(s) dead-lettered" in capsys.readouterr().out
 
 
 class TestResilienceNote:

@@ -11,11 +11,17 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.jobs import JobSpec, JobState
-from repro.service.runner import JobManager, JobOutput, child_env
+from repro.service.runner import (
+    CircuitBreaker,
+    JobManager,
+    JobOutput,
+    child_env,
+)
 
 
 def _spec(seed: int) -> JobSpec:
@@ -253,12 +259,13 @@ class TestSupervision:
         finally:
             manager.drain(grace=0.0)
 
-    def test_attempts_exhausted_fails_with_stderr_tail(self, tmp_path):
+    @pytest.mark.parametrize("max_attempts", (2, 3))
+    def test_deaths_exhaust_max_attempts_with_stderr_tail(
+        self, tmp_path, max_attempts
+    ):
+        fake = CountingExecutor(exit_status=-9)
         manager = JobManager(
-            tmp_path,
-            execute=CountingExecutor(exit_status=7),
-            workers=1,
-            max_attempts=2,
+            tmp_path, execute=fake, workers=1, max_attempts=max_attempts
         )
         manager.start()
         try:
@@ -266,15 +273,42 @@ class TestSupervision:
             assert _wait_terminal(manager)
             record = manager.get(outcome.record.id)
             assert record.state == JobState.FAILED
-            assert record.attempts == 2
-            assert "failed after 2 attempt(s)" in record.error
+            assert record.attempts == max_attempts
+            assert fake.calls == {record.cache_key: max_attempts}
+            assert record.error == (
+                f"failed after {max_attempts} attempt(s); last exit -9"
+            )
             assert record.stderr_tail == "made by fake"
             assert manager.result(record.id) == (None, JobState.FAILED)
+            assert (
+                manager.metrics.counter("service.worker_restarts").value
+                == max_attempts - 1
+            )
+        finally:
+            manager.drain(grace=0.0)
+
+    def test_failed_exit_is_not_retried(self, tmp_path):
+        """Only a death by signal re-runs a job: the same argv exits 7
+        the same way every time."""
+        fake = CountingExecutor(exit_status=7)
+        manager = JobManager(tmp_path, execute=fake, workers=1, max_attempts=3)
+        manager.start()
+        try:
+            outcome = manager.submit(_spec(1))
+            assert _wait_terminal(manager)
+            record = manager.get(outcome.record.id)
+            assert record.state == JobState.FAILED
+            assert record.attempts == 1
+            assert fake.calls == {record.cache_key: 1}
+            assert record.error == "failed after 1 attempt(s); last exit 7"
+            assert (
+                manager.metrics.counter("service.worker_restarts").value == 0
+            )
         finally:
             manager.drain(grace=0.0)
 
     def test_breaker_trips_after_consecutive_class_failures(self, tmp_path):
-        fake = CountingExecutor(exit_status=7)
+        fake = CountingExecutor(exit_status=-9)
         manager = JobManager(
             tmp_path,
             execute=fake,
@@ -301,12 +335,57 @@ class TestSupervision:
             fake.exit_status = 0
             manager.submit(_spec(4))
             assert _wait_terminal(manager)
-            fake.exit_status = 7
+            fake.exit_status = -9
             fifth = manager.submit(_spec(5))
             assert _wait_terminal(manager)
             assert manager.get(fifth.record.id).attempts == 2
         finally:
             manager.drain(grace=0.0)
+
+    def test_breaker_reopens_after_closing(self):
+        """Trips once per open spell, and a success resets the count, so
+        the next spell needs ``threshold`` more failures."""
+        breaker = CircuitBreaker(threshold=2)
+        assert [breaker.record_failure() for _ in range(3)] == [
+            False, True, False,
+        ]
+        assert breaker.attempts(5) == 1
+        breaker.record_success()
+        assert breaker.attempts(5) == 5
+        assert [breaker.record_failure() for _ in range(2)] == [False, True]
+
+    def test_breaker_trips_and_fast_fails(self):
+        """``threshold`` consecutive failures open it; while open, every
+        job gets a single fast-fail run instead of its budget."""
+        breaker = CircuitBreaker(threshold=2)
+        assert breaker.attempts(3) == 3
+        assert breaker.record_failure() is False
+        assert breaker.attempts(3) == 3
+        assert breaker.record_failure() is True
+        assert breaker.is_open
+        assert [breaker.attempts(3) for _ in range(3)] == [1, 1, 1]
+
+    def test_success_closes_the_breaker(self):
+        """A success closes it and resets the count: an isolated failure
+        afterwards keeps the full budget."""
+        breaker = CircuitBreaker(threshold=2)
+        breaker.record_failure()
+        breaker.record_failure()
+        breaker.record_success()
+        assert not breaker.is_open
+        assert breaker.failures == 0
+        assert breaker.record_failure() is False
+        assert breaker.attempts(3) == 3
+
+    def test_max_attempts_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="max_attempts"):
+            JobManager(tmp_path, execute=CountingExecutor(), max_attempts=0)
+
+    def test_breaker_threshold_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="breaker_threshold"):
+            JobManager(
+                tmp_path, execute=CountingExecutor(), breaker_threshold=0
+            )
 
 
 class TestCancellation:
@@ -396,6 +475,71 @@ class TestDrainAndRecovery:
             assert (
                 revived.metrics.counter("service.jobs_recovered").value == 2
             )
+        finally:
+            revived.drain(grace=0.0)
+
+    def test_job_drained_three_times_still_runs(self, tmp_path):
+        """Drain interruptions are journaled in ``attempts`` but never
+        spend the death budget: the fourth incarnation runs the job
+        instead of failing it unrun."""
+        job_id = None
+        for _ in range(3):
+            blocking = BlockingExecutor()
+            manager = JobManager(tmp_path, execute=blocking, workers=1)
+            if job_id is None:
+                job_id = manager.submit(_spec(1)).record.id
+            manager.start()
+            assert blocking.started.wait(5.0)
+            manager.drain(grace=0.0)
+            assert manager.get(job_id).state == JobState.QUEUED
+        fake = CountingExecutor()
+        revived = JobManager(tmp_path, execute=fake, workers=1)
+        revived.start()
+        try:
+            assert _wait_terminal(revived)
+            record = revived.get(job_id)
+            assert record.state == JobState.DONE
+            assert record.attempts == 4
+            assert fake.calls == {record.cache_key: 1}
+        finally:
+            revived.drain(grace=0.0)
+
+    def test_requeued_job_runs_once_under_an_open_breaker(self, tmp_path):
+        """A requeued job whose kind's breaker opened still gets its one
+        fast-fail run."""
+        blocking = BlockingExecutor()
+        manager = JobManager(tmp_path, execute=blocking, workers=2)
+        failing = manager.submit(_spec(1)).record.id
+        requeued = manager.submit(_spec(2)).record.id
+        manager.start()
+        assert _wait(
+            lambda: all(
+                manager.get(job_id).state == JobState.RUNNING
+                for job_id in (failing, requeued)
+            )
+        )
+        manager.drain(grace=0.0)
+
+        class FailsTheFirstJob(CountingExecutor):
+            def run(self, record, job_dir, checkpoint_dir):
+                output = super().run(record, job_dir, checkpoint_dir)
+                status = 7 if record.id == failing else 0
+                return JobOutput(output.stdout, output.stderr, status)
+
+        fake = FailsTheFirstJob()
+        revived = JobManager(
+            tmp_path, execute=fake, workers=1, breaker_threshold=1
+        )
+        revived.start()
+        try:
+            assert _wait_terminal(revived)
+            assert revived.get(failing).state == JobState.FAILED
+            assert (
+                revived.metrics.counter("service.breaker_trips").value == 1
+            )
+            record = revived.get(requeued)
+            assert record.state == JobState.DONE
+            assert fake.calls[record.cache_key] == 1
         finally:
             revived.drain(grace=0.0)
 

@@ -371,7 +371,7 @@ HELP_SHA256 = {
     "analyze": "f6b9caa606835d2f047bc400c6c7f379b7f2ebcb4066bace786f44f38f986612",
     "chaos": "42adcc2fd24118e78a0199f110375b86a99bafa3171e6f9b1376cc61197f1074",
     "chaos-exec": "3097e76b4142ea9681fc6d42a0bfcd1155b0a2550ca6b4b9f4d72a1cd2dbcda4",
-    "serve": "4854d26d33943e13f80bae69efc04fa8e3cd4a1b69f2be188d25c269c5c725ef",
+    "serve": "ec82e3b0be167c322269da41b7ea2991bd95e278efcf6f08d40730084cc6bb27",
     "lifecycle": "ad86da9f5b7856f9b3fb966b4d45a66aac51c05ac27388cb1783f5e55143a065",
     "replay": "1032f91cde8cc904d28dc4cfe7cf311269c7ffc03ec1333f5f25cb8304d18c94",
     "report": "57bcc0fe974bb3273e20e971ac8c1b2a6f6455c1c48c4287fe714bee0eb247ac",
