@@ -8,7 +8,7 @@ fans them out over a process pool with a deterministic merge order, so a
 parallel run's report is byte-identical to a serial one.
 """
 
-from repro.perf.checkpoint import CheckpointStats, CheckpointStore, run_key_for
+from repro.perf.checkpoint import CheckpointStats, CheckpointStore
 from repro.perf.executor import (
     CampaignExecutionError,
     CampaignExecutor,
@@ -42,5 +42,4 @@ __all__ = [
     "resilience_note",
     "resilient_campaign_map",
     "run_campaign_items",
-    "run_key_for",
 ]

@@ -726,15 +726,19 @@ def _mode_tamper(ctx: _ChaosContext) -> ChaosOutcome:
             document["job"]["id"], ("done",), timeout=60.0
         ) is None:
             return _failed("tamper", "setup job never completed")
-        # Flip one bit in the cached payload on disk.
-        payloads = sorted(state_dir.glob("cache/*.bin"))
-        if len(payloads) != 1:
+        # Flip one bit inside the stdout text of the cached record.
+        records = sorted(state_dir.glob("cache/*/chunk_*.json"))
+        if len(records) != 1:
             return _failed(
-                "tamper", f"expected 1 cached payload, found {len(payloads)}"
+                "tamper", f"expected 1 cached record, found {len(records)}"
             )
-        blob = bytearray(payloads[0].read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        payloads[0].write_bytes(bytes(blob))
+        document = json.loads(records[0].read_text())
+        text = document["payload"]["stdout"]
+        middle = len(text) // 2
+        document["payload"]["stdout"] = (
+            text[:middle] + chr(ord(text[middle]) ^ 0x01) + text[middle + 1:]
+        )
+        records[0].write_text(json.dumps(document, indent=2, sort_keys=True))
         # A new identical submission must detect the corruption and
         # recompute rather than serve the tampered bytes.
         status, _, redo = server.submit(job)
@@ -749,7 +753,7 @@ def _mode_tamper(ctx: _ChaosContext) -> ChaosOutcome:
         identical = status == 200 and payload == ctx.reference(
             _job_argv(job)
         )
-        quarantined = len(list(state_dir.glob("cache/*.corrupt*")))
+        quarantined = len(list((state_dir / "cache").rglob("*.corrupt*")))
         return ChaosOutcome(
             mode="tamper",
             fault="one bit flipped in a cached artifact",

@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.ioutil import atomic_write_json, fsync_dir
 from repro.obs import get_observer
-from repro.obs.provenance import config_hash
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -54,8 +53,6 @@ __all__ = [
     "CheckpointStats",
     "CheckpointStore",
     "payload_digest",
-    "quarantined_files",
-    "run_key_for",
     "scan_run_states",
 ]
 
@@ -70,11 +67,6 @@ CHECKPOINT_SCHEMA_VERSION = 1
 #: written, every further save raises ``ENOSPC`` -- a simulated full
 #: disk.  Set by ``nanobox-repro chaos-exec --modes disk-full``.
 CHAOS_DISK_FULL_ENV = "REPRO_CHAOS_DISK_FULL_AFTER"
-
-
-def run_key_for(config: Mapping[str, Any]) -> str:
-    """The store key for a run configuration (canonical JSON SHA-256)."""
-    return config_hash(config)
 
 
 def payload_digest(payload: Any) -> str:
@@ -110,7 +102,7 @@ class CheckpointStore:
     Args:
         root: checkpoint directory shared by many runs.
         run_key: canonical config hash naming this run's sub-directory
-            (see :func:`run_key_for`).
+            (see :func:`repro.obs.provenance.config_hash`).
         kind: payload kind tag recorded and verified per record, so a
             sweep checkpoint can never be decoded as, say, a lifecycle
             point list.
@@ -219,14 +211,18 @@ class CheckpointStore:
             )
         return True
 
-    def load(self, index: int) -> Tuple[Optional[Any], bool]:
+    def load(
+        self, index: int, count: Optional[int] = None
+    ) -> Tuple[Optional[Any], bool]:
         """Fetch one chunk payload: ``(payload, hit)``.
 
         Returns ``(None, False)`` on a miss.  A present-but-invalid
         record -- truncated JSON, flipped payload bits, stale schema
-        version, foreign run key, wrong index or kind -- is quarantined
-        (renamed ``*.corrupt``) and reported as a miss so the caller
-        re-computes; the quarantined file is kept for post-mortems.
+        version, foreign run key, wrong index or kind, or, when
+        ``count`` is given, a payload that is not a list of ``count``
+        items -- is quarantined (renamed ``*.corrupt``) and reported as
+        a miss so the caller re-computes; the quarantined file is kept
+        for post-mortems.
         """
         obs = get_observer()
         path = self.path_for(index)
@@ -239,7 +235,7 @@ class CheckpointStore:
         except OSError as exc:
             self._quarantine(path, index, f"unreadable: {exc!r}", obs)
             return None, False
-        reason = self._validate(raw, index)
+        reason = self._validate(raw, index, count)
         if reason is not None:
             self._quarantine(path, index, reason, obs)
             return None, False
@@ -252,7 +248,9 @@ class CheckpointStore:
             )
         return payload, True
 
-    def _validate(self, raw: str, index: int) -> Optional[str]:
+    def _validate(
+        self, raw: str, index: int, count: Optional[int]
+    ) -> Optional[str]:
         """The reason a record is invalid, or ``None`` when it is good."""
         try:
             record = json.loads(raw)
@@ -284,8 +282,13 @@ class CheckpointStore:
             )
         if "payload" not in record:
             return "missing payload"
-        if record.get("payload_sha256") != payload_digest(record["payload"]):
+        payload = record["payload"]
+        if record.get("payload_sha256") != payload_digest(payload):
             return "payload integrity failure (bit flip?)"
+        if count is not None and (
+            not isinstance(payload, list) or len(payload) != count
+        ):
+            return f"result count mismatch: expected a list of {count}"
         return None
 
     def _quarantine(self, path: Path, index: int, reason: str, obs) -> None:
@@ -319,25 +322,6 @@ class CheckpointStore:
         limit = os.environ.get(CHAOS_DISK_FULL_ENV)
         if limit is not None and self._stats.writes >= int(limit):
             raise OSError(errno.ENOSPC, "injected disk full (chaos)")
-
-
-def quarantined_files(root: Union[str, Path]) -> List[Path]:
-    """Every quarantined (``*.corrupt*``) record under a checkpoint root.
-
-    Quarantine is how both :class:`CheckpointStore` and the service
-    result cache preserve invalid records for post-mortems instead of
-    trusting or deleting them; this census is what ``--obs-report``
-    surfaces so operators notice the pile growing.  Sorted for
-    deterministic reporting; an absent root is simply empty.
-    """
-    base = Path(root)
-    if not base.is_dir():
-        return []
-    return sorted(
-        path
-        for path in base.rglob("*.corrupt*")
-        if path.is_file() and ".corrupt" in path.name
-    )
 
 
 def scan_run_states(root: Union[str, Path]) -> List[Dict[str, Any]]:

@@ -59,7 +59,8 @@ from typing import (
 
 from repro.faults.campaign import CampaignResult, TrialResult
 from repro.obs import get_observer
-from repro.perf.checkpoint import CheckpointStore, run_key_for
+from repro.obs.provenance import config_hash
+from repro.perf.checkpoint import CheckpointStore
 from repro.perf.executor import (
     CampaignExecutor,
     CampaignWorkItem,
@@ -195,7 +196,7 @@ class ResilientRunner:
                 "schema_version": 1,
             },
         }
-        self._run_key = run_key_for(self._config)
+        self._run_key = config_hash(self._config)
         self._store: Optional[CheckpointStore] = None
         if runtime.checkpoint_dir is not None:
             self._store = CheckpointStore(
@@ -308,16 +309,8 @@ class ResilientRunner:
         """Serve one chunk from the store, if resuming and valid."""
         if self._store is None or not self._runtime.resume:
             return False
-        payload, hit = self._store.load(index)
+        payload, hit = self._store.load(index, count=len(chunk))
         if not hit:
-            return False
-        if not isinstance(payload, list) or len(payload) != len(chunk):
-            # Shape drift is corruption by another name: quarantine-by-
-            # recompute (the save below will overwrite the record).
-            self._store.stats.corrupt_reasons.append(
-                f"chunk {index}: payload arity {len(payload)!r} "
-                f"!= {len(chunk)}"
-            )
             return False
         for offset, item_payload in enumerate(payload):
             outcome.results[index * size + offset] = self._decode(item_payload)

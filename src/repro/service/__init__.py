@@ -11,9 +11,10 @@ gracefully the way a NanoBox cell does:
   queue sheds load with ``429``/``503`` + ``Retry-After`` instead of
   growing without bound.
 * **Content-addressed result cache** (:mod:`repro.service.cache`):
-  completed artifacts live on disk keyed by the canonical
-  ``config_hash`` of the job, verified by SHA-256 on every read so a
-  corrupt or torn artifact is quarantined and recomputed, never served.
+  completed artifacts live on disk as checkpoint records keyed by the
+  canonical ``config_hash`` of the job, verified by the checkpoint store
+  on every read so a corrupt or torn artifact is quarantined and
+  recomputed, never served.
 * **Single-flight deduplication** (:mod:`repro.service.runner`):
   N identical concurrent submissions collapse onto one computation.
 * **Worker supervision**: jobs run as supervised child processes under

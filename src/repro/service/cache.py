@@ -1,45 +1,58 @@
 """Content-addressed result cache with an LRU byte budget.
 
 One cache entry is one completed job artifact -- the child CLI's exact
-stdout bytes -- stored under its job cache key as two files written
-through :mod:`repro.ioutil` atomic writes::
+stdout bytes -- stored as one checkpoint record: chunk 0 of a
+:class:`~repro.perf.checkpoint.CheckpointStore` named by the job's
+cache key, with payload kind ``job-stdout``::
 
-    <key>.bin    the artifact payload
-    <key>.json   the commit record: schema, key, SHA-256, byte count
+    <root>/<key>/chunk_000000.json
 
-The **meta file is the commit point**: it is written *after* the
-payload, so a crash between the two leaves an orphan payload the next
-:meth:`ResultCache.put` simply overwrites, and a reader that finds no
-meta reports a clean miss.  Every :meth:`ResultCache.get` re-derives
-the payload digest and cross-checks the meta record; any mismatch --
-truncation, a flipped bit, a foreign key -- quarantines both files
-(renamed ``*.corrupt``) and reports a miss, the exact discipline
-:class:`repro.perf.checkpoint.CheckpointStore` applies to chunk
-records.  **A corrupt or partial artifact is never served.**
+The store is the only code that writes, verifies or quarantines the
+record.  Its atomic write makes the one file its own commit point, and
+every :meth:`ResultCache.get` re-checks the record's schema, key, kind
+and SHA-256: truncation, a flipped bit or a foreign key quarantines
+the file (renamed ``*.corrupt``) and reads as a miss.  **A corrupt or
+partial artifact is never served.**  The bytes travel as JSON text
+decoded with the ``surrogateescape`` error handler and are encoded back
+with it, so any byte string round-trips exactly
+(:func:`save_stdout` / :func:`load_stdout`; the service's partial
+artifacts are the same record with kind ``partial-stdout``).
 
 Capacity is a byte budget, not an entry count: after every put the
-least-recently-used entries are evicted until the total payload size
-fits (the entry just written is never the one evicted).  Recency
-survives restarts approximately via payload mtimes; within a process
-it is exact.
+least-recently-used entries are evicted until the total size of the
+record files on disk fits (the entry just written is never the one
+evicted).  Recency survives restarts approximately via record mtimes;
+within a process it is exact.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.ioutil import atomic_write_bytes, atomic_write_json, fsync_dir
+from repro.ioutil import fsync_dir
+from repro.perf.checkpoint import CheckpointStats, CheckpointStore
 
-__all__ = ["CacheStats", "ResultCache"]
+__all__ = ["CacheStats", "ResultCache", "load_stdout", "save_stdout"]
 
-_SCHEMA = "repro.service.cache"
-_SCHEMA_VERSION = 1
+
+def save_stdout(store: CheckpointStore, stdout: bytes) -> bool:
+    """Durably record ``stdout`` as the store's chunk 0; False if the
+    write failed (a full disk)."""
+    text = stdout.decode("utf-8", "surrogateescape")
+    return store.save(0, {"stdout": text})
+
+
+def load_stdout(store: CheckpointStore) -> Optional[bytes]:
+    """The verified bytes of the store's chunk 0, or ``None`` when the
+    record is absent or was just quarantined."""
+    payload, hit = store.load(0)
+    if not hit:
+        return None
+    return payload["stdout"].encode("utf-8", "surrogateescape")
 
 
 @dataclass
@@ -59,8 +72,10 @@ class ResultCache:
 
     Args:
         root: cache directory (created on demand).
-        byte_budget: total payload bytes to retain; least-recently-used
-            entries are evicted beyond it.  ``None`` disables eviction.
+        byte_budget: total bytes of record files on disk to retain (the
+            JSON records, not the raw stdout they hold);
+            least-recently-used entries are evicted beyond it.  ``None``
+            disables eviction.
     """
 
     def __init__(
@@ -72,7 +87,7 @@ class ResultCache:
         self._budget = byte_budget
         self._stats = CacheStats()
         self._lock = threading.Lock()
-        # key -> payload bytes; insertion order == recency (oldest first).
+        # key -> record bytes; insertion order == recency (oldest first).
         self._recency: Dict[str, int] = {}
         self._rescan()
 
@@ -88,12 +103,6 @@ class ResultCache:
     def byte_budget(self) -> Optional[int]:
         return self._budget
 
-    def payload_path(self, key: str) -> Path:
-        return self._root / f"{key}.bin"
-
-    def meta_path(self, key: str) -> Path:
-        return self._root / f"{key}.json"
-
     def keys(self) -> List[str]:
         """Cached keys, least-recently-used first."""
         with self._lock:
@@ -102,6 +111,9 @@ class ResultCache:
     def total_bytes(self) -> int:
         with self._lock:
             return sum(self._recency.values())
+
+    def _store(self, key: str) -> CheckpointStore:
+        return CheckpointStore(self._root, key, kind="job-stdout")
 
     def _rescan(self) -> None:
         """Rebuild the recency index from disk (mtime order, oldest first).
@@ -112,106 +124,61 @@ class ResultCache:
         if not self._root.is_dir():
             return
         entries: List[Tuple[float, str, int]] = []
-        for meta in self._root.glob("*.json"):
-            key = meta.stem
-            payload = self.payload_path(key)
+        for directory in self._root.iterdir():
             try:
-                stat = payload.stat()
+                stat = self._store(directory.name).path_for(0).stat()
             except OSError:
                 continue
-            entries.append((stat.st_mtime, key, stat.st_size))
+            entries.append((stat.st_mtime, directory.name, stat.st_size))
         for _, key, size in sorted(entries):
             self._recency[key] = size
 
     def get(self, key: str) -> Optional[bytes]:
         """The cached artifact, or ``None`` -- never corrupt bytes.
 
-        A present-but-invalid entry (missing payload, truncation, digest
-        mismatch, foreign key) is quarantined (both files renamed
-        ``*.corrupt``) and reported as a miss so the caller recomputes.
+        A present-but-invalid record is quarantined by the store and
+        reported as a miss so the caller recomputes.
         """
         with self._lock:
-            meta_path = self.meta_path(key)
-            try:
-                raw_meta = meta_path.read_text()
-            except FileNotFoundError:
-                self._stats.misses += 1
+            store = self._store(key)
+            stdout = load_stdout(store)
+            self._count(key, store.stats)
+            if stdout is None:
+                self._recency.pop(key, None)
                 return None
-            except OSError as exc:
-                self._quarantine(key, f"unreadable meta: {exc!r}")
-                return None
-            reason, payload = self._validate(key, raw_meta)
-            if reason is not None:
-                self._quarantine(key, reason)
-                return None
-            self._touch(key, len(payload))
-            self._stats.hits += 1
-            return payload
+            self._touch(key)
+            return stdout
 
-    def _validate(
-        self, key: str, raw_meta: str
-    ) -> Tuple[Optional[str], bytes]:
-        try:
-            meta = json.loads(raw_meta)
-        except json.JSONDecodeError as exc:
-            return f"undecodable meta (truncated?): {exc.msg}", b""
-        if not isinstance(meta, dict):
-            return "meta is not a record object", b""
-        if meta.get("schema") != _SCHEMA:
-            return f"foreign schema {meta.get('schema')!r}", b""
-        if meta.get("schema_version") != _SCHEMA_VERSION:
-            return (
-                f"stale schema version {meta.get('schema_version')!r}", b""
-            )
-        if meta.get("key") != key:
-            return f"key mismatch: record {meta.get('key')!r}", b""
-        try:
-            payload = self.payload_path(key).read_bytes()
-        except OSError as exc:
-            return f"unreadable payload: {exc!r}", b""
-        if meta.get("bytes") != len(payload):
-            return (
-                f"payload size {len(payload)} != recorded "
-                f"{meta.get('bytes')!r} (torn write?)", b""
-            )
-        digest = hashlib.sha256(payload).hexdigest()
-        if meta.get("sha256") != digest:
-            return "payload integrity failure (bit flip?)", b""
-        return None, payload
+    def put(self, key: str, stdout: bytes) -> bool:
+        """Durably store one artifact; False when the write failed.
 
-    def put(self, key: str, payload: bytes, **extra) -> str:
-        """Durably store one artifact; returns its SHA-256.
-
-        Payload first, meta (the commit point) second, both atomic;
-        then evict least-recently-used entries beyond the byte budget.
-        ``extra`` keys are stored in the meta record verbatim (job kind,
-        exit status ... informational only, never validated).
+        Then evict least-recently-used entries beyond the byte budget.
         """
-        digest = hashlib.sha256(payload).hexdigest()
         with self._lock:
-            self._root.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(self.payload_path(key), payload)
-            meta = {
-                "schema": _SCHEMA,
-                "schema_version": _SCHEMA_VERSION,
-                "key": key,
-                "bytes": len(payload),
-                "sha256": digest,
-            }
-            meta.update(extra)
-            atomic_write_json(self.meta_path(key), meta)
-            self._touch(key, len(payload))
+            if not save_stdout(self._store(key), stdout):
+                return False
+            self._touch(key)
             self._stats.puts += 1
             self._evict(keep=key)
-        return digest
+        return True
 
-    def _touch(self, key: str, size: int) -> None:
+    def _count(self, key: str, store_stats: CheckpointStats) -> None:
+        self._stats.hits += store_stats.hits
+        self._stats.misses += store_stats.misses
+        self._stats.corruptions += store_stats.corruptions
+        self._stats.corrupt_reasons.extend(
+            f"{key}: {reason}" for reason in store_stats.corrupt_reasons
+        )
+
+    def _touch(self, key: str) -> None:
+        path = self._store(key).path_for(0)
+        try:
+            os.utime(path)
+            size = path.stat().st_size
+        except OSError:
+            return
         self._recency.pop(key, None)
         self._recency[key] = size
-        try:
-            os.utime(self.payload_path(key))
-        except OSError:
-            pass
 
     def _evict(self, keep: str) -> None:
         """Drop LRU entries until the budget fits (never ``keep``)."""
@@ -224,30 +191,11 @@ class ResultCache:
             if key == keep:
                 continue
             total -= self._recency.pop(key)
-            for path in (self.payload_path(key), self.meta_path(key)):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            self._stats.evictions += 1
-        fsync_dir(self._root)
-
-    def _quarantine(self, key: str, reason: str) -> None:
-        """Move an invalid entry aside; account as corrupt + miss."""
-        for path in (self.payload_path(key), self.meta_path(key)):
-            if not path.exists():
-                continue
-            target = path.with_suffix(path.suffix + ".corrupt")
-            serial = 0
-            while target.exists():
-                serial += 1
-                target = path.with_suffix(path.suffix + f".corrupt{serial}")
+            store = self._store(key)
             try:
-                os.replace(str(path), str(target))
+                store.path_for(0).unlink()
+                store.directory.rmdir()  # kept while it holds *.corrupt
             except OSError:
                 pass
+            self._stats.evictions += 1
         fsync_dir(self._root)
-        self._recency.pop(key, None)
-        self._stats.corruptions += 1
-        self._stats.misses += 1
-        self._stats.corrupt_reasons.append(f"{key}: {reason}")

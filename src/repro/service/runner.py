@@ -34,7 +34,12 @@ any HTTP so the concurrency invariants are testable in-process:
 
 Every state transition is journaled to ``<state_dir>/jobs/<id>.json``
 via atomic writes; the journal plus the checkpoint store is the entire
-recovery story after ``kill -9``.
+recovery story after ``kill -9``.  Artifacts are checkpoint records
+too, verified on every read: a done job's stdout is the result cache's
+``job-stdout`` record under ``cache/<cache_key>/``, a partial job's a
+``partial-stdout`` record under ``jobs/<id>/``.  A job whose artifact
+cannot be written (a full disk) ends ``failed``, never ``done`` with
+nothing to serve.
 """
 
 from __future__ import annotations
@@ -52,11 +57,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cli import EXIT_INCOMPLETE
-from repro.ioutil import atomic_write_bytes, atomic_write_json, atomic_write_text
+from repro.ioutil import atomic_write_json, atomic_write_text
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.checkpoint import scan_run_states
+from repro.perf.checkpoint import CheckpointStore, scan_run_states
 from repro.service.admission import AdmissionQueue
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, load_stdout, save_stdout
 from repro.service.jobs import JobRecord, JobSpec, JobState
 
 __all__ = [
@@ -534,6 +539,10 @@ class JobManager:
     def checkpoint_dir(self, cache_key: str) -> Path:
         return self._checkpoint_root / cache_key
 
+    def _partial_store(self, job_id: str) -> CheckpointStore:
+        """The job's partial artifact: one record in ``jobs/<id>/``."""
+        return CheckpointStore(self._jobs_dir, job_id, kind="partial-stdout")
+
     def progress(self, record: JobRecord) -> Dict[str, Any]:
         """Chunk-level progress from the job's checkpoint run states."""
         states = scan_run_states(self.checkpoint_dir(record.cache_key))
@@ -572,9 +581,12 @@ class JobManager:
     def result(self, job_id: str) -> Tuple[Optional[bytes], str]:
         """``(artifact, reason)``; artifact ``None`` when unavailable.
 
-        Serves only verified bytes: done jobs come from the cache (which
-        re-checks SHA-256 on read), partial jobs from the job-local
-        artifact cross-checked against the journaled digest.
+        Serves only verified bytes: done jobs come from the result
+        cache, partial jobs from the job's own record, and both are
+        checkpoint records re-verified on read.  A bad partial record is
+        quarantined and answered ``corrupt``; a done job whose entry is
+        gone or was quarantined answers ``evicted``, and resubmitting it
+        recomputes the artifact.
         """
         record = self.get(job_id)
         if record is None:
@@ -588,17 +600,11 @@ class JobManager:
                 return None, "evicted"
             return payload, "ok"
         if record.state == JobState.PARTIAL:
-            path = self.job_dir(job_id) / "output.bin"
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                return None, "evicted"
-            if (
-                record.result_sha256 is not None
-                and hashlib.sha256(payload).hexdigest() != record.result_sha256
-            ):
-                return None, "corrupt"
-            return payload, "partial"
+            store = self._partial_store(job_id)
+            payload = load_stdout(store)
+            if payload is not None:
+                return payload, "partial"
+            return None, "corrupt" if store.stats.corruptions else "evicted"
         return None, record.state
 
     def service_snapshot(self) -> Dict[str, Any]:
@@ -717,35 +723,38 @@ class JobManager:
     def _settle_attempt(self, record: JobRecord, output: JobOutput) -> bool:
         """Interpret one attempt; True when the job reached a final state."""
         cancelled = record.id in self._cancel_requested
-        if output.exit_status == 0:
-            sha = self.cache.put(
-                record.cache_key,
-                output.stdout,
-                kind=record.spec.kind,
-                job_id=record.id,
-            )
+        if output.exit_status in (0, EXIT_INCOMPLETE):
+            # Exit 3 is the resilient runtime's explicit partial report:
+            # served, never cached -- a later identical submission
+            # resumes from the checkpoints and completes it.
+            partial = output.exit_status == EXIT_INCOMPLETE
+            if partial:
+                saved = save_stdout(
+                    self._partial_store(record.id), output.stdout
+                )
+            else:
+                saved = self.cache.put(record.cache_key, output.stdout)
             with self._lock:
+                if not saved:
+                    # A job that ended with nothing to serve has failed.
+                    record.error = (
+                        f"{'partial artifact' if partial else 'result cache'}"
+                        " write failed (disk full?); nothing to serve"
+                    )
+                    self._finish(record, JobState.FAILED)
+                    return True
                 record.result_bytes = len(output.stdout)
-                record.result_sha256 = sha
-                self._finish(record, JobState.DONE)
+                record.result_sha256 = hashlib.sha256(
+                    output.stdout
+                ).hexdigest()
+                record.incomplete = partial
+                self._finish(
+                    record, JobState.PARTIAL if partial else JobState.DONE
+                )
                 self._breakers[record.spec.kind].record_success()
+            if partial:
+                self.metrics.counter("service.jobs_partial").inc()
             self._sync_cache_counters()
-            return True
-        if output.exit_status == EXIT_INCOMPLETE:
-            # The resilient runtime's explicit partial report: served,
-            # never cached -- a later identical submission resumes from
-            # the checkpoints and completes it.
-            sha = hashlib.sha256(output.stdout).hexdigest()
-            job_dir = self.job_dir(record.id)
-            job_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(job_dir / "output.bin", output.stdout)
-            with self._lock:
-                record.result_bytes = len(output.stdout)
-                record.result_sha256 = sha
-                record.incomplete = True
-                self._finish(record, JobState.PARTIAL)
-                self._breakers[record.spec.kind].record_success()
-            self.metrics.counter("service.jobs_partial").inc()
             return True
         if cancelled:
             with self._lock:

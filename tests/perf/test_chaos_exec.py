@@ -68,9 +68,9 @@ class TestChaosSuite:
         dup = _outcome(suite_outcomes, "dup-storm")
         assert dup.detail.startswith("1 computation(s) for 12 submissions")
 
-    def test_tamper_quarantined_both_cache_files(self, suite_outcomes):
+    def test_tamper_quarantines_the_one_cache_record(self, suite_outcomes):
         tamper = _outcome(suite_outcomes, "tamper")
-        assert tamper.quarantined == 2
+        assert tamper.quarantined == 1
 
     def test_report_is_deterministic_text(self, suite_outcomes):
         report = chaos_exec_report(suite_outcomes)

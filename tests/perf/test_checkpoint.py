@@ -16,8 +16,6 @@ from repro.perf.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     CheckpointStore,
     payload_digest,
-    quarantined_files,
-    run_key_for,
     scan_run_states,
 )
 
@@ -59,12 +57,6 @@ class TestRoundTrip:
     def test_negative_index_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             _store(tmp_path).path_for(-1)
-
-    def test_run_key_for_is_canonical_config_hash(self):
-        a = run_key_for({"b": 2, "a": 1})
-        b = run_key_for({"a": 1, "b": 2})
-        assert a == b
-        assert a != run_key_for({"a": 1, "b": 3})
 
 
 def _corrupt_and_reload(tmp_path, mutate, index=0):
@@ -169,6 +161,14 @@ class TestCorruptionMatrix:
         store, payload, hit = _corrupt_and_reload(tmp_path, strip)
         self._assert_quarantined(store, payload, hit, "missing payload")
 
+    @pytest.mark.parametrize("stored", [[1], [1, 2, 3], {"value": 1}])
+    def test_wrong_result_count(self, tmp_path, stored):
+        store = _store(tmp_path)
+        assert store.save(0, stored)
+        payload, hit = store.load(0, count=2)
+        self._assert_quarantined(store, payload, hit, "result count mismatch")
+        assert store.stats.hits == 0 and store.stats.misses == 1
+
     def test_quarantine_keeps_corrupt_file_for_postmortem(self, tmp_path):
         def truncate(path):
             path.write_text("{")
@@ -224,32 +224,6 @@ class TestPayloadDigest:
 
     def test_digest_distinguishes_values(self):
         assert payload_digest([1]) != payload_digest([2])
-
-
-class TestQuarantineCensus:
-    def test_absent_root_is_empty(self, tmp_path):
-        assert quarantined_files(tmp_path / "nope") == []
-
-    def test_census_finds_corrupt_files_recursively(self, tmp_path):
-        def truncate(path):
-            path.write_text(path.read_text()[: path.stat().st_size // 2])
-
-        _corrupt_and_reload(tmp_path, truncate)
-        found = quarantined_files(tmp_path)
-        assert len(found) == 1
-        assert found[0].name.endswith(".json.corrupt")
-
-    def test_census_is_sorted_and_ignores_healthy_records(self, tmp_path):
-        store = _store(tmp_path)
-        for index in range(3):
-            store.save(index, [index])
-        two = store.path_for(2)
-        two.rename(two.with_name(two.name + ".corrupt"))
-        one = store.path_for(1)
-        one.rename(one.with_name(one.name + ".corrupt1"))
-        names = [path.name for path in quarantined_files(tmp_path)]
-        assert names == sorted(names)
-        assert len(names) == 2 and all(".corrupt" in n for n in names)
 
 
 class TestScanRunStates:

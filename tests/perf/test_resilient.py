@@ -153,6 +153,24 @@ class TestCheckpointReuse:
         assert outcome.computed_chunks == 1
         assert outcome.results == _double(0, list(range(4)))
 
+    def test_wrong_result_count_is_quarantined_not_a_hit(self, tmp_path):
+        """The store checks the result count: a valid record that holds
+        1 result for a 2-task chunk is corrupt, counted as a miss, kept
+        as ``*.corrupt`` and named in the note."""
+        first = _runner(checkpoint_dir=tmp_path, chunk_size=2)
+        first.run(list(range(4)))
+        first.store.save(0, [{"task": 0, "value": 0}])
+        second = _runner(checkpoint_dir=tmp_path, resume=True, chunk_size=2)
+        outcome = second.run(list(range(4)))
+        stats = outcome.checkpoint_stats
+        assert (stats.hits, stats.misses, stats.corruptions) == (1, 1, 1)
+        assert "result count mismatch" in stats.corrupt_reasons[0]
+        assert [p.name for p in second.store.directory.glob("*.corrupt*")] == [
+            "chunk_000000.json.corrupt"
+        ]
+        assert "quarantined 1 corrupt record(s)" in resilience_note(outcome)
+        assert outcome.results == _double(0, list(range(4)))
+
 
 class TestDeadline:
     def _clock(self, times):

@@ -6,6 +6,7 @@ child-process path is covered by ``test_service_e2e`` and the
 ``chaos-exec`` harness.
 """
 
+import json
 import os
 import threading
 import time
@@ -240,6 +241,59 @@ class TestPartialResults:
             assert again.status == "queued"
         finally:
             manager.drain(grace=0.0)
+
+
+def _settled_job(tmp_path, exit_status=0, budget=None):
+    """One job run to a terminal state; returns (manager, record)."""
+    manager = JobManager(
+        tmp_path,
+        execute=CountingExecutor(exit_status=exit_status),
+        workers=1,
+        cache_budget=budget,
+    )
+    manager.start()
+    outcome = manager.submit(_spec(1))
+    assert _wait_terminal(manager)
+    manager.drain(grace=0.0)
+    return manager, manager.get(outcome.record.id)
+
+
+class TestResultPaths:
+    def test_bit_flipped_partial_is_quarantined_never_served(self, tmp_path):
+        manager, record = _settled_job(tmp_path, exit_status=3)
+        path = manager.job_dir(record.id) / "chunk_000000.json"
+        document = json.loads(path.read_text())
+        text = document["payload"]["stdout"]
+        document["payload"]["stdout"] = text[:-1] + chr(ord(text[-1]) ^ 1)
+        path.write_text(json.dumps(document))
+        assert manager.result(record.id) == (None, "corrupt")
+        quarantined = manager.job_dir(record.id).glob("*.corrupt*")
+        assert [p.name for p in quarantined] == ["chunk_000000.json.corrupt"]
+        # Quarantined, not deleted: the record is gone, so a re-read
+        # finds nothing rather than the tampered bytes.
+        assert manager.result(record.id) == (None, "evicted")
+
+    def test_done_job_with_evicted_entry_answers_evicted(self, tmp_path):
+        manager, record = _settled_job(tmp_path, budget=0)
+        assert manager.result(record.id)[1] == "ok"
+        manager.cache.put("another-key", b"newer artifact")  # evicts ours
+        assert manager.cache.stats.evictions == 1
+        assert manager.result(record.id) == (None, "evicted")
+
+    @pytest.mark.parametrize(
+        ("exit_status", "write"),
+        [(0, "result cache write"), (3, "partial artifact write")],
+    )
+    def test_failed_artifact_write_fails_the_job(
+        self, tmp_path, monkeypatch, exit_status, write
+    ):
+        monkeypatch.setenv("REPRO_CHAOS_DISK_FULL_AFTER", "0")
+        manager, record = _settled_job(tmp_path, exit_status=exit_status)
+        assert record.state == JobState.FAILED
+        assert write in record.error
+        assert record.result_sha256 is None
+        assert manager.result(record.id) == (None, JobState.FAILED)
+        assert manager.cache.keys() == []
 
 
 class TestSupervision:
